@@ -106,7 +106,6 @@ def _run(argv) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="override the noise seed")
-        p.add_argument("--threads", type=int, default=1, help="worker-thread cap")
         p.add_argument("--out", default="optitomo_out", help="output directory")
         if name in ("example1", "example2"):
             p.add_argument("--epsilon", type=float, default=None, help="noise level")
@@ -463,7 +462,6 @@ def _write_manifest(args, cfg, outdir, outputs, extra, wall_time) -> None:
         "config_path": args.config,
         "config": cfg,
         "seed": args.seed,
-        "threads": args.threads,
         "versions": {
             "optitomo": __version__,
             "numpy": np.__version__,

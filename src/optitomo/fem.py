@@ -41,10 +41,6 @@ class AssembledSystem:
     _full_lu: object = dc_field(default=None, repr=False)
     _interior: object = dc_field(default=None, repr=False)
 
-    @property
-    def interior_nodes(self) -> np.ndarray:
-        return self._interior_parts()[0]
-
     def full_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._full_lu is None:
             self._full_lu = spla.splu(self.matrix)
@@ -62,12 +58,6 @@ class AssembledSystem:
 
     def interior_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._interior_parts()[3].solve(rhs)
-
-    def boundary_load_map(self, g: BoundaryTrace) -> np.ndarray:
-        return boundary_load(self.mesh, g)
-
-    def source_load_map(self, F: PiecewiseConstantField) -> np.ndarray:
-        return source_load(self.mesh, F.values)
 
 
 def assemble(mesh: TriMesh, sigma: PiecewiseConstantField, q: PiecewiseConstantField) -> AssembledSystem:

@@ -10,10 +10,12 @@ coefficient-weighted energy norm, plus a Tikhonov penalty:
 J vanishes exactly when both solutions coincide for every pair.  Its gradient
 with respect to per-element coefficient values is analytic (no adjoint solves
 beyond the 2K forward solves per evaluation).  Minimization runs a projected
-BFGS: quasi-Newton step, projection onto the box bounds, Armijo backtracking
-on the projected point, and a curvature-guarded inverse-Hessian update.  The
-regularization weight can be chosen by a fixed-point iteration that balances
-the data-fit term against the penalty, which needs no noise-level knowledge.
+L-BFGS: a limited-memory quasi-Newton step from the two-loop recursion over
+the last ``LBFGS_MEMORY`` curvature pairs, projection onto the box bounds,
+Armijo backtracking on the projected point, and a curvature-guarded pair
+update.  The regularization weight can be chosen by a fixed-point iteration
+that balances the data-fit term against the penalty, which needs no
+noise-level knowledge.
 
 In absorption-only mode the diffusion coefficient is held fixed and the
 penalty reduces to (rho/2) int q^2.
@@ -38,6 +40,9 @@ from .mesh import TriMesh
 
 Q_ONLY = "q_only"
 JOINT = "joint"
+
+# Curvature pairs kept by the limited-memory inverse Hessian.
+LBFGS_MEMORY = 20
 
 
 @dataclass(frozen=True)
@@ -64,12 +69,10 @@ class InversionConfig:
 
     ``sigma0`` is the known diffusion in q-only mode and the initial guess in
     joint mode; ``q0`` is the initial absorption guess.  Bounds are inclusive
-    boxes applied per element.  A full dense inverse Hessian is kept while the
-    parameter dimension stays at or below ``dense_hessian_limit``; beyond it
-    (or when ``force_limited_memory`` is set) the optimizer switches to the
-    limited-memory update with ``memory`` stored pairs.  ``sigma_prescale``
-    and ``q_prescale`` seed the initial inverse Hessian per block (a diagonal
-    pre-scaling of the stacked variables; both default to 1, i.e. none).
+    boxes applied per element.  ``max_iter``, ``gradient_tolerance``,
+    ``armijo`` and ``max_backtracks`` control the projected L-BFGS descent;
+    ``beta_balance``, ``balance_max_outer`` and ``balance_rtol`` control the
+    balancing fixed point for ``rho``.
     """
 
     mode: str
@@ -85,11 +88,6 @@ class InversionConfig:
     max_backtracks: int = 30
     balance_max_outer: int = 20
     balance_rtol: float = 1e-3
-    dense_hessian_limit: int = 5000
-    force_limited_memory: bool = False
-    memory: int = 20
-    sigma_prescale: float = 1.0
-    q_prescale: float = 1.0
 
     def __post_init__(self):
         if self.mode not in (Q_ONLY, JOINT):
@@ -105,8 +103,6 @@ class InversionConfig:
                 raise FieldError("sigma bounds must be ordered and positive")
         if self.beta_balance <= 1.0:
             raise FieldError("beta_balance must exceed 1")
-        if self.memory < 1:
-            raise FieldError("limited-memory depth must be positive")
 
 
 @dataclass
@@ -266,36 +262,14 @@ class _Objective:
         return fit + pen, fit, pen, grad
 
 
-class _DenseInverseHessian:
-    """Full BFGS inverse-Hessian; appropriate up to a few thousand variables."""
-
-    def __init__(self, diag0: np.ndarray):
-        self._diag0 = diag0
-        self.reset()
-
-    def reset(self):
-        self.matrix = np.diag(self._diag0)
-        self._fresh = True
-
-    def direction(self, grad: np.ndarray) -> np.ndarray:
-        return -(self.matrix @ grad)
-
-    def update(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
-        if self._fresh:
-            self.matrix *= sy / float(y @ y)
-            self._fresh = False
-        rho = 1.0 / sy
-        hy = self.matrix @ y
-        self.matrix -= rho * (np.outer(s, hy) + np.outer(hy, s))
-        self.matrix += rho * (rho * float(y @ hy) + 1.0) * np.outer(s, s)
-
-
 class _LimitedMemoryInverseHessian:
-    """Two-loop-recursion variant for parameter dimensions past the dense limit."""
+    """Two-loop recursion over the last ``LBFGS_MEMORY`` (s, y) pairs.
 
-    def __init__(self, diag0: np.ndarray, memory: int):
-        self._diag0 = diag0
-        self._memory = memory
+    The initial inverse Hessian is gamma * I with gamma = s.y / y.y of the
+    newest pair (Nocedal & Wright, Numerical Optimization, section 7.2).
+    """
+
+    def __init__(self):
         self.reset()
 
     def reset(self):
@@ -309,7 +283,7 @@ class _LimitedMemoryInverseHessian:
             a = rho * float(s @ q)
             alphas.append(a)
             q -= a * y
-        q *= self._gamma * self._diag0
+        q *= self._gamma
         for (s, y, rho), a in zip(self._pairs, reversed(alphas)):
             b = rho * float(y @ q)
             q += (a - b) * s
@@ -317,7 +291,7 @@ class _LimitedMemoryInverseHessian:
 
     def update(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
         self._pairs.append((s.copy(), y.copy(), 1.0 / sy))
-        if len(self._pairs) > self._memory:
+        if len(self._pairs) > LBFGS_MEMORY:
             self._pairs.pop(0)
         self._gamma = sy / float(y @ y)
 
@@ -328,7 +302,7 @@ def bfgs_minimize(
     rho: float | None = None,
     x_start: np.ndarray | None = None,
 ):
-    """Projected quasi-Newton descent on the energy-misfit functional.
+    """Projected L-BFGS descent on the energy-misfit functional.
 
     Returns (sigma_rec, q_rec, trace).  ``meas=None`` optimizes the bare
     penalty (useful as a convexity sanity check).  ``x_start`` overrides the
@@ -337,14 +311,7 @@ def bfgs_minimize(
     obj = _Objective(meas, config)
     rho = config.rho if rho is None else rho
     x = obj.project(x_start.copy()) if x_start is not None else obj.x0.copy()
-
-    diag0 = np.full(x.size, config.q_prescale ** 2)
-    if config.mode == JOINT:
-        diag0[: config.q0.mesh.n_elements] = config.sigma_prescale ** 2
-    if config.force_limited_memory or x.size > config.dense_hessian_limit:
-        hessian = _LimitedMemoryInverseHessian(diag0, config.memory)
-    else:
-        hessian = _DenseInverseHessian(diag0)
+    hessian = _LimitedMemoryInverseHessian()
 
     value, fit, pen, grad = obj.value_and_gradient(x, rho)
     trace = OptimizationTrace()

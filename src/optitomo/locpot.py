@@ -7,7 +7,7 @@ gradients on the normal equations of the current-to-interior operator
 T: g -> u|_omega (least-squares form, so the residual decreases monotonically)
 against a cell-indicator target; after every iterate the certificate
 
-    beta(j,k) = 1/2 int_{D_j} u^2 - (3b/(2a) - 1/2) int_{omega \ D_j} u^2
+    beta(j,k) = 1/2 int_{D_j} u^2 - (3b/(2a) - 1/2) int_{omega \\ D_j} u^2
 
 is evaluated and the first iterate with beta > 1 is accepted.  The target
 indicator is scaled so that its squared interior norm is 3, which makes the

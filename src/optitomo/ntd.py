@@ -81,13 +81,17 @@ def boundary_inner(g: BoundaryTrace, h: BoundaryTrace, mass: np.ndarray) -> floa
     return 0.5 * (a + b)
 
 
-def m_weighted_opnorm(diff: np.ndarray, mass: np.ndarray) -> float:
-    """Largest |eigenvalue| of an M-self-adjoint operator given as a plain matrix."""
+def _m_symmetrized(diff: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Symmetric matrix L^T diff L^{-T} (M = L L^T) with the eigenvalues of diff."""
     chol = sla.cholesky(mass, lower=True)
     right = sla.solve_triangular(chol, diff.T, lower=True).T  # diff @ L^{-T}
     sym = chol.T @ right
-    sym = 0.5 * (sym + sym.T)
-    return float(np.max(np.abs(sla.eigvalsh(sym))))
+    return 0.5 * (sym + sym.T)
+
+
+def m_weighted_opnorm(diff: np.ndarray, mass: np.ndarray) -> float:
+    """Largest |eigenvalue| of an M-self-adjoint operator given as a plain matrix."""
+    return float(np.max(np.abs(sla.eigvalsh(_m_symmetrized(diff, mass)))))
 
 
 def opnorm_diff(l1: NtDMatrix, l2: NtDMatrix) -> float:
@@ -101,12 +105,7 @@ def min_m_eigenvalue(l1: NtDMatrix, l2: NtDMatrix) -> float:
     """Smallest M-generalized eigenvalue of l1 - l2 (quadratic-form ordering test)."""
     if l1.mesh is not l2.mesh:
         raise FieldError("NtD operators live on different meshes")
-    diff = l1.lam - l2.lam
-    chol = sla.cholesky(l1.mass, lower=True)
-    right = sla.solve_triangular(chol, diff.T, lower=True).T
-    sym = chol.T @ right
-    sym = 0.5 * (sym + sym.T)
-    return float(np.min(sla.eigvalsh(sym)))
+    return float(np.min(sla.eigvalsh(_m_symmetrized(l1.lam - l2.lam, l1.mass))))
 
 
 def _common_support(q1: PiecewiseConstantField, q2: PiecewiseConstantField) -> np.ndarray:

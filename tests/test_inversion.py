@@ -8,8 +8,10 @@ from optitomo.field import PiecewiseConstantField, sample_coefficient
 from optitomo.fem import assemble, energy, solve_neumann
 from optitomo.inversion import (
     JOINT,
+    LBFGS_MEMORY,
     Q_ONLY,
     InversionConfig,
+    _LimitedMemoryInverseHessian,
     balancing_rho,
     bfgs_minimize,
     kv_gradient,
@@ -99,25 +101,8 @@ def test_gradient_penalty_only_term(example1_consistent):
                                atol=1e-10 * np.max(np.abs(expected)))
 
 
-def test_bfgs_descends_consistent_data(example1_consistent):
-    sigma, q_true, meas = example1_consistent
-    cfg = InversionConfig(
-        mode=Q_ONLY,
-        sigma0=sigma,
-        q0=sample_coefficient(meas.mesh, "constant:1"),
-        q_bounds=(0.1, 5.0),
-        rho=0.0,
-        max_iter=400,
-        gradient_tolerance=1e-12,
-    )
-    _, q_rec, trace = bfgs_minimize(meas, cfg)
-    values = [r["J"] for r in trace.rows]
-    assert all(b <= a + 1e-15 * abs(a) for a, b in zip(values, values[1:]))
-    assert values[-1] <= 1e-6 * values[0]
-    assert np.all(q_rec.values >= 0.1) and np.all(q_rec.values <= 5.0)
-
-
-def test_bfgs_limited_memory_variant(example1_consistent):
+@pytest.fixture(scope="module")
+def q_only_descent(example1_consistent):
     sigma, _, meas = example1_consistent
     cfg = InversionConfig(
         mode=Q_ONLY,
@@ -127,29 +112,52 @@ def test_bfgs_limited_memory_variant(example1_consistent):
         rho=0.0,
         max_iter=400,
         gradient_tolerance=1e-12,
-        force_limited_memory=True,
     )
     _, q_rec, trace = bfgs_minimize(meas, cfg)
-    values = [r["J"] for r in trace.rows]
+    return q_rec, [r["J"] for r in trace.rows]
+
+
+def test_bfgs_descends_consistent_data(q_only_descent):
+    q_rec, values = q_only_descent
     assert all(b <= a + 1e-15 * abs(a) for a, b in zip(values, values[1:]))
     assert values[-1] <= 1e-6 * values[0]
     assert np.all(q_rec.values >= 0.1) and np.all(q_rec.values <= 5.0)
 
 
-def test_bfgs_prescale_knob(mesh_small):
-    sigma = sample_coefficient(mesh_small, "one")
-    cfg = InversionConfig(
-        mode=Q_ONLY,
-        sigma0=sigma,
-        q0=sample_coefficient(mesh_small, "constant:2"),
-        q_bounds=(0.5, 4.0),
-        rho=1.0,
-        max_iter=200,
-        gradient_tolerance=1e-14,
-        q_prescale=3.0,
-    )
-    _, q_rec, _ = bfgs_minimize(None, cfg)
-    np.testing.assert_allclose(q_rec.values, 0.5, rtol=0, atol=1e-8)
+def test_bfgs_limited_memory_variant(q_only_descent):
+    # the solve runs past the memory depth, so old pairs are evicted, and it
+    # keeps making progress on the rolling window of the newest pairs
+    _, values = q_only_descent
+    assert len(values) - 1 > LBFGS_MEMORY
+    assert values[-1] <= 1e-2 * values[LBFGS_MEMORY]
+
+
+@pytest.mark.parametrize("n_pairs", [5, LBFGS_MEMORY + 7])
+def test_two_loop_direction_matches_explicit_inverse_hessian(n_pairs):
+    # pairs from a convex quadratic (y = A s, so s.y > 0); the second case
+    # stores more pairs than the memory depth, so the oldest are evicted
+    rng = np.random.default_rng(n_pairs)
+    n = 30
+    basis = rng.standard_normal((n, n))
+    a = basis @ basis.T / n + np.eye(n)
+    hessian = _LimitedMemoryInverseHessian()
+    pairs = []
+    for _ in range(n_pairs):
+        s = rng.standard_normal(n)
+        y = a @ s
+        sy = float(s @ y)
+        hessian.update(s, y, sy)
+        pairs.append((s, y, sy))
+
+    kept = pairs[-LBFGS_MEMORY:]
+    s_new, y_new, sy_new = kept[-1]
+    h = (sy_new / float(y_new @ y_new)) * np.eye(n)
+    for s, y, sy in kept:
+        v = np.eye(n) - np.outer(y, s) / sy
+        h = v.T @ h @ v + np.outer(s, s) / sy
+    grad = rng.standard_normal(n)
+    np.testing.assert_allclose(hessian.direction(grad), -(h @ grad), rtol=1e-10,
+                               atol=1e-12 * np.linalg.norm(h @ grad))
 
 
 def test_bfgs_pure_penalty_hits_projected_zero(mesh_small):
