@@ -296,9 +296,12 @@ def cmd_lipschitz(cfg, outdir, args):
 
     cert_csv = os.path.join(outdir, "certificates.csv")
     with open(cert_csv, "w", encoding="ascii") as fh:
-        fh.write("j,k,beta,cg_iterations,g_norm_sq\n")
+        fh.write("j,k,beta,cg_iterations,g_norm_sq,forward_applications\n")
         for c in currents:
-            fh.write(f"{c.j},{c.k},{c.beta:.17g},{c.cg_iterations},{c.norm_sq():.17g}\n")
+            fh.write(
+                f"{c.j},{c.k},{c.beta:.17g},{c.cg_iterations},{c.norm_sq():.17g},"
+                f"{c.forward_applications}\n"
+            )
 
     n_pairs = _get(cfg, "lipschitz", "stability_pairs", default=50, cast=int)
     seed = _get(cfg, "lipschitz", "stability_seed", default=123, cast=int)

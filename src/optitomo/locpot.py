@@ -9,10 +9,14 @@ against a cell-indicator target; after every iterate the certificate
 
     beta(j,k) = 1/2 int_{D_j} u^2 - (3b/(2a) - 1/2) int_{omega \\ D_j} u^2
 
-is evaluated and the first iterate with beta > 1 is accepted.  The target
+is evaluated, and the first iterate with beta > 1 is accepted.  The target
 indicator is scaled so that its squared interior norm is 3, which makes the
 certificate limit of an exactly localized solution equal to 3/2 independently
-of the cell area.  Certificates are scale-sensitive (beta and the squared
+of the cell area.  A sweep that has not improved its best squared current
+norm per unit certificate for PLATEAU_ITERATIONS iterations is stopped
+uncertified; it is then retried once with the target lifted so that this
+best iterate would certify at beta = 1.25, and the retry's first iterate with
+beta > 1 is accepted.  Certificates are scale-sensitive (beta and the squared
 current norm are both quadratic under scaling of g), and any current with its
 own beta > 1 yields a valid stability factor.
 
@@ -45,6 +49,9 @@ from .ntd import boundary_inner, build_ntd, m_weighted_opnorm
 
 ADJOINT_RTOL = 1e-12
 DEFAULT_MAX_ITER = 200
+# A sweep ends once its best norm-per-certificate ratio is this many iterations
+# old (counted from the start while no iterate has a positive certificate).
+PLATEAU_ITERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,12 @@ class ProbingSetup:
 
 @dataclass(frozen=True)
 class LocalizedCurrent:
-    """An accepted localized current with its certificate."""
+    """An accepted localized current with its certificate.
+
+    ``cg_iterations`` is the iteration of the accepting sweep at which the
+    current certified; ``forward_applications`` counts every Neumann solve
+    made to find it (the adjoint check and all sweeps).
+    """
 
     j: int
     k: int
@@ -76,6 +88,7 @@ class LocalizedCurrent:
     beta: float
     cg_iterations: int
     residuals: np.ndarray
+    forward_applications: int
 
     def norm_sq(self) -> float:
         return boundary_inner(self.g, self.g, self.g.mesh.boundary_mass)
@@ -159,23 +172,27 @@ def find_localized_current(
     j: int,
     k: int,
     max_iter: int = DEFAULT_MAX_ITER,
-    target_scale: float | None = None,
 ) -> LocalizedCurrent:
     """Search for a boundary current certified by beta(j,k) > 1.
 
     Runs CG on the normal equations of T: g -> element averages of the
     Neumann solution on the subdomain (adjoint applications use the
-    source-to-trace operator), against the indicator of cell j scaled by
-    ``target_scale``.  The default scale normalizes the target's squared
-    interior norm to 3; because CG iterates are linear in the target and the
-    certificate is quadratic, a run that plateaus below 1 with a positive
-    certificate is retried once with the target rescaled so that its best
-    iterate certifies (the iterate minimizing squared current norm per unit
-    certificate is lifted to beta = 1.25).
+    source-to-trace operator), against the indicator of cell j scaled so that
+    its squared interior norm is 3.  The first iterate with beta > 1 is
+    accepted.  A sweep ends uncertified after ``max_iter`` iterations or once
+    its best squared current norm per unit certificate has not improved for
+    PLATEAU_ITERATIONS iterations.  Because CG iterates are linear in the
+    target and the certificate is quadratic, an uncertified sweep with a
+    positive certificate is then retried once with the target lifted so that
+    its best iterate would certify at beta = 1.25; the retry accepts its
+    first iterate with beta > 1.  The lift depends only on the first sweep's
+    best iterate, so the plateau stop leaves the accepted current unchanged
+    whenever no iterate past the plateau would have improved on it or
+    certified on its own.
 
     Raises :class:`CertificateError` with the best certificate seen if no
-    iterate ever achieves a positive certificate or the iteration budget is
-    exhausted, which signals a mesh or partition too coarse for the bounds.
+    iterate ever achieves a positive certificate or the retry ends
+    uncertified, which signals a mesh or partition too coarse for the bounds.
     """
     mesh = setup.mesh
     part = setup.partition
@@ -185,9 +202,12 @@ def find_localized_current(
     omega = np.flatnonzero(part.omega_mask)
     areas_omega = mesh.areas[omega]
     omega_labels = set(range(1, setup.n_cells + 1))
+    forward_applications = 0
 
     def apply_forward(gvals: np.ndarray):
         """T g: interior element averages of the Neumann solution (plus the nodal field)."""
+        nonlocal forward_applications
+        forward_applications += 1
         u = solve_neumann(sys, BoundaryTrace(mesh, gvals))
         return element_means(u)[omega], u.values
 
@@ -200,37 +220,39 @@ def find_localized_current(
 
     _check_adjoint(setup, j, k, mass, areas_omega, apply_forward, apply_adjoint)
 
-    base_scale = math.sqrt(3.0 / part.cell_area(j))
-    scale = base_scale if target_scale is None else float(target_scale)
-    indicator = (part.labels[omega] == j).astype(float)
+    target = (part.labels[omega] == j).astype(float) * math.sqrt(3.0 / part.cell_area(j))
 
-    found, best = _cgls_search(
-        setup, j, k, mesh, mass, areas_omega, indicator * scale,
-        apply_forward, apply_adjoint, max_iter,
-    )
-    if found is not None:
-        return found
-    if target_scale is None and best is not None and best[1] > 0.0:
-        lift = math.sqrt(1.25 / best[1])
-        found, best2 = _cgls_search(
-            setup, j, k, mesh, mass, areas_omega, indicator * scale * lift,
+    def sweep(lift: float):
+        return _cgls_search(
+            setup, j, mesh, mass, areas_omega, target * lift,
             apply_forward, apply_adjoint, max_iter,
         )
-        if found is not None:
-            return found
-        best = best2 if best2 is not None and best2[1] > best[1] else best
-    reported = best[1] if best is not None else -math.inf
+
+    found, best, top_beta = sweep(1.0)
+    if found is None and best is not None:
+        found, _, retry_top_beta = sweep(math.sqrt(1.25 / best[1]))
+        top_beta = max(top_beta, retry_top_beta)
+    if found is not None:
+        g, beta, it, residuals = found
+        return LocalizedCurrent(
+            j, k, BoundaryTrace(mesh, g), beta, it, residuals, forward_applications
+        )
+    # every CG iteration makes one forward solve, and the adjoint check made one more
     raise CertificateError(
-        f"no certificate for cell {j}, bracket {k} within {max_iter} CG iterations "
-        f"(best beta {reported:.4f}); mesh or partition too coarse"
+        f"no certificate for cell {j}, bracket {k} after {forward_applications - 1} CG "
+        f"iterations (best beta {top_beta:.4f}); mesh or partition too coarse"
     )
 
 
 def _cgls_search(
-    setup, j, k, mesh, mass, areas_omega, target,
+    setup, j, mesh, mass, areas_omega, target,
     apply_forward, apply_adjoint, max_iter,
 ):
-    """One CGLS sweep; returns (accepted current or None, best (norm_sq/beta, beta))."""
+    """One CGLS sweep.
+
+    Returns (accepted (g, beta, iteration, residuals) or None, best
+    (norm_sq/beta, beta) over iterates with beta > 0 or None, largest beta).
+    """
 
     def wdot(x, y):
         return float(np.sum(areas_omega * x * y))
@@ -246,6 +268,8 @@ def _cgls_search(
     gamma = mdot(s, s)
     residuals = [math.sqrt(wdot(r, r))]
     best = None
+    best_it = 0
+    top_beta = -math.inf
 
     for it in range(1, max_iter + 1):
         t_p, u_p = apply_forward(p)
@@ -259,21 +283,22 @@ def _cgls_search(
         residuals.append(math.sqrt(wdot(r, r)))
         uf = NodalField(mesh, u_g)
         beta = _certificate(setup, j, element_l2_products(uf, uf))
+        top_beta = max(top_beta, beta)
         if beta > 0.0:
             ratio = mdot(g, g) / beta
             if best is None or ratio < best[0]:
                 best = (ratio, beta)
+                best_it = it
         if beta > 1.0:
-            current = LocalizedCurrent(
-                j, k, BoundaryTrace(mesh, g.copy()), beta, it, np.asarray(residuals)
-            )
-            return current, best
+            return (g.copy(), beta, it, np.asarray(residuals)), best, top_beta
+        if it - best_it >= PLATEAU_ITERATIONS:
+            break
         s = apply_adjoint(r)
         gamma_new = mdot(s, s)
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
 
-    return None, best
+    return None, best, top_beta
 
 
 def _check_adjoint(setup, j, k, mass, areas_omega, apply_forward, apply_adjoint) -> None:

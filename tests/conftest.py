@@ -1,5 +1,6 @@
 import pytest
 
+import optitomo.locpot
 from optitomo.field import sample_coefficient
 from optitomo.mesh import generate_disk_mesh, refine_uniform
 
@@ -34,3 +35,17 @@ def mesh_chain(mesh_small):
 def unit_coefficients(mesh_small):
     one = sample_coefficient(mesh_small, "one")
     return one, one
+
+
+@pytest.fixture
+def forward_solves(monkeypatch):
+    """Records every Neumann solve that ``optitomo.locpot`` makes during the test."""
+    calls = []
+    original = optitomo.locpot.solve_neumann
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optitomo.locpot, "solve_neumann", counting)
+    return calls

@@ -103,7 +103,7 @@ def test_ntd_command(tmp_path):
     assert len(lines[1].split(",")) == n_b
 
 
-def test_lipschitz_command_small(tmp_path):
+def test_lipschitz_command_small(tmp_path, forward_solves):
     out = tmp_path / "l"
     assert run([
         "lipschitz", "--mesh.target_elements=254",
@@ -112,8 +112,11 @@ def test_lipschitz_command_small(tmp_path):
     ]) == 0
     cert_lines = (out / "certificates.csv").read_text().strip().splitlines()
     assert len(cert_lines) - 1 == 4 * 3  # N * K with K = 3 for b/a = 1.2
+    assert cert_lines[0] == "j,k,beta,cg_iterations,g_norm_sq,forward_applications"
     betas = [float(line.split(",")[2]) for line in cert_lines[1:]]
     assert all(b > 1.0 for b in betas)
+    # the work column records every forward solve the certificates cost
+    assert sum(int(line.split(",")[5]) for line in cert_lines[1:]) == len(forward_solves)
     summary = (out / "lipschitz.csv").read_text().strip().splitlines()[1].split(",")
     assert float(summary[0]) > 0.0  # L
     assert int(summary[4]) == 0  # violations

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from optitomo.errors import FieldError
+import optitomo.locpot
+from optitomo.errors import CertificateError, FieldError
 from optitomo.field import BoundaryTrace, PiecewiseConstantField
 from optitomo.fem import assemble, element_l2_products, solve_neumann
 from optitomo.locpot import (
+    DEFAULT_MAX_ITER,
     bracket_index,
     cell_values_to_field,
     compute_K,
@@ -222,3 +224,44 @@ def test_determinism_bit_for_bit(setup_small):
     assert a.beta == b.beta
     assert a.cg_iterations == b.cg_iterations
     assert np.array_equal(a.g.values, b.g.values)
+
+
+@pytest.mark.parametrize("name", ["setup_small", "narrow_setup"])
+def test_plateau_stop_leaves_currents_unchanged(request, monkeypatch, name):
+    # narrow_setup's sweeps certify on their own up to 10 iterations after
+    # their last ratio improvement, so too short a patience changes L there
+    setup = request.getfixturevalue(name)
+    _, stopped = lipschitz_constant(setup)
+    monkeypatch.setattr(optitomo.locpot, "PLATEAU_ITERATIONS", DEFAULT_MAX_ITER + 1)
+    _, full = lipschitz_constant(setup)
+    assert [(c.j, c.k) for c in stopped] == [(c.j, c.k) for c in full]
+    for a, b in zip(stopped, full):
+        assert a.beta == b.beta
+        assert a.cg_iterations == b.cg_iterations
+        assert np.array_equal(a.g.values, b.g.values)
+
+
+def test_forward_applications_count_every_solve(setup_small, forward_solves):
+    cur = find_localized_current(setup_small, 2, 4)
+    # the first sweep did not certify: its forward solves come on top of the
+    # adjoint check and the accepting retry's
+    assert len(forward_solves) > 1 + cur.cg_iterations
+    assert cur.forward_applications == len(forward_solves)
+    assert len(forward_solves) <= (1 + DEFAULT_MAX_ITER) // 4
+
+
+def test_certificate_error_names_best_beta(setup_small, monkeypatch):
+    seen = []
+    original = optitomo.locpot._certificate
+
+    def recording(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(optitomo.locpot, "_certificate", recording)
+    with pytest.raises(CertificateError) as info:
+        find_localized_current(setup_small, 1, 1, max_iter=1)
+    assert len(seen) == 1
+    message = str(info.value)
+    assert "after 1 CG iterations" in message
+    assert f"best beta {max(seen):.4f}" in message
