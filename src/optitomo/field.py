@@ -16,6 +16,9 @@ import numpy as np
 from .errors import FieldError
 from .mesh import TriMesh
 
+# Rasterizer block: (element, pixel) candidates tested per vectorized step.
+_PGM_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class PiecewiseConstantField:
@@ -269,9 +272,13 @@ def write_field_pgm(field: PiecewiseConstantField, path, resolution: int = 512) 
     Pixels outside the (polygonal) disk get gray level 0; inside pixels are
     mapped linearly onto 1..255 between the field minimum and maximum (a
     constant field maps to 255).  Row 0 of the image is y = +1.
+
+    A pixel is tested at its centre: it belongs to an element when the
+    centre's barycentric coordinates are all at least -1e-12.  A centre on an
+    edge or vertex shared by several elements takes the gray of the one with
+    the highest element index.
     """
     mesh = field.mesh
-    img = np.zeros((resolution, resolution), dtype=np.uint8)
     vmin = float(field.values.min())
     vmax = float(field.values.max())
     span = vmax - vmin
@@ -283,23 +290,26 @@ def write_field_pgm(field: PiecewiseConstantField, path, resolution: int = 512) 
     h = 2.0 / resolution
     centers = -1.0 + (np.arange(resolution) + 0.5) * h
     p = mesh.nodes[mesh.elements]
-    for e in range(mesh.n_elements):
-        tri = p[e]
-        xlo = int(np.clip(np.floor((tri[:, 0].min() + 1.0) / h), 0, resolution - 1))
-        xhi = int(np.clip(np.ceil((tri[:, 0].max() + 1.0) / h), 0, resolution - 1))
-        ylo = int(np.clip(np.floor((tri[:, 1].min() + 1.0) / h), 0, resolution - 1))
-        yhi = int(np.clip(np.ceil((tri[:, 1].max() + 1.0) / h), 0, resolution - 1))
-        xs = centers[xlo:xhi + 1]
-        ys = centers[ylo:yhi + 1]
-        if xs.size == 0 or ys.size == 0:
-            continue
-        gx, gy = np.meshgrid(xs, ys)
-        inside = _barycentric_mask(tri, gx, gy)
-        if not inside.any():
-            continue
-        rows = (resolution - 1) - (ylo + np.nonzero(inside)[0])
-        cols = xlo + np.nonzero(inside)[1]
-        img[rows, cols] = gray[e]
+    # Pixel bounding box of each element; column 0 is x, column 1 is y.
+    lo = np.clip(np.floor((p.min(axis=1) + 1.0) / h), 0, resolution - 1).astype(np.int64)
+    hi = np.clip(np.ceil((p.max(axis=1) + 1.0) / h), 0, resolution - 1).astype(np.int64)
+    nx, ny = (hi - lo + 1).T
+    # Element e owns the candidates offset[e] <= c < offset[e + 1]; candidate c
+    # is pixel (k // nx, k % nx) of its box, with k = c - offset[e].
+    offset = np.concatenate(([0], np.cumsum(nx * ny)))
+    total = int(offset[-1])
+    owner = np.full((resolution, resolution), -1, dtype=np.int32)
+    for start in range(0, total, _PGM_BLOCK):
+        cand = np.arange(start, min(start + _PGM_BLOCK, total))
+        elem = np.searchsorted(offset, cand, side="right") - 1
+        iy, ix = np.divmod(cand - offset[elem], nx[elem])
+        ix += lo[elem, 0]
+        iy += lo[elem, 1]
+        inside = _barycentric_mask(p[elem].transpose(1, 2, 0), centers[ix], centers[iy])
+        rows = (resolution - 1) - iy[inside]
+        # A pixel claimed by several elements takes the highest element index.
+        np.maximum.at(owner, (rows, ix[inside]), elem[inside].astype(np.int32))
+    img = np.where(owner >= 0, gray[owner], 0).astype(np.uint8)
 
     with open(path, "wb") as fh:
         fh.write(f"P5\n{resolution} {resolution}\n255\n".encode("ascii"))
@@ -307,6 +317,7 @@ def write_field_pgm(field: PiecewiseConstantField, path, resolution: int = 512) 
 
 
 def _barycentric_mask(tri: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Points (gx, gy) inside ``tri``, whose vertices are (3, 2) or (3, 2, n) per point."""
     (x0, y0), (x1, y1), (x2, y2) = tri
     det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     l1 = ((gx - x0) * (y2 - y0) - (gy - y0) * (x2 - x0)) / det

@@ -142,16 +142,18 @@ class TriMesh:
                 f"degenerate triangulation: element {bad} has signed area "
                 f"{self.signed_areas[bad]:.3e}"
             )
-        counts: dict[tuple[int, int], int] = {}
-        for a, b, c in self.elements:
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (min(int(u), int(v)), max(int(u), int(v)))
-                counts[key] = counts.get(key, 0) + 1
-        if any(n > 2 for n in counts.values()):
+        # Edges as scalar keys lo * base + hi; base exceeds every node id in
+        # play, so distinct edges with nonnegative ids never share a key.
+        base = 1 + max(self.n_nodes, int(self.boundary_edges.max(initial=0)),
+                       int(self.boundary_nodes.max(initial=0)))
+        keys, counts = np.unique(
+            _edge_keys(self.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), base),
+            return_counts=True,
+        )
+        if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
-        found_boundary = {key for key, n in counts.items() if n == 1}
-        declared = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in self.boundary_edges}
-        if found_boundary != declared:
+        declared = np.unique(_edge_keys(self.boundary_edges, base))
+        if not np.array_equal(keys[counts == 1], declared):
             raise MeshError("declared boundary edges do not match single-element edges")
         radii = np.linalg.norm(self.nodes[self.boundary_nodes], axis=1)
         if np.any(np.abs(radii - 1.0) > GEOM_TOL):
@@ -160,12 +162,15 @@ class TriMesh:
         if np.any(np.diff(ang) <= 0.0):
             raise MeshError("boundary nodes are not strictly sorted by angle")
         # The edges must link consecutive nodes of the angular ordering into one cycle.
-        nb = self.n_boundary
-        cycle = {(min(int(self.boundary_nodes[t]), int(self.boundary_nodes[(t + 1) % nb])),
-                  max(int(self.boundary_nodes[t]), int(self.boundary_nodes[(t + 1) % nb])))
-                 for t in range(nb)}
-        if cycle != declared:
+        bn = self.boundary_nodes
+        cycle = np.unique(_edge_keys(np.column_stack((bn, np.roll(bn, -1))), base))
+        if not np.array_equal(cycle, declared):
             raise MeshError("boundary edges do not form the angular cycle")
+
+
+def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
+    """Orientation-free scalar key of each node pair (row) of ``pairs``."""
+    return pairs.min(axis=1) * base + pairs.max(axis=1)
 
 
 def _ring_layout(target_elements: int, angular_multiplier: int | None) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from optitomo.field import (
     write_trace_csv,
 )
 from optitomo.fem import assemble, solve_dirichlet
+from optitomo.mesh import TriMesh
 
 
 def test_containers_validate_lengths(mesh_small):
@@ -138,3 +139,64 @@ def test_pgm_emitter_shape_and_background(tmp_path, mesh_small):
     # rerun is byte-identical
     write_field_pgm(field, tmp_path / "again.pgm", resolution=64)
     assert (tmp_path / "again.pgm").read_bytes() == raw
+
+
+def _reference_pgm(field, resolution):
+    """The rasterizer as a plain loop: elements painted one by one, in index order."""
+    mesh = field.mesh
+    img = np.zeros((resolution, resolution), dtype=np.uint8)
+    vmin = float(field.values.min())
+    vmax = float(field.values.max())
+    span = vmax - vmin
+    if span > 0.0:
+        gray = (1.0 + np.round(254.0 * (field.values - vmin) / span)).astype(np.uint8)
+    else:
+        gray = np.full(mesh.n_elements, 255, dtype=np.uint8)
+    h = 2.0 / resolution
+    centers = -1.0 + (np.arange(resolution) + 0.5) * h
+    p = mesh.nodes[mesh.elements]
+    for e in range(mesh.n_elements):
+        tri = p[e]
+        xlo = int(np.clip(np.floor((tri[:, 0].min() + 1.0) / h), 0, resolution - 1))
+        xhi = int(np.clip(np.ceil((tri[:, 0].max() + 1.0) / h), 0, resolution - 1))
+        ylo = int(np.clip(np.floor((tri[:, 1].min() + 1.0) / h), 0, resolution - 1))
+        yhi = int(np.clip(np.ceil((tri[:, 1].max() + 1.0) / h), 0, resolution - 1))
+        gx, gy = np.meshgrid(centers[xlo:xhi + 1], centers[ylo:yhi + 1])
+        (x0, y0), (x1, y1), (x2, y2) = tri
+        det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        l1 = ((gx - x0) * (y2 - y0) - (gy - y0) * (x2 - x0)) / det
+        l2 = ((gy - y0) * (x1 - x0) - (gx - x0) * (y1 - y0)) / det
+        inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1.0 + 1e-12)
+        rows, cols = np.nonzero(inside)
+        img[(resolution - 1) - (ylo + rows), xlo + cols] = gray[e]
+    return f"P5\n{resolution} {resolution}\n255\n".encode("ascii") + img.tobytes()
+
+
+@pytest.mark.parametrize("resolution", [64, 512])
+@pytest.mark.parametrize("level", [0, 1])
+def test_pgm_matches_per_element_reference(tmp_path, mesh_chain, level, resolution):
+    mesh = mesh_chain[level]
+    rng = np.random.default_rng(level)
+    fields = {
+        "random": PiecewiseConstantField(mesh, rng.standard_normal(mesh.n_elements)),
+        "constant": sample_coefficient(mesh, "constant:3"),
+        "example1_sigma": sample_coefficient(mesh, "example1_sigma"),
+    }
+    for name, field in fields.items():
+        path = tmp_path / f"{name}.pgm"
+        write_field_pgm(field, path, resolution=resolution)
+        assert path.read_bytes() == _reference_pgm(field, resolution), name
+
+
+@pytest.mark.parametrize("elements", [[(0, 1, 2), (0, 2, 3)], [(0, 2, 3), (0, 1, 2)]])
+def test_pgm_shared_edge_takes_highest_element_index(tmp_path, elements):
+    # Two triangles split the square [-1, 1]^2 along y = x, so at resolution 4
+    # the pixel centres (-0.75, -0.75), ..., (0.75, 0.75) lie on the shared edge.
+    nodes = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+    mesh = TriMesh(nodes, elements, [0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    field = PiecewiseConstantField(mesh, [1.0, 2.0])
+    path = tmp_path / "tie.pgm"
+    write_field_pgm(field, path, resolution=4)
+    img = np.frombuffer(path.read_bytes()[-16:], dtype=np.uint8).reshape(4, 4)
+    assert np.all(np.diag(img[::-1]) == 255)  # gray of element 1, the last one
+    assert path.read_bytes() == _reference_pgm(field, 4)

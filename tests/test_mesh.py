@@ -4,6 +4,7 @@ import pytest
 from optitomo.errors import MeshError
 from optitomo.mesh import (
     Partition,
+    TriMesh,
     generate_disk_mesh,
     read_mesh,
     refine_uniform,
@@ -52,6 +53,73 @@ def test_refine_snaps_boundary_and_stays_valid(mesh_chain):
         mesh.validate()
         radii = np.linalg.norm(mesh.nodes[mesh.boundary_nodes], axis=1)
         assert np.max(np.abs(radii - 1.0)) <= 2e-12
+
+
+def _arrays(mesh):
+    """Writable copies of (nodes, elements, boundary_nodes, boundary_edges)."""
+    return (mesh.nodes.copy(), mesh.elements.copy(), mesh.boundary_nodes.copy(),
+            mesh.boundary_edges.copy())
+
+
+def test_validate_rejects_nonexistent_node(mesh_small):
+    nodes, elements, bn, be = _arrays(mesh_small)
+    for bad in (mesh_small.n_nodes, -1):
+        elements[7, 1] = bad
+        with pytest.raises(MeshError, match="^element references a nonexistent node$"):
+            TriMesh(nodes, elements, bn, be).validate()
+
+
+def test_validate_rejects_flipped_element(mesh_small):
+    nodes, elements, bn, be = _arrays(mesh_small)
+    elements[5, [1, 2]] = elements[5, [2, 1]]
+    with pytest.raises(MeshError, match=r"^degenerate triangulation: element 5 has signed area -"):
+        TriMesh(nodes, elements, bn, be).validate()
+
+
+def test_validate_rejects_edge_shared_by_three_elements(mesh_small):
+    nodes, elements, bn, be = _arrays(mesh_small)
+    a, b, _ = elements[0]
+    # A new node on the same side of edge (a, b) as element 0 gives a third,
+    # positively oriented element on that interior edge.
+    nodes = np.vstack((nodes, mesh_small.centroids[0]))
+    elements = np.vstack((elements, (a, b, mesh_small.n_nodes)))
+    mesh = TriMesh(nodes, elements, bn, be)
+    assert np.all(mesh.signed_areas > 0.0)
+    with pytest.raises(MeshError, match="^an edge is shared by more than two elements$"):
+        mesh.validate()
+
+
+def test_validate_compares_boundary_edges_as_a_set(mesh_small):
+    nodes, elements, bn, be = _arrays(mesh_small)
+    message = "^declared boundary edges do not match single-element edges$"
+    with pytest.raises(MeshError, match=message):
+        TriMesh(nodes, elements, bn, be[:-1]).validate()
+    interior = elements[0, :2]
+    with pytest.raises(MeshError, match=message):
+        TriMesh(nodes, elements, bn, np.vstack((be, interior))).validate()
+    # Orientation and repetition do not matter: this declares the same edge set.
+    TriMesh(nodes, elements, bn, np.vstack((be, be[3, ::-1]))).validate()
+
+
+def test_validate_rejects_boundary_node_off_circle(mesh_small):
+    nodes, elements, bn, be = _arrays(mesh_small)
+    nodes[bn[4]] *= 1.0 + 1e-9
+    with pytest.raises(MeshError, match="^a boundary node is off the unit circle beyond tolerance$"):
+        TriMesh(nodes, elements, bn, be).validate()
+
+
+def test_validate_rejects_unsorted_boundary_nodes(mesh_small):
+    nodes, elements, bn, be = _arrays(mesh_small)
+    bn[[2, 3]] = bn[[3, 2]]
+    with pytest.raises(MeshError, match="^boundary nodes are not strictly sorted by angle$"):
+        TriMesh(nodes, elements, bn, be).validate()
+
+
+def test_validate_rejects_boundary_edges_off_the_angular_cycle(mesh_small):
+    nodes, elements, bn, be = _arrays(mesh_small)
+    # Still sorted and on the circle, but skipping a node breaks the cycle.
+    with pytest.raises(MeshError, match="^boundary edges do not form the angular cycle$"):
+        TriMesh(nodes, elements, np.delete(bn, 3), be).validate()
 
 
 def test_partition_single_cell_matches_centroid_scan(mesh_small):
