@@ -21,6 +21,26 @@ from .errors import MeshError
 # disk diameter (= 2).
 GEOM_TOL = 1e-12 * 2.0
 
+# Rows formatted per write in write_mesh: large enough to amortize the
+# per-block overhead, small enough that the Python copies stay small.
+_WRITE_BLOCK = 4096
+
+
+def _edge_table(elements: np.ndarray, base: int) -> tuple:
+    """Key, count and locate every edge of ``elements`` in one ``np.unique`` pass.
+
+    Element e has the slots 3e, 3e + 1, 3e + 2 for its edges (a, b), (b, c),
+    (c, a).  Returns ``(base, keys, first, slot_edge, counts)``: the sorted
+    distinct keys ``lo * base + hi``, the first slot that meets each edge, the
+    (n_elements, 3) edge index of each slot, and the number of elements
+    meeting each edge, which is 1 exactly on the boundary.
+    """
+    slots = elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys, first, inverse, counts = np.unique(
+        _edge_keys(slots, base), return_index=True, return_inverse=True, return_counts=True
+    )
+    return base, keys, first, inverse.reshape(-1, 3), counts
+
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -104,33 +124,35 @@ class TriMesh:
         Rows and columns follow the angular ordering of ``boundary_nodes``.
         """
         nb = self.n_boundary
-        pos = {int(n): t for t, n in enumerate(self.boundary_nodes)}
+        pos = np.zeros(self.n_nodes, dtype=np.int64)
+        pos[self.boundary_nodes] = np.arange(nb)
+        i, j = pos[self.boundary_edges].T
+        third = self.boundary_edge_lengths / 3.0
+        sixth = self.boundary_edge_lengths / 6.0
         m = np.zeros((nb, nb))
-        for (na, nbb), length in zip(self.boundary_edges, self.boundary_edge_lengths):
-            i, j = pos[int(na)], pos[int(nbb)]
-            m[i, i] += length / 3.0
-            m[j, j] += length / 3.0
-            m[i, j] += length / 6.0
-            m[j, i] += length / 6.0
+        # Edge by edge, entries (i, i), (j, j), (i, j), (j, i): the addends
+        # reach each entry in the order of a plain loop over the edges.
+        np.add.at(m, (np.column_stack((i, j, i, j)), np.column_stack((i, j, j, i))),
+                  np.column_stack((third, third, sixth, sixth)))
         m.setflags(write=False)
         return m
 
     @cached_property
+    def _edges(self) -> tuple:
+        return _edge_table(self.elements, self.n_nodes + 1)
+
+    @cached_property
     def element_neighbors(self) -> np.ndarray:
         """Neighbor element across edge opposite local vertex i, -1 on the boundary."""
-        owner: dict[tuple[int, int], int] = {}
-        nbrs = np.full((self.n_elements, 3), -1, dtype=np.int64)
-        for e, (a, b, c) in enumerate(self.elements):
-            for i, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-                key = (min(int(u), int(v)), max(int(u), int(v)))
-                if key in owner:
-                    other = owner.pop(key)
-                    oe, oi = other
-                    nbrs[e, i] = oe
-                    nbrs[oe, oi] = e
-                else:
-                    owner[key] = (e, i)
-        return nbrs
+        _, _, _, slot_edge, counts = self._edges
+        by_edge = np.argsort(slot_edge.ravel())
+        start = (np.cumsum(counts) - counts)[counts == 2]
+        s, t = by_edge[start], by_edge[start + 1]
+        across = np.full(3 * self.n_elements, -1, dtype=np.int64)
+        across[s] = t // 3
+        across[t] = s // 3
+        # Slot k joins local vertices k and k + 1, so it lies opposite vertex k + 2.
+        return across.reshape(-1, 3)[:, [1, 2, 0]]
 
     def validate(self) -> None:
         """Check all mesh invariants, raising :class:`MeshError` on violation."""
@@ -142,18 +164,15 @@ class TriMesh:
                 f"degenerate triangulation: element {bad} has signed area "
                 f"{self.signed_areas[bad]:.3e}"
             )
-        # Edges as scalar keys lo * base + hi; base exceeds every node id in
-        # play, so distinct edges with nonnegative ids never share a key.
-        base = 1 + max(self.n_nodes, int(self.boundary_edges.max(initial=0)),
-                       int(self.boundary_nodes.max(initial=0)))
-        keys, counts = np.unique(
-            _edge_keys(self.elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), base),
-            return_counts=True,
-        )
+        base, keys, _, _, counts = self._edges
         if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
-        declared = np.unique(_edge_keys(self.boundary_edges, base))
-        if not np.array_equal(keys[counts == 1], declared):
+        boundary = keys[counts == 1]
+        # Keys are distinct only for node ids in [0, n_nodes], so a declared
+        # edge beyond the node range could alias a real one: reject it first.
+        be = self.boundary_edges
+        in_range = be.min(initial=0) >= 0 and be.max(initial=0) < self.n_nodes
+        if not (in_range and np.array_equal(np.unique(_edge_keys(be, base)), boundary)):
             raise MeshError("declared boundary edges do not match single-element edges")
         radii = np.linalg.norm(self.nodes[self.boundary_nodes], axis=1)
         if np.any(np.abs(radii - 1.0) > GEOM_TOL):
@@ -164,7 +183,7 @@ class TriMesh:
         # The edges must link consecutive nodes of the angular ordering into one cycle.
         bn = self.boundary_nodes
         cycle = np.unique(_edge_keys(np.column_stack((bn, np.roll(bn, -1))), base))
-        if not np.array_equal(cycle, declared):
+        if not np.array_equal(cycle, boundary):
             raise MeshError("boundary edges do not form the angular cycle")
 
 
@@ -226,93 +245,59 @@ def generate_disk_mesh(target_elements: int, angular_multiplier: int | None = No
         next_id += n_i
     coords = np.vstack(nodes)
 
-    tris: list[tuple[int, int, int]] = []
-    inner = ring_ids[1]
-    for t in range(c):
-        tris.append((0, int(inner[t]), int(inner[(t + 1) % c])))
-    for i in range(2, rings + 1):
-        tris.extend(_sew_rings(ring_ids[i - 1], ring_ids[i]))
-
-    elements = np.asarray(tris, dtype=np.int64)
+    fan = np.column_stack((np.zeros(c, dtype=np.int64), ring_ids[1], np.roll(ring_ids[1], -1)))
+    elements = np.vstack([fan] + [_sew_rings(ring_ids[i - 1], ring_ids[i])
+                                  for i in range(2, rings + 1)])
     bn = ring_ids[rings]
-    nb = len(bn)
-    bedges = np.column_stack((bn, np.roll(bn, -1)))
-    mesh = TriMesh(coords, elements, bn, bedges)
+    mesh = TriMesh(coords, elements, bn, np.column_stack((bn, np.roll(bn, -1))))
     mesh.validate()
     return mesh
 
 
-def _sew_rings(inner: np.ndarray, outer: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangulate the annulus between two angle-ordered rings of node ids."""
+def _sew_rings(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Triangulate the annulus between two angle-ordered rings of node ids.
+
+    Each triangle advances one ring by one node, in order of the angle reached,
+    (t+1)/m inner or (s+1)/n outer, ties to the inner ring: a stable merge of
+    the integer keys (t+1)*n and (s+1)*m.
+    """
     m, n = len(inner), len(outer)
-    tris = []
-    t = s = 0
-    while t < m or s < n:
-        adv_inner = (t + 1) / m
-        adv_outer = (s + 1) / n
-        if t < m and (s >= n or adv_inner <= adv_outer):
-            tris.append((int(inner[t % m]), int(outer[s % n]), int(inner[(t + 1) % m])))
-            t += 1
-        else:
-            tris.append((int(outer[s % n]), int(outer[(s + 1) % n]), int(inner[t % m])))
-            s += 1
-    return tris
+    steps = np.argsort(np.concatenate((np.arange(1, m + 1) * n, np.arange(1, n + 1) * m)),
+                       kind="stable")
+    on_inner = steps < m
+    t = np.cumsum(on_inner) - on_inner  # inner steps taken before this one
+    s = np.cumsum(~on_inner) - ~on_inner  # outer steps taken before this one
+    return np.where(on_inner[:, None],
+                    np.column_stack((inner[t % m], outer[s % n], inner[(t + 1) % m])),
+                    np.column_stack((outer[s % n], outer[(s + 1) % n], inner[t % m])))
 
 
 def refine_uniform(mesh: TriMesh) -> TriMesh:
-    """Split every triangle into four; boundary midpoints are snapped to the circle."""
-    boundary = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in mesh.boundary_edges}
-    coords = [mesh.nodes]
-    new_nodes: list[np.ndarray] = []
-    midpoint: dict[tuple[int, int], int] = {}
-    next_id = mesh.n_nodes
+    """Split every triangle into four; boundary midpoints are snapped to the circle.
 
-    def mid(a: int, b: int) -> int:
-        nonlocal next_id
-        key = (min(a, b), max(a, b))
-        if key in midpoint:
-            return midpoint[key]
-        p = 0.5 * (mesh.nodes[a] + mesh.nodes[b])
-        if key in boundary:
-            p = p / np.linalg.norm(p)
-        new_nodes.append(p)
-        midpoint[key] = next_id
-        next_id += 1
-        return midpoint[key]
+    Midpoint nodes are numbered from ``mesh.n_nodes`` in order of first
+    encounter: element by element, and within an element along its edges
+    (a, b), (b, c), (c, a).  Element (a, b, c) becomes (a, ab, ca), (b, bc, ab),
+    (c, ca, bc), (ab, bc, ca), in that order.  Node order is part of the mesh
+    file format.
+    """
+    base, keys, first, slot_edge, counts = mesh._edges
+    order = np.argsort(first)  # edges in order of first encounter
+    ab, bc, ca = (mesh.n_nodes + np.argsort(order)[slot_edge]).T
+    lo, hi = np.divmod(keys[order], base)
+    mids = 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])
+    on_circle = counts[order] == 1
+    # np.vecdot rounds like np.linalg.norm of each point; norm(axis=1) does not.
+    mids[on_circle] /= np.sqrt(np.vecdot(mids[on_circle], mids[on_circle]))[:, None]
 
-    tris: list[tuple[int, int, int]] = []
-    for a, b, c in mesh.elements:
-        a, b, c = int(a), int(b), int(c)
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris.extend(((a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)))
-
-    if new_nodes:
-        coords.append(np.vstack(new_nodes))
-    all_nodes = np.vstack(coords)
-    elements = np.asarray(tris, dtype=np.int64)
-    bn, bedges = _boundary_cycle(all_nodes, elements)
-    refined = TriMesh(all_nodes, elements, bn, bedges)
+    nodes = np.vstack((mesh.nodes, mids))
+    a, b, c = mesh.elements.T
+    elements = np.column_stack((a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca)).reshape(-1, 3)
+    bn = np.concatenate((mesh.boundary_nodes, mesh.n_nodes + np.flatnonzero(on_circle)))
+    bn = bn[np.argsort(np.mod(np.arctan2(nodes[bn, 1], nodes[bn, 0]), 2.0 * np.pi))]
+    refined = TriMesh(nodes, elements, bn, np.column_stack((bn, np.roll(bn, -1))))
     refined.validate()
     return refined
-
-
-def _boundary_cycle(nodes: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the angle-ordered boundary cycle from element connectivity."""
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in elements:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            counts[key] = counts.get(key, 0) + 1
-    bedge_set = [key for key, n in counts.items() if n == 1]
-    ids = sorted({i for e in bedge_set for i in e})
-    bn = np.asarray(ids, dtype=np.int64)
-    ang = np.mod(np.arctan2(nodes[bn, 1], nodes[bn, 0]), 2.0 * np.pi)
-    bn = bn[np.argsort(ang)]
-    bedges = np.column_stack((bn, np.roll(bn, -1)))
-    cycle = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in bedges}
-    if cycle != set(bedge_set):
-        raise MeshError("boundary edges do not form a single angular cycle")
-    return bn, bedges
 
 
 @dataclass(frozen=True)
@@ -330,29 +315,30 @@ class Partition:
             raise MeshError("partition labels must have one entry per element")
         if self.labels.min() < 0 or self.labels.max() > self.n_cells:
             raise MeshError("partition labels out of range")
+        piece = self._pieces()
         for j in range(1, self.n_cells + 1):
             members = np.flatnonzero(self.labels == j)
             if members.size == 0:
                 raise MeshError(f"partition cell {j} contains no elements (mesh too coarse)")
-            if not self._edge_connected(members):
+            if np.any(piece[members] != piece[members[0]]):
                 raise MeshError(
                     f"partition cell {j} is not edge-connected; generate the mesh "
                     f"with an angular multiplier divisible by n_cells"
                 )
 
-    def _edge_connected(self, members: np.ndarray) -> bool:
-        member_set = set(int(m) for m in members)
-        seen = {int(members[0])}
-        stack = [int(members[0])]
+    def _pieces(self) -> np.ndarray:
+        """Lowest element index of each element's edge-connected piece of its cell."""
         nbrs = self.mesh.element_neighbors
-        while stack:
-            e = stack.pop()
-            for other in nbrs[e]:
-                o = int(other)
-                if o >= 0 and o in member_set and o not in seen:
-                    seen.add(o)
-                    stack.append(o)
-        return len(seen) == len(member_set)
+        own = np.arange(self.mesh.n_elements)
+        nbrs = np.where((nbrs >= 0) & (self.labels[nbrs] == self.labels[:, None]), nbrs, own[:, None])
+        # piece[e] stays a member of e's piece, no larger than e, and falls to its minimum.
+        piece = own
+        while True:
+            lower = np.minimum(piece, piece[nbrs].min(axis=1))
+            lower = lower[lower]
+            if np.array_equal(lower, piece):
+                return piece
+            piece = lower
 
     @cached_property
     def omega_mask(self) -> np.ndarray:
@@ -395,14 +381,20 @@ def write_mesh(mesh: TriMesh, path) -> None:
     """Write the plain-text mesh format (# nodes / # elements / # boundary)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# nodes\n")
-        for i, (x, y) in enumerate(mesh.nodes):
-            fh.write(f"{i} {x:.17g} {y:.17g}\n")
+        for start, rows in _row_blocks(mesh.nodes):
+            fh.write("".join(f"{i} {x:.17g} {y:.17g}\n" for i, (x, y) in enumerate(rows, start)))
         fh.write("# elements\n")
-        for i, (a, b, c) in enumerate(mesh.elements):
-            fh.write(f"{i} {a} {b} {c}\n")
+        for start, rows in _row_blocks(mesh.elements):
+            fh.write("".join(f"{i} {a} {b} {c}\n" for i, (a, b, c) in enumerate(rows, start)))
         fh.write("# boundary\n")
-        for n in mesh.boundary_nodes:
-            fh.write(f"{n}\n")
+        for _, rows in _row_blocks(mesh.boundary_nodes):
+            fh.write("".join(f"{n}\n" for n in rows))
+
+
+def _row_blocks(array: np.ndarray):
+    """Yield (first row index, rows as Python lists): Python scalars format faster, to the same text."""
+    for start in range(0, len(array), _WRITE_BLOCK):
+        yield start, array[start:start + _WRITE_BLOCK].tolist()
 
 
 def read_mesh(path) -> TriMesh:
