@@ -28,6 +28,7 @@ from .field import (
     PiecewiseConstantField,
     restrict_to_boundary,
     sample_coefficient,
+    write_csv,
     write_element_csv,
     write_field_pgm,
     write_node_csv,
@@ -268,10 +269,7 @@ def cmd_ntd(cfg, outdir, args):
     q = sample_coefficient(mesh, _get(cfg, "coefficients", "q"))
     op = build_ntd(mesh, sigma, q)
     path = os.path.join(outdir, "ntd.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n_b,{op.n_boundary}\n")
-        for row in op.lam:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(path, f"n_b,{op.n_boundary}", op.lam.T)
     return [path], {"n_boundary": op.n_boundary}
 
 
@@ -295,34 +293,23 @@ def cmd_lipschitz(cfg, outdir, args):
     lip, currents = lipschitz_constant(setup, max_iter=max_iter)
 
     cert_csv = os.path.join(outdir, "certificates.csv")
-    with open(cert_csv, "w", encoding="ascii") as fh:
-        fh.write("j,k,beta,cg_iterations,g_norm_sq,forward_applications\n")
-        for c in currents:
-            fh.write(
-                f"{c.j},{c.k},{c.beta:.17g},{c.cg_iterations},{c.norm_sq():.17g},"
-                f"{c.forward_applications}\n"
-            )
+    write_csv(cert_csv, "j,k,beta,cg_iterations,g_norm_sq,forward_applications", zip(*(
+        (c.j, c.k, c.beta, c.cg_iterations, c.norm_sq(), c.forward_applications)
+        for c in currents
+    )))
 
     n_pairs = _get(cfg, "lipschitz", "stability_pairs", default=50, cast=int)
     seed = _get(cfg, "lipschitz", "stability_seed", default=123, cast=int)
     rows = stability_report(setup, currents, n_pairs, seed)
     stab_csv = os.path.join(outdir, "stability.csv")
-    with open(stab_csv, "w", encoding="ascii") as fh:
-        fh.write("pair,coeff_distance,ntd_opnorm,certified_bound,holds\n")
-        for r in rows:
-            fh.write(
-                f"{r['pair']},{r['coeff_distance']:.17g},{r['ntd_opnorm']:.17g},"
-                f"{r['certified_bound']:.17g},{int(r['holds'])}\n"
-            )
+    header = "pair,coeff_distance,ntd_opnorm,certified_bound,holds"
+    write_csv(stab_csv, header, _columns(rows, header))
 
     summary_csv = os.path.join(outdir, "lipschitz.csv")
     violations = sum(1 for r in rows if not r["holds"])
-    with open(summary_csv, "w", encoding="ascii") as fh:
-        fh.write("L,stability_factor,n_currents,stability_pairs,violations\n")
-        fh.write(
-            f"{lip:.17g},{stability_factor(currents):.17g},{len(currents)},"
-            f"{len(rows)},{violations}\n"
-        )
+    write_csv(summary_csv, "L,stability_factor,n_currents,stability_pairs,violations", [
+        [lip], [stability_factor(currents)], [len(currents)], [len(rows)], [violations],
+    ])
     return [cert_csv, stab_csv, summary_csv], {
         "L": lip, "violations": violations, "n_currents": len(currents)
     }
@@ -391,13 +378,8 @@ def cmd_reconstruct(cfg, outdir, args):
         rho_star, history = balancing_rho(meas, inv_cfg)
         rho = rho_star
         bal_csv = os.path.join(outdir, "balancing.csv")
-        with open(bal_csv, "w", encoding="ascii") as fh:
-            fh.write("outer,rho,data_fit,penalty_integral,residual,degenerate\n")
-            for h in history:
-                fh.write(
-                    f"{h['outer']},{h['rho']:.17g},{h['data_fit']:.17g},"
-                    f"{h['penalty_integral']:.17g},{h['residual']:.17g},{int(h['degenerate'])}\n"
-                )
+        header = "outer,rho,data_fit,penalty_integral,residual,degenerate"
+        write_csv(bal_csv, header, _columns(history, header))
         outputs.append(bal_csv)
         last = history[-1]
         extra["rho_star"] = rho_star
@@ -415,13 +397,8 @@ def cmd_reconstruct(cfg, outdir, args):
     extra["optimizer_message"] = trace.message
 
     iter_csv = os.path.join(outdir, "iterations.csv")
-    with open(iter_csv, "w", encoding="ascii") as fh:
-        fh.write("iteration,J,data_fit,penalty,grad_norm,step\n")
-        for r in trace.rows:
-            fh.write(
-                f"{r['iteration']},{r['J']:.17g},{r['data_fit']:.17g},"
-                f"{r['penalty']:.17g},{r['grad_norm']:.17g},{r['step']:.17g}\n"
-            )
+    header = "iteration,J,data_fit,penalty,grad_norm,step"
+    write_csv(iter_csv, header, _columns(trace.rows, header))
     outputs.append(iter_csv)
 
     truth_q = sample_coefficient(mesh, spec.truth_q)
@@ -439,16 +416,19 @@ def cmd_reconstruct(cfg, outdir, args):
         outputs.extend([csv_path, pgm_path])
         rel_l2, rel_linf, table = error_metrics(rec, truth, regions)
         err_path = os.path.join(outdir, f"{name}_errors.csv")
-        with open(err_path, "w", encoding="ascii") as fh:
-            fh.write("metric,value\n")
-            fh.write(f"rel_l2,{rel_l2:.17g}\n")
-            fh.write(f"rel_linf,{rel_linf:.17g}\n")
-            for row in table:
-                fh.write(f"region_{row['region']}_mean_abs_error,{row['mean_abs_error']:.17g}\n")
+        write_csv(err_path, "metric,value", [
+            ["rel_l2", "rel_linf", *(f"region_{r['region']}_mean_abs_error" for r in table)],
+            [rel_l2, rel_linf, *(r["mean_abs_error"] for r in table)],
+        ])
         outputs.append(err_path)
         extra[f"rel_l2_{name}"] = rel_l2
 
     return outputs, extra
+
+
+def _columns(rows: list[dict], header: str) -> list[list]:
+    """Dict rows as CSV columns, in the order of the header fields."""
+    return [[row[key] for row in rows] for key in header.split(",")]
 
 
 def _sha256(path: str) -> str:

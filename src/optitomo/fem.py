@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FieldError, SolverError
 from .field import BoundaryTrace, NodalField, PiecewiseConstantField
-from .mesh import Partition, TriMesh
+from .mesh import TriMesh
 
 # Relative residual beyond which a direct solve is reported as failed.
 SOLVE_RTOL = 1e-8
@@ -147,20 +147,16 @@ def solve_dirichlet(sys: AssembledSystem, f: BoundaryTrace) -> NodalField:
 def solve_source(
     sys: AssembledSystem,
     F: PiecewiseConstantField,
-    partition: Partition | None = None,
-    support_labels=None,
+    support: np.ndarray | None = None,
 ) -> NodalField:
     """Solve with an interior piecewise-constant source F.
 
-    When a partition and label set are given, F must vanish outside the
-    labeled cells.
+    When a boolean element mask ``support`` is given, F must vanish outside it.
     """
     if F.mesh is not sys.mesh:
         raise FieldError("source field lives on a different mesh")
-    if partition is not None and support_labels is not None:
-        mask = np.isin(partition.labels, np.asarray(list(support_labels)))
-        if np.any(F.values[~mask] != 0.0):
-            raise FieldError("source field is nonzero outside its declared support")
+    if support is not None and np.any(F.values[~support] != 0.0):
+        raise FieldError("source field is nonzero outside its declared support")
     b = source_load(sys.mesh, F.values)
     x = sys.full_solve(b)
     _check_residual(sys.matrix, x, b, "source solve")

@@ -10,6 +10,7 @@ and reproduces constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -153,7 +154,10 @@ def parse_descriptor(text: str):
         if name in CATALOGUE:
             return CATALOGUE[name]
         raise FieldError(f"unknown coefficient descriptor {text!r}")
-    parts = [float(p) for p in arg.split(",")]
+    try:
+        parts = [float(p) for p in arg.split(",")]
+    except ValueError:  # no form matches: malformed descriptor below
+        parts = []
     if name == "constant" and len(parts) == 1:
         return constant(parts[0])
     if name == "disk" and len(parts) == 5:
@@ -204,66 +208,93 @@ def transfer_boundary_trace(fine: TriMesh, trace: BoundaryTrace, coarse: TriMesh
     return BoundaryTrace(coarse, vals)
 
 
+def write_csv(path, header: str, columns) -> None:
+    """Write a CSV artifact: ASCII, one header line, ``,`` separators, LF line ends.
+
+    ``columns`` holds equal-length sequences, each formatted once by dtype:
+    floats as ``%.17g`` (exact round trip), booleans as 0/1, anything else
+    with ``str``.  No columns writes the header alone.
+    """
+    cells = []
+    for values in map(np.asarray, columns):
+        values = values.astype(np.int8) if values.dtype.kind == "b" else values
+        spec = ".17g" if values.dtype.kind == "f" else ""
+        cells.append(list(map(format, values.tolist(), repeat(spec))))
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
+def read_csv(path, header: str) -> list[list[str]]:
+    """Rows of a CSV artifact split into cells, after checking its header and row widths."""
+    # A non-ASCII byte decodes to U+FFFD and fails the header or number checks.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise FieldError(f"unexpected CSV header {found!r} in {path}, expected {header!r}")
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    width = header.count(",") + 1
+    for n, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise FieldError(f"{path} line {n}: expected {width} fields, got {len(row)}")
+    return rows
+
+
+def _numbers(path, rows, column: int, cast) -> np.ndarray:
+    """One column of ``read_csv`` rows converted with ``cast`` (int or float)."""
+    try:
+        return np.array([cast(row[column]) for row in rows], dtype=cast)
+    except (ValueError, OverflowError) as exc:
+        raise FieldError(f"malformed value in {path}: {exc}") from None
+
+
+def _positions(source, index: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position in ``keys`` of each row index, every key exactly once; ``source`` labels errors."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    slot = np.minimum(np.searchsorted(ordered, index), keys.size - 1)
+    unknown = ordered[slot] != index
+    if np.any(unknown):
+        raise FieldError(f"{source}: unexpected index {index[unknown][0]}")
+    counts = np.bincount(slot, minlength=keys.size)
+    if np.any(counts > 1):
+        raise FieldError(f"{source}: index {ordered[np.argmax(counts)]} appears more than once")
+    if np.any(counts == 0):
+        raise FieldError(f"{source}: index {ordered[np.argmin(counts)]} is missing")
+    return order[slot]
+
+
+def _read_indexed(path, header: str, keys: np.ndarray) -> np.ndarray:
+    """Values of an ``index,value`` CSV in the order of ``keys``; ``nan`` is a value."""
+    rows = read_csv(path, header)
+    values = np.empty(keys.size)
+    values[_positions(path, _numbers(path, rows, 0, int), keys)] = _numbers(path, rows, 1, float)
+    return values
+
+
 def write_element_csv(field: PiecewiseConstantField, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("element_index,value\n")
-        for i, v in enumerate(field.values):
-            fh.write(f"{i},{v:.17g}\n")
+    write_csv(path, "element_index,value", [np.arange(field.mesh.n_elements), field.values])
 
 
 def read_element_csv(mesh: TriMesh, path) -> PiecewiseConstantField:
-    values = _read_indexed_csv(path, "element_index", mesh.n_elements)
+    values = _read_indexed(path, "element_index,value", np.arange(mesh.n_elements))
     return PiecewiseConstantField(mesh, values)
 
 
 def write_node_csv(field: NodalField, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("node_index,value\n")
-        for i, v in enumerate(field.values):
-            fh.write(f"{i},{v:.17g}\n")
+    write_csv(path, "node_index,value", [np.arange(field.mesh.n_nodes), field.values])
 
 
 def read_node_csv(mesh: TriMesh, path) -> NodalField:
-    values = _read_indexed_csv(path, "node_index", mesh.n_nodes)
-    return NodalField(mesh, values)
+    return NodalField(mesh, _read_indexed(path, "node_index,value", np.arange(mesh.n_nodes)))
 
 
 def write_trace_csv(trace: BoundaryTrace, path) -> None:
     """Boundary trace rows keyed by global node index, in angular order."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("node_index,value\n")
-        for n, v in zip(trace.mesh.boundary_nodes, trace.values):
-            fh.write(f"{n},{v:.17g}\n")
+    write_csv(path, "node_index,value", [trace.mesh.boundary_nodes, trace.values])
 
 
 def read_trace_csv(mesh: TriMesh, path) -> BoundaryTrace:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "node_index,value":
-            raise FieldError(f"unexpected trace CSV header {header!r}")
-        by_node = {}
-        for line in fh:
-            idx, val = line.strip().split(",")
-            by_node[int(idx)] = float(val)
-    try:
-        values = np.array([by_node[int(n)] for n in mesh.boundary_nodes])
-    except KeyError as exc:
-        raise FieldError(f"trace CSV is missing boundary node {exc}") from None
-    return BoundaryTrace(mesh, values)
-
-
-def _read_indexed_csv(path, key: str, expected: int) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != f"{key},value":
-            raise FieldError(f"unexpected CSV header {header!r}")
-        values = np.full(expected, np.nan)
-        for line in fh:
-            idx, val = line.strip().split(",")
-            values[int(idx)] = float(val)
-    if np.any(np.isnan(values)):
-        raise FieldError(f"CSV does not cover all {expected} entries")
-    return values
+    return BoundaryTrace(mesh, _read_indexed(path, "node_index,value", mesh.boundary_nodes))
 
 
 def write_field_pgm(field: PiecewiseConstantField, path, resolution: int = 512) -> None:

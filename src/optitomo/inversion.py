@@ -397,7 +397,7 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
             x_warm = np.concatenate((sigma_rec.values, q_rec.values))
         else:
             x_warm = q_rec.values.copy()
-        _, fit, _ = kv_terms(meas, sigma_rec, q_rec, 0.0, config.mode)
+        fit = trace.rows[-1]["data_fit"]
         pen = _penalty_integral(meas.mesh, sigma_rec, q_rec, config.mode)
         residual = abs((beta - 1.0) * fit - 0.5 * rho * pen)
         history.append(

@@ -201,7 +201,6 @@ def find_localized_current(
     mass = mesh.boundary_mass
     omega = np.flatnonzero(part.omega_mask)
     areas_omega = mesh.areas[omega]
-    omega_labels = set(range(1, setup.n_cells + 1))
     forward_applications = 0
 
     def apply_forward(gvals: np.ndarray):
@@ -215,7 +214,7 @@ def find_localized_current(
         """T* f: boundary trace of the source solve, as hat-basis coefficients."""
         full = np.zeros(mesh.n_elements)
         full[omega] = fvals_omega
-        v = solve_source(sys, PiecewiseConstantField(mesh, full), part, omega_labels)
+        v = solve_source(sys, PiecewiseConstantField(mesh, full), part.omega_mask)
         return v.values[mesh.boundary_nodes]
 
     _check_adjoint(setup, j, k, mass, areas_omega, apply_forward, apply_adjoint)
@@ -352,8 +351,7 @@ def lipschitz_constant(
     for j in range(1, setup.n_cells + 1):
         for k in range(1, setup.K + 1):
             currents.append(find_localized_current(setup, j, k, max_iter=max_iter))
-    max_norm_sq = max(c.norm_sq() for c in currents)
-    return 1.0 / max_norm_sq, currents
+    return 1.0 / stability_factor(currents), currents
 
 
 def stability_factor(currents: list[LocalizedCurrent]) -> float:
@@ -377,22 +375,15 @@ def stability_report(
     rng = np.random.default_rng(seed)
     part = setup.partition
     rows = []
-    lam_cache: dict[tuple, np.ndarray] = {}
-
-    def lam_for(cell_values: np.ndarray) -> np.ndarray:
-        key = tuple(np.round(cell_values, 12))
-        if key not in lam_cache:
-            qf = cell_values_to_field(part, cell_values)
-            lam_cache[key] = build_ntd(setup.mesh, setup.sigma, qf).lam
-        return lam_cache[key]
-
     for i in range(n_pairs):
         q1 = rng.uniform(setup.a, setup.b, size=part.n_cells)
         q2 = rng.uniform(setup.a, setup.b, size=part.n_cells)
-        if np.max(np.abs(q1 - q2)) == 0.0:
-            continue
         dist = float(np.max(np.abs(q1 - q2)))
-        opnorm = m_weighted_opnorm(lam_for(q1) - lam_for(q2), setup.mesh.boundary_mass)
+        if dist == 0.0:
+            continue
+        lam1, lam2 = (build_ntd(setup.mesh, setup.sigma, cell_values_to_field(part, v)).lam
+                      for v in (q1, q2))
+        opnorm = m_weighted_opnorm(lam1 - lam2, setup.mesh.boundary_mass)
         bound = factor * opnorm
         rows.append(
             {

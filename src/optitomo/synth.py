@@ -22,9 +22,13 @@ from .errors import FieldError
 from .field import (
     BoundaryTrace,
     PiecewiseConstantField,
+    _numbers,
+    _positions,
+    read_csv,
     restrict_to_boundary,
     sample_coefficient,
     transfer_boundary_trace,
+    write_csv,
     EX2_DISKS,
 )
 from .fem import assemble, solve_neumann
@@ -40,7 +44,10 @@ def parse_flux(text: str):
     """
     name, _, arg = text.partition(":")
     name = name.strip()
-    parts = [float(p) for p in arg.split(",")] if arg else []
+    try:
+        parts = [float(p) for p in arg.split(",")] if arg else []
+    except ValueError:  # no form matches: malformed descriptor below
+        parts = []
     if name == "const" and len(parts) == 1:
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), parts[0])
     if name == "sin" and len(parts) == 1:
@@ -215,29 +222,23 @@ def error_metrics(
 
 def write_measurements_csv(meas: MeasurementSet, path) -> None:
     """Rows (k, boundary node index, g value, f value)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("k,boundary_node,g,f\n")
-        for k, (g, f) in enumerate(meas.pairs, start=1):
-            for node, gv, fv in zip(meas.mesh.boundary_nodes, g.values, f.values):
-                fh.write(f"{k},{node},{gv:.17g},{fv:.17g}\n")
+    nodes = meas.mesh.boundary_nodes
+    write_csv(path, "k,boundary_node,g,f", [
+        np.repeat(np.arange(1, len(meas) + 1), nodes.size),
+        np.tile(nodes, len(meas)),
+        np.concatenate([g.values for g, _ in meas.pairs]),
+        np.concatenate([f.values for _, f in meas.pairs]),
+    ])
 
 
 def read_measurements_csv(mesh: TriMesh, path) -> MeasurementSet:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "k,boundary_node,g,f":
-            raise FieldError(f"unexpected measurements CSV header {header!r}")
-        data: dict[int, dict[int, tuple[float, float]]] = {}
-        for line in fh:
-            k, node, gv, fv = line.strip().split(",")
-            data.setdefault(int(k), {})[int(node)] = (float(gv), float(fv))
+    """Pairs in increasing k; each k must list every boundary node exactly once."""
+    rows = read_csv(path, "k,boundary_node,g,f")
+    ks, nodes = _numbers(path, rows, 0, int), _numbers(path, rows, 1, int)
+    gf = np.column_stack([_numbers(path, rows, c, float) for c in (2, 3)])
     pairs = []
-    for k in sorted(data):
-        rows = data[k]
-        try:
-            g = np.array([rows[int(n)][0] for n in mesh.boundary_nodes])
-            f = np.array([rows[int(n)][1] for n in mesh.boundary_nodes])
-        except KeyError as exc:
-            raise FieldError(f"measurement {k} is missing boundary node {exc}") from None
-        pairs.append((BoundaryTrace(mesh, g), BoundaryTrace(mesh, f)))
+    for k in np.unique(ks):
+        values = np.empty((mesh.n_boundary, 2))
+        values[_positions(f"{path}, k={k}", nodes[ks == k], mesh.boundary_nodes)] = gf[ks == k]
+        pairs.append((BoundaryTrace(mesh, values[:, 0]), BoundaryTrace(mesh, values[:, 1])))
     return MeasurementSet(mesh, tuple(pairs))

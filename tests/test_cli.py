@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from optitomo.cli import main
 from optitomo.field import read_node_csv
@@ -73,6 +74,19 @@ def test_unknown_config_key_exits_one(tmp_path):
     assert run(["forward", "--bogus.key=1", "--out", str(tmp_path)]) == 1
     assert run(["forward", "--forward.bogus=1", "--out", str(tmp_path)]) == 1
     assert run(["no_such_command"]) == 1
+
+
+@pytest.mark.parametrize("override, message", [
+    ("--coefficients.sigma=constant:abc", "error: malformed coefficient descriptor 'constant:abc'"),
+    ("--forward.flux=sin:x", "error: malformed flux descriptor 'sin:x'"),
+])
+def test_malformed_descriptor_number_exits_two(tmp_path, capsys, override, message):
+    args = [
+        "forward", "--mesh.target_elements=254", "--coefficients.sigma=one",
+        "--coefficients.q=one", "--forward.flux=sin:1", override, "--out", str(tmp_path),
+    ]
+    assert run(args) == 2
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_config_file_and_overrides(tmp_path):

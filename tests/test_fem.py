@@ -155,7 +155,7 @@ def test_source_adjoint_identity(mesh_small_aligned, rng_seed=5):
     for _ in range(5):
         fvals = np.where(omega, rng.standard_normal(mesh.n_elements), 0.0)
         gvals = rng.standard_normal(mesh.n_boundary)
-        v = solve_source(sys, PiecewiseConstantField(mesh, fvals), part, {1, 2, 3, 4})
+        v = solve_source(sys, PiecewiseConstantField(mesh, fvals), part.omega_mask)
         u = solve_neumann(sys, BoundaryTrace(mesh, gvals))
         lhs = float(v.values[mesh.boundary_nodes] @ (mesh.boundary_mass @ gvals))
         rhs = float(np.sum(mesh.areas[omega] * fvals[omega] * element_means(u)[omega]))
@@ -189,7 +189,7 @@ def test_source_rejects_offsupport_values(mesh_small_aligned):
     part = subdomain_partition(mesh, 0.5, 4)
     vals = np.ones(mesh.n_elements)  # nonzero outside omega
     with pytest.raises(FieldError):
-        solve_source(sys, PiecewiseConstantField(mesh, vals), part, {1, 2, 3, 4})
+        solve_source(sys, PiecewiseConstantField(mesh, vals), part.omega_mask)
 
 
 def test_element_gradients_linear_reproduction(mesh_small):

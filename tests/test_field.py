@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optitomo.errors import FieldError
 from optitomo.field import (
@@ -7,12 +8,14 @@ from optitomo.field import (
     NodalField,
     PiecewiseConstantField,
     parse_descriptor,
+    read_csv,
     read_element_csv,
     read_node_csv,
     read_trace_csv,
     restrict_to_boundary,
     sample_coefficient,
     transfer_boundary_trace,
+    write_csv,
     write_element_csv,
     write_field_pgm,
     write_node_csv,
@@ -71,6 +74,12 @@ def test_parse_descriptor_rejects_garbage():
         parse_descriptor("disk:1,2")
 
 
+@pytest.mark.parametrize("text", ["constant:abc", "disk:0,0,0.5,x,1", "square:0.5,1,", "constant:nan1"])
+def test_parse_descriptor_rejects_malformed_numbers(text):
+    with pytest.raises(FieldError, match="malformed coefficient descriptor"):
+        parse_descriptor(text)
+
+
 def test_transfer_identity_on_same_mesh(mesh_small):
     trace = BoundaryTrace(mesh_small, np.sin(3 * mesh_small.boundary_angles))
     back = transfer_boundary_trace(mesh_small, trace, mesh_small)
@@ -109,17 +118,173 @@ def test_restrict_dirichlet_round_trip(mesh_small, unit_coefficients):
     assert np.array_equal(restrict_to_boundary(u).values, f.values)
 
 
+# Values whose text form is easy to get wrong: signed zero, the smallest
+# subnormal, the infinities, nan, and integers stored as floats.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.0, 3e16, 0.1, -1 / 3]
+
+
+def _special_values(n, seed):
+    values = np.random.default_rng(seed).standard_normal(n)
+    values[: len(SPECIAL)] = SPECIAL
+    return values
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _reference_element_csv(field, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("element_index,value\n")
+        for i, v in enumerate(field.values):
+            fh.write(f"{i},{v:.17g}\n")
+
+
+def _reference_node_csv(field, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("node_index,value\n")
+        for i, v in enumerate(field.values):
+            fh.write(f"{i},{v:.17g}\n")
+
+
+def _reference_trace_csv(trace, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("node_index,value\n")
+        for n, v in zip(trace.mesh.boundary_nodes, trace.values):
+            fh.write(f"{n},{v:.17g}\n")
+
+
+def test_write_csv_matches_fstring_rows(tmp_path):
+    ints = np.arange(-3, len(SPECIAL) - 3)
+    floats = np.array(SPECIAL)
+    flags = np.arange(len(SPECIAL)) % 3 == 0
+    names = [f"name_{i}" for i in range(len(SPECIAL))]
+    write_csv(tmp_path / "new.csv", "i,x,flag,name", [ints, floats, flags, names])
+    expected = "i,x,flag,name\n" + "".join(
+        f"{i},{x:.17g},{int(b)},{s}\n" for i, x, b, s in zip(ints, floats, flags, names)
+    )
+    assert (tmp_path / "new.csv").read_bytes() == expected.encode("ascii")
+    # Python scalars in lists format like numpy arrays of the same kind.
+    write_csv(tmp_path / "lists.csv", "i,x,flag,name",
+              [ints.tolist(), floats.tolist(), flags.tolist(), names])
+    assert (tmp_path / "lists.csv").read_bytes() == expected.encode("ascii")
+    write_csv(tmp_path / "empty.csv", "a,b", [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+    write_csv(tmp_path / "no_rows.csv", "a,b", [[], []])
+    assert (tmp_path / "no_rows.csv").read_bytes() == b"a,b\n"
+
+
+def test_field_writers_match_reference_bytes(tmp_path, mesh_small):
+    elem = PiecewiseConstantField(mesh_small, _special_values(mesh_small.n_elements, 1))
+    node = NodalField(mesh_small, _special_values(mesh_small.n_nodes, 2))
+    trace = BoundaryTrace(mesh_small, _special_values(mesh_small.n_boundary, 3))
+    for write, reference, data in (
+        (write_element_csv, _reference_element_csv, elem),
+        (write_node_csv, _reference_node_csv, node),
+        (write_trace_csv, _reference_trace_csv, trace),
+    ):
+        write(data, tmp_path / "new.csv")
+        reference(data, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_csv_round_trips(tmp_path, mesh_small):
-    rng = np.random.default_rng(3)
-    elem = PiecewiseConstantField(mesh_small, rng.standard_normal(mesh_small.n_elements))
-    node = NodalField(mesh_small, rng.standard_normal(mesh_small.n_nodes))
-    trace = BoundaryTrace(mesh_small, rng.standard_normal(mesh_small.n_boundary))
+    elem = PiecewiseConstantField(mesh_small, _special_values(mesh_small.n_elements, 4))
+    node = NodalField(mesh_small, _special_values(mesh_small.n_nodes, 5))
+    trace = BoundaryTrace(mesh_small, _special_values(mesh_small.n_boundary, 6))
     write_element_csv(elem, tmp_path / "e.csv")
     write_node_csv(node, tmp_path / "n.csv")
     write_trace_csv(trace, tmp_path / "t.csv")
-    assert np.array_equal(read_element_csv(mesh_small, tmp_path / "e.csv").values, elem.values)
-    assert np.array_equal(read_node_csv(mesh_small, tmp_path / "n.csv").values, node.values)
-    assert np.array_equal(read_trace_csv(mesh_small, tmp_path / "t.csv").values, trace.values)
+    assert np.array_equal(_bits(read_element_csv(mesh_small, tmp_path / "e.csv").values),
+                          _bits(elem.values))
+    assert np.array_equal(_bits(read_node_csv(mesh_small, tmp_path / "n.csv").values),
+                          _bits(node.values))
+    assert np.array_equal(_bits(read_trace_csv(mesh_small, tmp_path / "t.csv").values),
+                          _bits(trace.values))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, width=64), max_size=40),
+       flags=st.lists(st.booleans(), min_size=40, max_size=40))
+def test_write_read_round_trip_is_exact(tmp_path_factory, values, flags):
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    n = len(values)
+    write_csv(path, "i,x,flag", [np.arange(n), np.array(values, dtype=float), flags[:n]])
+    rows = read_csv(path, "i,x,flag")
+    assert [int(r[0]) for r in rows] == list(range(n))
+    assert np.array_equal(_bits([float(r[1]) for r in rows]), _bits(values))
+    assert [r[2] == "1" for r in rows] == flags[:n]
+
+
+def _element_rows(mesh, tmp_path, rows):
+    path = tmp_path / "e.csv"
+    lines = [f"{i},{v:.17g}" for i, v in enumerate(np.arange(mesh.n_elements, dtype=float))]
+    lines += rows
+    path.write_text("element_index,value\n" + "".join(line + "\n" for line in lines))
+    return path
+
+
+def test_index_reader_rejects_negative_index(tmp_path, mesh_small):
+    path = _element_rows(mesh_small, tmp_path, ["-1,999"])
+    with pytest.raises(FieldError, match="unexpected index -1"):
+        read_element_csv(mesh_small, path)
+
+
+def test_index_reader_rejects_out_of_range_index(tmp_path, mesh_small):
+    path = _element_rows(mesh_small, tmp_path, [f"{mesh_small.n_elements},1"])
+    with pytest.raises(FieldError, match="unexpected index"):
+        read_element_csv(mesh_small, path)
+
+
+def test_index_reader_rejects_duplicate_index(tmp_path, mesh_small):
+    path = _element_rows(mesh_small, tmp_path, ["7,999"])
+    with pytest.raises(FieldError, match="index 7 appears more than once"):
+        read_element_csv(mesh_small, path)
+
+
+def test_index_reader_rejects_missing_index(tmp_path, mesh_small):
+    path = _element_rows(mesh_small, tmp_path, [])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + lines[5:]) + "\n")  # drops element 3
+    with pytest.raises(FieldError, match="index 3 is missing"):
+        read_element_csv(mesh_small, path)
+
+
+def test_index_reader_reads_nan_as_a_value(tmp_path, mesh_small):
+    path = _element_rows(mesh_small, tmp_path, [])
+    path.write_text(path.read_text().replace("\n5,5\n", "\n5,nan\n"))
+    values = read_element_csv(mesh_small, path).values
+    assert np.isnan(values[5])
+    assert np.array_equal(np.delete(values, 5), np.delete(np.arange(mesh_small.n_elements), 5))
+
+
+def test_trace_reader_rejects_interior_node(tmp_path, mesh_small):
+    trace = BoundaryTrace(mesh_small, np.zeros(mesh_small.n_boundary))
+    write_trace_csv(trace, tmp_path / "t.csv")
+    interior = np.setdiff1d(np.arange(mesh_small.n_nodes), mesh_small.boundary_nodes)[0]
+    text = (tmp_path / "t.csv").read_text()
+    (tmp_path / "t.csv").write_text(text + f"{interior},1\n")
+    with pytest.raises(FieldError, match=f"unexpected index {interior}"):
+        read_trace_csv(mesh_small, tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("node_index,value\n0,1\n", "unexpected CSV header"),
+    ("element_index,value\n0,1,2\n", "line 2: expected 2 fields, got 3"),
+    ("element_index,value\n0,abc\n", "malformed value"),
+    ("element_index,value\n0.5,1\n", "malformed value"),
+    ("element_index,value\n0,1\u00e9\n", "malformed value"),
+    ("element_index,valu\u00e9\n0,1\n", "unexpected CSV header"),
+])
+def test_csv_reader_rejects_malformed_files(tmp_path, mesh_small, body, message):
+    (tmp_path / "bad.csv").write_bytes(body.encode("utf-8"))
+    with pytest.raises(FieldError, match=message):
+        read_element_csv(mesh_small, tmp_path / "bad.csv")
+
+
+def test_read_csv_returns_split_rows(tmp_path):
+    write_csv(tmp_path / "a.csv", "x,name", [[1.5, -0.0], ["a", "b"]])
+    assert read_csv(tmp_path / "a.csv", "x,name") == [["1.5", "a"], ["-0", "b"]]
 
 
 def test_pgm_emitter_shape_and_background(tmp_path, mesh_small):

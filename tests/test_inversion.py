@@ -260,3 +260,33 @@ def test_balancing_residual_contract(mesh_small):
     assert rho_star > 0.0
     last = history[-1]
     assert last["residual"] <= 1e-3 * (cfg.beta_balance - 1.0) * last["data_fit"] * 1.5
+
+
+def test_balancing_history_data_fit_is_the_final_fit(monkeypatch):
+    # Each outer row's data fit is read from its solve's trace; it must equal
+    # an independent evaluation at that solve's reconstruction, bit for bit.
+    import optitomo.inversion
+
+    spec = dataclasses.replace(example2_spec(noise_level=0.05, seed=7),
+                               fine_elements=1016, coarse_elements=254)
+    meas = make_measurements(spec)
+    mesh = meas.mesh
+    cfg = InversionConfig(
+        mode=JOINT,
+        sigma0=sample_coefficient(mesh, spec.init_sigma),
+        q0=sample_coefficient(mesh, spec.init_q),
+        q_bounds=(0.5, 6.0),
+        sigma_bounds=(0.5, 5.0),
+        max_iter=10,
+    )
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(bfgs_minimize(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(optitomo.inversion, "bfgs_minimize", recording)
+    _, history = balancing_rho(meas, cfg)
+    assert len(history) == len(solves) >= 2
+    for row, (sigma_rec, q_rec, _) in zip(history, solves):
+        assert row["data_fit"] == kv_terms(meas, sigma_rec, q_rec, 0.0, JOINT)[1]

@@ -13,6 +13,7 @@ from optitomo.field import (
     transfer_boundary_trace,
 )
 from optitomo.fem import assemble, solve_neumann
+from optitomo.inversion import MeasurementSet
 from optitomo.mesh import generate_disk_mesh
 from optitomo.synth import (
     apply_trace_noise,
@@ -149,6 +150,43 @@ def test_example2_regions_partition(mesh_small):
     for mask in masks.values():
         total += mask.astype(int)
     assert np.all(total == 1)
+
+
+@pytest.mark.parametrize("text", ["sin:x", "offset_sin:10,", "const:", "cos:1,y"])
+def test_parse_flux_rejects_malformed_numbers(text):
+    with pytest.raises(FieldError, match="malformed flux descriptor"):
+        parse_flux(text)
+
+
+def _reference_measurements_csv(meas, path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("k,boundary_node,g,f\n")
+        for k, (g, f) in enumerate(meas.pairs, start=1):
+            for node, gv, fv in zip(meas.mesh.boundary_nodes, g.values, f.values):
+                fh.write(f"{k},{node},{gv:.17g},{fv:.17g}\n")
+
+
+def test_measurements_writer_matches_reference_bytes(tmp_path, mesh_small):
+    rng = np.random.default_rng(9)
+    pairs = tuple(
+        (BoundaryTrace(mesh_small, rng.standard_normal(mesh_small.n_boundary)),
+         BoundaryTrace(mesh_small, np.r_[-0.0, np.inf, np.nan,
+                                         rng.standard_normal(mesh_small.n_boundary - 3)]))
+        for _ in range(3)
+    )
+    meas = MeasurementSet(mesh_small, pairs)
+    write_measurements_csv(meas, tmp_path / "new.csv")
+    _reference_measurements_csv(meas, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_measurements_reader_rejects_duplicate_node(tmp_path, mesh_small):
+    g = BoundaryTrace(mesh_small, np.ones(mesh_small.n_boundary))
+    write_measurements_csv(MeasurementSet(mesh_small, ((g, g),)), tmp_path / "m.csv")
+    node = mesh_small.boundary_nodes[0]
+    (tmp_path / "m.csv").write_text((tmp_path / "m.csv").read_text() + f"1,{node},2,2\n")
+    with pytest.raises(FieldError, match=f"k=1: index {node} appears more than once"):
+        read_measurements_csv(mesh_small, tmp_path / "m.csv")
 
 
 def test_measurements_csv_round_trip(tmp_path):
