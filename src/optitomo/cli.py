@@ -388,6 +388,9 @@ def cmd_reconstruct(cfg, outdir, args):
         extra["balance_residual_relative"] = (
             last["residual"] / denom if denom > 0 else 0.0
         )
+        extra["balancing_objective_evaluations"] = sum(
+            row["objective_evaluations"] for row in history
+        )
 
     sigma_rec, q_rec, trace = bfgs_minimize(meas, inv_cfg, rho=rho)
     extra["rho"] = rho
@@ -395,6 +398,7 @@ def cmd_reconstruct(cfg, outdir, args):
     extra["final_J"] = trace.rows[-1]["J"]
     extra["converged"] = trace.converged
     extra["optimizer_message"] = trace.message
+    extra["objective_evaluations"] = trace.evaluations
 
     iter_csv = os.path.join(outdir, "iterations.csv")
     header = "iteration,J,data_fit,penalty,grad_norm,step"

@@ -7,15 +7,23 @@ coefficient-weighted energy norm, plus a Tikhonov penalty:
     J(sigma, q) = sum_k int sigma |grad(u_gk - u_fk)|^2 + q (u_gk - u_fk)^2
                   + (rho/2) int (sigma^2 + q^2).
 
-J vanishes exactly when both solutions coincide for every pair.  Its gradient
-with respect to per-element coefficient values is analytic (no adjoint solves
-beyond the 2K forward solves per evaluation).  Minimization runs a projected
-L-BFGS: a limited-memory quasi-Newton step from the two-loop recursion over
-the last ``LBFGS_MEMORY`` curvature pairs, projection onto the box bounds,
-Armijo backtracking on the projected point, and a curvature-guarded pair
-update.  The regularization weight can be chosen by a fixed-point iteration
-that balances the data-fit term against the penalty, which needs no
-noise-level knowledge.
+J vanishes exactly when both solutions coincide for every pair.  One
+evaluation is one batched pass: a single assembly of A(sigma, q), one
+K-column Neumann solve and one K-column Dirichlet solve.  Because the assembly
+integrates piecewise-constant coefficients in closed form, the data fit is
+exactly the energy sum_k w_k^T A w_k of the columns of W = U_N - U_D, taken
+as one sparse matrix product.  The gradient with respect to per-element
+coefficient values is analytic (no adjoint solves beyond the 2K forward
+solves) and is formed for all 2K solution columns at once.  Minimization runs
+a projected L-BFGS: a limited-memory quasi-Newton step from the two-loop
+recursion over the last ``LBFGS_MEMORY`` curvature pairs, projection onto the
+box bounds, Armijo backtracking on the projected point, and a
+curvature-guarded pair update.  A solve stops on its iteration budget, on a
+small projected gradient, or once an accepted step lowers J by no more than
+``FTOL`` relative to max(|J_old|, |J_new|, 1), the relative-reduction test of
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995).  The
+regularization weight can be chosen by a fixed-point iteration that balances
+the data-fit term against the penalty, which needs no noise-level knowledge.
 
 In absorption-only mode the diffusion coefficient is held fixed and the
 penalty reduces to (rho/2) int q^2.
@@ -28,14 +36,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import FieldError
-from .field import NodalField, PiecewiseConstantField
-from .fem import (
-    assemble,
-    element_gradients,
-    element_l2_products,
-    solve_dirichlet,
-    solve_neumann,
-)
+from .field import PiecewiseConstantField
+from .fem import assemble, solve_dirichlet_many, solve_neumann_many
 from .mesh import TriMesh
 
 Q_ONLY = "q_only"
@@ -43,14 +45,22 @@ JOINT = "joint"
 
 # Curvature pairs kept by the limited-memory inverse Hessian.
 LBFGS_MEMORY = 20
+# An accepted step that lowers J by at most FTOL * max(|J_old|, |J_new|, 1)
+# ends the solve.
+FTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Flux/trace pairs (g_k, f_k) on the inversion mesh."""
+    """Flux/trace pairs (g_k, f_k) on the inversion mesh.
+
+    ``fluxes`` and ``traces`` stack the g_k and f_k as (n_boundary, K) columns.
+    """
 
     mesh: TriMesh
     pairs: tuple
+    fluxes: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    traces: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.pairs) < 1:
@@ -58,6 +68,10 @@ class MeasurementSet:
         for g, f in self.pairs:
             if g.mesh is not self.mesh or f.mesh is not self.mesh:
                 raise FieldError("measurement traces live on a different mesh")
+        for name, k in (("fluxes", 0), ("traces", 1)):
+            stacked = np.column_stack([pair[k].values for pair in self.pairs])
+            stacked.setflags(write=False)
+            object.__setattr__(self, name, stacked)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -107,11 +121,12 @@ class InversionConfig:
 
 @dataclass
 class OptimizationTrace:
-    """Per-iteration log of a BFGS run."""
+    """Per-iteration log of a BFGS run and the objective evaluations it made."""
 
     rows: list = dc_field(default_factory=list)
     converged: bool = False
     message: str = ""
+    evaluations: int = 0
 
     def add(self, iteration, value, data_fit, penalty, grad_norm, step):
         self.rows.append(
@@ -127,23 +142,20 @@ class OptimizationTrace:
 
 
 def _solutions(meas: MeasurementSet, sigma, q):
-    """One assembly and the 2K solves shared by value and gradient."""
+    """One assembly and the two K-column solves shared by value and gradient.
+
+    Returns (A, U_N, U_D) with the Neumann and Dirichlet solutions of pair k
+    in column k of the (n_nodes, K) arrays.  The factorizations are released
+    on return, before the fit and gradient allocate their temporaries.
+    """
     sys = assemble(meas.mesh, sigma, q)
-    out = []
-    for g, f in meas.pairs:
-        out.append((solve_neumann(sys, g), solve_dirichlet(sys, f)))
-    return out
+    return sys.matrix, solve_neumann_many(sys, meas.fluxes), solve_dirichlet_many(sys, meas.traces)
 
 
-def _data_fit(meas, sigma, q, sols) -> float:
-    mesh = meas.mesh
-    total = 0.0
-    for un, ud in sols:
-        diff = NodalField(mesh, un.values - ud.values)
-        grad = element_gradients(diff)
-        total += float(np.sum(sigma.values * mesh.areas * np.sum(grad * grad, axis=1)))
-        total += float(np.sum(q.values * element_l2_products(diff, diff)))
-    return total
+def _data_fit(matrix, un, ud) -> float:
+    """sum_k w_k^T A w_k over the columns of W = U_N - U_D."""
+    w = un - ud
+    return float(np.sum(w * (matrix @ w)))
 
 
 def _penalty_integral(mesh, sigma, q, mode) -> float:
@@ -161,8 +173,7 @@ def kv_terms(
     mode: str = JOINT,
 ) -> tuple[float, float, float]:
     """Return (J, data_fit, penalty) of the energy-misfit functional."""
-    sols = _solutions(meas, sigma, q)
-    fit = _data_fit(meas, sigma, q, sols)
+    fit = _data_fit(*_solutions(meas, sigma, q))
     pen = 0.5 * rho * _penalty_integral(meas.mesh, sigma, q, mode)
     return fit + pen, fit, pen
 
@@ -185,24 +196,40 @@ def kv_gradient(
     components pair with coefficient directions through the plain Euclidean
     dot product of element values.
     """
-    sols = _solutions(meas, sigma, q)
-    return _gradient_from_solutions(meas, sigma, q, rho, mode, sols)
-
-
-def _gradient_from_solutions(meas, sigma, q, rho, mode, sols):
     mesh = meas.mesh
-    gsig = np.zeros(mesh.n_elements)
-    gq = np.zeros(mesh.n_elements)
-    for un, ud in sols:
-        gn = element_gradients(un)
-        gd = element_gradients(ud)
-        gsig += mesh.areas * (np.sum(gd * gd, axis=1) - np.sum(gn * gn, axis=1))
-        gq += element_l2_products(ud, ud) - element_l2_products(un, un)
+    _, un, ud = _solutions(meas, sigma, q)
+    gsig, gq = _gradient_from_solutions(mesh, sigma, q, rho, mode, un, ud)
+    return (None if gsig is None else PiecewiseConstantField(mesh, gsig),
+            PiecewiseConstantField(mesh, gq))
+
+
+def _gradient_from_solutions(mesh, sigma, q, rho, mode, un, ud):
+    """Per-element (g_sigma, g_q) arrays from all 2K solution columns at once.
+
+    g_sigma = sum_k |grad u_Dk|^2 - |grad u_Nk|^2 and g_q = sum_k u_Dk^2 - u_Nk^2,
+    integrated over each element, plus the penalty terms; g_sigma is None in
+    q-only mode.
+    """
+    k = un.shape[1]
+    u = np.concatenate((un, ud), axis=1)
+    u0, u1, u2 = (u[mesh.elements[:, i]] for i in range(3))   # (n_elements, 2K) each
+    # Sums over the K pairs are matrix-vector products: numpy's reduction
+    # over a short last axis is several times slower.
+    pairs = np.ones(k)
+    # exact P1 integral of u^2 on an element: area/12 ((sum_i u_i)^2 + sum_i u_i^2)
+    total = u0 + u1 + u2
+    mass_sq = total * total + u0 * u0 + u1 * u1 + u2 * u2
+    gq = mesh.areas / 12.0 * ((mass_sq[:, k:] - mass_sq[:, :k]) @ pairs)
     gq += rho * mesh.areas * q.values
     if mode == Q_ONLY:
-        return None, PiecewiseConstantField(mesh, gq)
+        return None, gq
+    g = mesh.element_grads[:, :, :, None]
+    gx = g[:, 0, 0] * u0 + g[:, 1, 0] * u1 + g[:, 2, 0] * u2
+    gy = g[:, 0, 1] * u0 + g[:, 1, 1] * u1 + g[:, 2, 1] * u2
+    grad_sq = gx * gx + gy * gy
+    gsig = mesh.areas * ((grad_sq[:, k:] - grad_sq[:, :k]) @ pairs)
     gsig += rho * mesh.areas * sigma.values
-    return PiecewiseConstantField(mesh, gsig), PiecewiseConstantField(mesh, gq)
+    return gsig, gq
 
 
 class _Objective:
@@ -251,14 +278,11 @@ class _Objective:
                 gs = rho * self.mesh.areas * sigma.values
                 return pen, 0.0, pen, np.concatenate((gs, gq))
             return pen, 0.0, pen, gq
-        sols = _solutions(self.meas, sigma, q)
-        fit = _data_fit(self.meas, sigma, q, sols)
+        matrix, un, ud = _solutions(self.meas, sigma, q)
+        fit = _data_fit(matrix, un, ud)
         pen = 0.5 * rho * _penalty_integral(self.mesh, sigma, q, mode)
-        gsig, gq = _gradient_from_solutions(self.meas, sigma, q, rho, mode, sols)
-        if mode == JOINT:
-            grad = np.concatenate((gsig.values, gq.values))
-        else:
-            grad = gq.values.copy()
+        gsig, gq = _gradient_from_solutions(self.mesh, sigma, q, rho, mode, un, ud)
+        grad = gq if mode == Q_ONLY else np.concatenate((gsig, gq))
         return fit + pen, fit, pen, grad
 
 
@@ -304,17 +328,23 @@ def bfgs_minimize(
 ):
     """Projected L-BFGS descent on the energy-misfit functional.
 
-    Returns (sigma_rec, q_rec, trace).  ``meas=None`` optimizes the bare
-    penalty (useful as a convexity sanity check).  ``x_start`` overrides the
-    configured initial guess (used by warm-started outer loops).
+    Returns (sigma_rec, q_rec, trace); ``trace.message`` names the stop and
+    ``trace.evaluations`` counts the objective evaluations made.
+    ``meas=None`` optimizes the bare penalty (useful as a convexity sanity
+    check).  ``x_start`` overrides the configured initial guess (used by
+    warm-started outer loops).
     """
     obj = _Objective(meas, config)
     rho = config.rho if rho is None else rho
     x = obj.project(x_start.copy()) if x_start is not None else obj.x0.copy()
     hessian = _LimitedMemoryInverseHessian()
-
-    value, fit, pen, grad = obj.value_and_gradient(x, rho)
     trace = OptimizationTrace()
+
+    def evaluate(x_eval):
+        trace.evaluations += 1
+        return obj.value_and_gradient(x_eval, rho)
+
+    value, fit, pen, grad = evaluate(x)
     pg = x - obj.project(x - grad)
     trace.add(0, value, fit, pen, float(np.linalg.norm(pg)), 0.0)
     updated = False
@@ -326,7 +356,7 @@ def bfgs_minimize(
             dx = x_new - x
             slope = float(grad @ dx)
             if slope < 0.0:
-                v_new, fit_new, pen_new, grad_new = obj.value_and_gradient(x_new, rho)
+                v_new, fit_new, pen_new, grad_new = evaluate(x_new)
                 if v_new <= value + config.armijo * slope:
                     return x_new, v_new, fit_new, pen_new, grad_new, step
             step *= 0.5
@@ -358,9 +388,16 @@ def bfgs_minimize(
             hessian.update(s, y, sy)
             updated = True
 
+        reduction = value - v_new
+        scale = max(abs(value), abs(v_new), 1.0)
         x, value, fit, pen, grad = x_new, v_new, fit_new, pen_new, grad_new
         pg = x - obj.project(x - grad)
         trace.add(it, value, fit, pen, float(np.linalg.norm(pg)), step)
+        if reduction <= FTOL * scale:
+            trace.converged = True
+            trace.message = (f"relative reduction {reduction / scale:.3e} of J "
+                             f"below FTOL {FTOL:.0e}")
+            break
     else:
         trace.message = "iteration budget exhausted"
 
@@ -375,8 +412,10 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
     term and P the penalty integral of the reconstruction at the current rho,
     warm-starting each reconstruction from the previous one.  Returns
     (rho_star, history); each history row carries the balance residual
-    |(beta - 1) F - (rho/2) P| of the minimizer at its own rho.  Degenerates
-    to rho = 0 (flagged in the history) for noise-free consistent data.
+    |(beta - 1) F - (rho/2) P| of the minimizer at its own rho and the
+    objective evaluations spent on it (the first row includes the evaluation
+    at the start that set its rho).  Degenerates to rho = 0 (flagged in the
+    history) for noise-free consistent data.
     """
     obj = _Objective(meas, config)
     beta = config.beta_balance
@@ -386,11 +425,12 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
     scale = abs(fit0) + abs(pen0)
     if fit0 <= 1e-14 * scale:
         return 0.0, [{"outer": 0, "rho": 0.0, "data_fit": fit0, "penalty_integral": pen0,
-                      "residual": 0.0, "degenerate": True}]
+                      "residual": 0.0, "degenerate": True, "objective_evaluations": 1}]
 
     rho = 2.0 * (beta - 1.0) * fit0 / pen0
     history = []
     x_warm = obj.x0.copy()
+    evaluations = 1
     for outer in range(1, config.balance_max_outer + 1):
         sigma_rec, q_rec, trace = bfgs_minimize(meas, config, rho=rho, x_start=x_warm)
         if config.mode == JOINT:
@@ -402,8 +442,10 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
         residual = abs((beta - 1.0) * fit - 0.5 * rho * pen)
         history.append(
             {"outer": outer, "rho": rho, "data_fit": fit, "penalty_integral": pen,
-             "residual": residual, "degenerate": False}
+             "residual": residual, "degenerate": False,
+             "objective_evaluations": evaluations + trace.evaluations}
         )
+        evaluations = 0
         if fit <= 1e-14 * (abs(fit) + abs(pen)):
             return 0.0, history
         rho_next = 2.0 * (beta - 1.0) * fit / pen

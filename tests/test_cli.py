@@ -163,6 +163,22 @@ def test_reconstruct_noise_free_regression(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     threshold = FIXTURES["example1_cli_noise_free"]["thresholds"]["rel_l2_q"]
     assert manifest["rel_l2_q"] <= threshold
+    # every accepted step clears the relative-reduction stop
+    assert manifest["optimizer_message"] == "iteration budget exhausted"
+    assert manifest["iterations"] == 200
+    assert manifest["objective_evaluations"] > manifest["iterations"]
+
+
+def test_reconstruct_joint_runs_its_budget(tmp_path):
+    # example2 --epsilon=0.03: the relative-reduction stop does not fire
+    # within the 200 iterations of the benchmark joint reconstruction
+    out = tmp_path / "joint"
+    assert run(["example2", "--epsilon=0.03", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["optimizer_message"] == "iteration budget exhausted"
+    assert manifest["iterations"] == 200
+    iters = (out / "iterations.csv").read_text().strip().splitlines()
+    assert len(iters) - 1 == 201
 
 
 def test_reconstruct_balancing_manifest(tmp_path):
@@ -177,6 +193,8 @@ def test_reconstruct_balancing_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["rho_star"] > 0.0
     assert manifest["balance_residual_relative"] <= 1e-3
+    assert manifest["balancing_objective_evaluations"] > 0
+    assert manifest["objective_evaluations"] > 0
     assert (out / "balancing.csv").exists()
     assert (out / "sigma_rec.csv").exists()
 

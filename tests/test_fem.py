@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.special import iv
 
-from optitomo.errors import FieldError
+from optitomo.errors import FieldError, SolverError
 from optitomo.field import (
     BoundaryTrace,
     NodalField,
@@ -12,6 +12,7 @@ from optitomo.field import (
     sample_coefficient,
 )
 from optitomo.fem import (
+    SOLVE_RTOL,
     assemble,
     boundary_load,
     element_gradients,
@@ -19,10 +20,12 @@ from optitomo.fem import (
     element_means,
     energy,
     solve_dirichlet,
+    solve_dirichlet_many,
     solve_neumann,
+    solve_neumann_many,
     solve_source,
 )
-from optitomo.mesh import subdomain_partition
+from optitomo.mesh import generate_disk_mesh, refine_uniform, subdomain_partition
 from optitomo.ntd import boundary_inner
 
 
@@ -138,6 +141,80 @@ def test_dirichlet_matches_neumann_on_shared_trace(mesh_small):
     assert np.max(np.abs(u_d.values - u_n.values)) <= 1e-8 * np.max(np.abs(u_n.values))
 
 
+@pytest.mark.parametrize("target, levels", [(254, 0), (1016, 0), (4064, 0), (254, 1), (254, 2)])
+def test_interior_blocks_match_index_slices(target, levels):
+    # the masked CSC cut of A_II and A_IB equals fancy-index slicing entry
+    # for entry, with A_IB columns in the angular order of boundary_nodes
+    # (refined meshes number their boundary nodes out of angular order)
+    mesh = generate_disk_mesh(target)
+    for _ in range(levels):
+        mesh = refine_uniform(mesh)
+    sys = assemble(mesh, sample_coefficient(mesh, "example1_sigma"),
+                   sample_coefficient(mesh, "example1_q"))
+    idx, sub, coupling, _ = sys._interior_parts()
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[mesh.boundary_nodes] = False
+    np.testing.assert_array_equal(idx, np.flatnonzero(interior))
+    for block, cols in ((sub, idx), (coupling, mesh.boundary_nodes)):
+        ref = sys.matrix[np.ix_(idx, cols)].tocsc()
+        assert block.shape == ref.shape
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(block, part), getattr(ref, part))
+
+
+def _boundary_columns(mesh):
+    ang = mesh.boundary_angles
+    return np.column_stack([np.cos(ang), 1.0 + np.sin(2 * ang), np.zeros_like(ang),
+                            np.cos(3 * ang) ** 2])
+
+
+def test_dirichlet_many_matches_column_solves(mesh_small):
+    sys = assemble(mesh_small, sample_coefficient(mesh_small, "example1_sigma"),
+                   sample_coefficient(mesh_small, "example1_q"))
+    f = _boundary_columns(mesh_small)
+    x = solve_dirichlet_many(sys, f)
+    assert x.shape == (mesh_small.n_nodes, f.shape[1])
+    for k in range(f.shape[1]):
+        col = solve_dirichlet(sys, BoundaryTrace(mesh_small, f[:, k])).values
+        np.testing.assert_array_equal(x[mesh_small.boundary_nodes, k], f[:, k])
+        np.testing.assert_allclose(x[:, k], col, rtol=0, atol=1e-14 * np.max(np.abs(col), initial=1.0))
+
+
+def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficients):
+    # column 1 carries a load a million times smaller than column 0; spoiling
+    # it by 1e-5 keeps the block's Frobenius residual far below SOLVE_RTOL but
+    # breaks that column's own contract, which each multi-column solve enforces
+    sigma, q = unit_coefficients
+    sys = assemble(mesh_small, sigma, q)
+    ang = mesh_small.boundary_angles
+    g = np.column_stack((np.cos(ang), 1e-6 * np.sin(2 * ang)))
+    x = solve_neumann_many(sys, g)
+    spoiled = x.copy()
+    spoiled[:, 1] *= 1.0 + 1e-5
+    b = sys.matrix @ x
+    frobenius = np.linalg.norm(sys.matrix @ spoiled - b) / np.linalg.norm(b)
+    assert frobenius <= SOLVE_RTOL
+    sys.full_solve = lambda rhs: spoiled
+    with pytest.raises(SolverError, match="Neumann solve did not converge in column 1"):
+        solve_neumann_many(sys, g)
+
+    sys = assemble(mesh_small, sigma, q)
+    idx, sub, coupling, lu = sys._interior_parts()
+    rhs = -coupling @ g
+    x_int = lu.solve(rhs)
+    spoiled = x_int.copy()
+    spoiled[:, 1] *= 1.0 + 1e-5
+    assert np.linalg.norm(sub @ spoiled - rhs) <= SOLVE_RTOL * np.linalg.norm(rhs)
+
+    class SpoiledLU:
+        def solve(self, rhs):
+            return spoiled
+
+    sys._interior = (idx, sub, coupling, SpoiledLU())
+    with pytest.raises(SolverError, match="Dirichlet solve did not converge in column 1"):
+        solve_dirichlet_many(sys, g)
+
+
 def test_source_zero(mesh_small, unit_coefficients):
     sigma, q = unit_coefficients
     sys = assemble(mesh_small, sigma, q)
@@ -214,8 +291,7 @@ def test_gradient_assembly_consistency(mesh_small):
 
 
 def test_boundary_load_uses_edge_mass(mesh_small):
-    g = BoundaryTrace(mesh_small, np.ones(mesh_small.n_boundary))
-    load = boundary_load(mesh_small, g)
+    load = boundary_load(mesh_small, np.ones(mesh_small.n_boundary))
     # total load = integral of 1 over the polygon boundary = perimeter
     perimeter = mesh_small.boundary_edge_lengths.sum()
     assert load.sum() == pytest.approx(perimeter, rel=1e-12)

@@ -4,21 +4,35 @@ import numpy as np
 import pytest
 
 from optitomo.errors import FieldError
-from optitomo.field import PiecewiseConstantField, sample_coefficient
-from optitomo.fem import assemble, energy, solve_neumann
+from optitomo.field import NodalField, PiecewiseConstantField, sample_coefficient
+from optitomo.fem import (
+    assemble,
+    element_gradients,
+    element_l2_products,
+    energy,
+    solve_dirichlet,
+    solve_neumann,
+)
 from optitomo.inversion import (
+    FTOL,
     JOINT,
     LBFGS_MEMORY,
     Q_ONLY,
     InversionConfig,
     _LimitedMemoryInverseHessian,
+    _Objective,
     balancing_rho,
     bfgs_minimize,
     kv_gradient,
     kv_terms,
     kv_value,
 )
-from optitomo.synth import consistent_measurements, make_measurements, example2_spec
+from optitomo.synth import (
+    consistent_measurements,
+    example1_spec,
+    example2_spec,
+    make_measurements,
+)
 
 
 FLUXES = [f"offset_sin:10,{k}" for k in range(1, 6)]
@@ -30,6 +44,72 @@ def example1_consistent(mesh_small):
     q_true = sample_coefficient(mesh_small, "example1_q")
     meas = consistent_measurements(mesh_small, sigma, q_true, FLUXES)
     return sigma, q_true, meas
+
+
+def _reference_kv(meas, sigma, q, rho, mode):
+    """The functional pair by pair: 2K single-column solves, per-pair data fit and gradient."""
+    mesh = meas.mesh
+    sys = assemble(mesh, sigma, q)
+    sols = [(solve_neumann(sys, g), solve_dirichlet(sys, f)) for g, f in meas.pairs]
+    fit = 0.0
+    gsig = np.zeros(mesh.n_elements)
+    gq = np.zeros(mesh.n_elements)
+    for un, ud in sols:
+        diff = NodalField(mesh, un.values - ud.values)
+        grad = element_gradients(diff)
+        fit += float(np.sum(sigma.values * mesh.areas * np.sum(grad * grad, axis=1)))
+        fit += float(np.sum(q.values * element_l2_products(diff, diff)))
+        gn = element_gradients(un)
+        gd = element_gradients(ud)
+        gsig += mesh.areas * (np.sum(gd * gd, axis=1) - np.sum(gn * gn, axis=1))
+        gq += element_l2_products(ud, ud) - element_l2_products(un, un)
+    pen = float(np.sum(mesh.areas * q.values ** 2))
+    gq += rho * mesh.areas * q.values
+    if mode == JOINT:
+        pen += float(np.sum(mesh.areas * sigma.values ** 2))
+        gsig += rho * mesh.areas * sigma.values
+    pen *= 0.5 * rho
+    return fit + pen, fit, pen, (gq if mode == Q_ONLY else np.concatenate((gsig, gq)))
+
+
+@pytest.fixture(scope="module")
+def benchmark_data():
+    small = dict(fine_elements=1016, coarse_elements=254)
+    return {
+        "example1": make_measurements(dataclasses.replace(example1_spec(0.05, seed=3), **small)),
+        "example2": make_measurements(dataclasses.replace(example2_spec(0.03, seed=5), **small)),
+    }
+
+
+@pytest.mark.parametrize("example", ["example1", "example2"])
+@pytest.mark.parametrize("mode", [Q_ONLY, JOINT])
+def test_batched_evaluation_matches_per_pair_reference(benchmark_data, example, mode):
+    # one assembly, two K-column solves and array-wide fit and gradient agree
+    # with the pair-by-pair loop at random in-bounds points
+    meas = benchmark_data[example]
+    mesh = meas.mesh
+    rng = np.random.default_rng(7)
+    cfg = InversionConfig(
+        mode=mode, sigma0=sample_coefficient(mesh, "one"), q0=sample_coefficient(mesh, "one"),
+        q_bounds=(0.5, 6.0), sigma_bounds=(0.5, 5.0),
+    )
+    obj = _Objective(meas, cfg)
+    for rho in (0.0, 1e-3):
+        x = rng.uniform(obj.lo, obj.hi)
+        sigma, q = obj.split(x)
+        value, fit, pen, grad = obj.value_and_gradient(x, rho)
+        ref_value, ref_fit, ref_pen, ref_grad = _reference_kv(meas, sigma, q, rho, mode)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert fit == pytest.approx(ref_fit, rel=1e-12)
+        assert pen == ref_pen
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+        assert kv_terms(meas, sigma, q, rho, mode) == (value, fit, pen)
+        gsig, gq = kv_gradient(meas, sigma, q, rho, mode)
+        np.testing.assert_array_equal(gq.values, grad[-mesh.n_elements:])
+        if mode == JOINT:
+            np.testing.assert_array_equal(gsig.values, grad[:mesh.n_elements])
+        else:
+            assert gsig is None
 
 
 def _data_energy(meas, sigma, q):
@@ -130,6 +210,48 @@ def test_bfgs_limited_memory_variant(q_only_descent):
     _, values = q_only_descent
     assert len(values) - 1 > LBFGS_MEMORY
     assert values[-1] <= 1e-2 * values[LBFGS_MEMORY]
+
+
+def test_relative_reduction_stop_fires_on_converged_solve(benchmark_data):
+    # a regularized q-only solve on noisy data: J flattens out long before the
+    # budget, and the first accepted step that lowers J by at most FTOL
+    # relative ends the solve at a stationary point
+    meas = benchmark_data["example1"]
+    mesh = meas.mesh
+    cfg = InversionConfig(
+        mode=Q_ONLY, sigma0=sample_coefficient(mesh, "example1_sigma"),
+        q0=sample_coefficient(mesh, "constant:1"), q_bounds=(0.1, 5.0),
+        rho=100.0, max_iter=400, gradient_tolerance=1e-14,
+    )
+    _, _, trace = bfgs_minimize(meas, cfg)
+    assert trace.message.startswith("relative reduction")
+    assert trace.converged and len(trace.rows) - 1 < cfg.max_iter
+    assert trace.rows[-1]["grad_norm"] <= 1e-5 * trace.rows[0]["grad_norm"]
+    values = [r["J"] for r in trace.rows]
+    drops = [(a - b) / max(abs(a), abs(b), 1.0) for a, b in zip(values, values[1:])]
+    assert drops[-1] <= FTOL
+    assert min(drops[:-1]) > FTOL
+
+
+def test_trace_counts_objective_evaluations(example1_consistent, monkeypatch):
+    # every objective evaluation assembles A(sigma, q) exactly once
+    import optitomo.inversion
+
+    sigma, _, meas = example1_consistent
+    assemblies = []
+    original = optitomo.inversion.assemble
+
+    def counting(*args, **kwargs):
+        assemblies.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optitomo.inversion, "assemble", counting)
+    cfg = InversionConfig(
+        mode=Q_ONLY, sigma0=sigma, q0=sample_coefficient(meas.mesh, "constant:1"),
+        q_bounds=(0.1, 5.0), max_iter=12,
+    )
+    _, _, trace = bfgs_minimize(meas, cfg)
+    assert trace.evaluations == len(assemblies) > len(trace.rows)
 
 
 @pytest.mark.parametrize("n_pairs", [5, LBFGS_MEMORY + 7])
