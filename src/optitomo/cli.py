@@ -68,8 +68,7 @@ SCHEMA = {
         "max_iter", "stability_pairs", "stability_seed",
     },
     "optimizer": {
-        "mode", "rho", "balancing", "beta_balance", "max_iter",
-        "gradient_tolerance", "armijo", "max_backtracks",
+        "mode", "rho", "balancing", "beta_balance", "max_iter", "gradient_tolerance",
         "q_lower", "q_upper", "sigma_lower", "sigma_upper",
         "init_sigma", "init_q", "sigma_known",
     },
@@ -95,15 +94,7 @@ class _Parser(argparse.ArgumentParser):
 def _run(argv) -> int:
     parser = _Parser(prog="optitomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("mesh", "generate a disk mesh and write the mesh file"),
-        ("forward", "solve one Neumann problem and write solution artifacts"),
-        ("ntd", "build the discrete Neumann-to-Dirichlet matrix"),
-        ("lipschitz", "compute stability certificates and the sampled report"),
-        ("reconstruct", "generate synthetic data and reconstruct coefficients"),
-        ("example1", "absorption-only benchmark reconstruction"),
-        ("example2", "simultaneous benchmark reconstruction"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="override the noise seed")
@@ -119,16 +110,7 @@ def _run(argv) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     start = time.time()
-    command = {
-        "mesh": cmd_mesh,
-        "forward": cmd_forward,
-        "ntd": cmd_ntd,
-        "lipschitz": cmd_lipschitz,
-        "reconstruct": cmd_reconstruct,
-        "example1": cmd_reconstruct,
-        "example2": cmd_reconstruct,
-    }[args.command]
-    outputs, extra_manifest = command(cfg, outdir, args)
+    outputs, extra_manifest = COMMANDS[args.command][0](cfg, outdir, args)
     _write_manifest(args, cfg, outdir, outputs, extra_manifest, time.time() - start)
     return 0
 
@@ -148,11 +130,14 @@ def _parse_overrides(extras) -> dict[tuple[str, str], str]:
 
 def _load_config(command: str, args, overrides) -> dict:
     parser = configparser.ConfigParser()
-    if args.config is not None:
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file {args.config!r} does not exist")
-        parser.read(args.config)
-    cfg = {section: dict(parser[section]) for section in parser.sections()}
+    if args.config is not None and not os.path.exists(args.config):
+        raise UsageError(f"config file {args.config!r} does not exist")
+    try:
+        if args.config is not None:
+            parser.read(args.config)
+        cfg = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:  # its messages may span lines
+        raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
 
     if command in ("example1", "example2"):
         preset = _example_preset(command)
@@ -211,7 +196,7 @@ def _example_preset(command: str) -> dict:
     return preset
 
 
-def _get(cfg, section, key, default=None, cast=str):
+def _get(cfg, section, key, default=None, cast=str, minimum=None):
     try:
         raw = cfg[section][key]
     except KeyError:
@@ -226,9 +211,12 @@ def _get(cfg, section, key, default=None, cast=str):
             return False
         raise UsageError(f"config key {key!r} must be boolean, got {raw!r}")
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise UsageError(f"config key {key!r} has malformed value {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise UsageError(f"config key {key!r} in [{section}] must be at least {minimum}, got {raw!r}")
+    return value
 
 
 def _angular(cfg):
@@ -236,17 +224,22 @@ def _angular(cfg):
     return int(raw) if raw else None
 
 
+def _disk_mesh(cfg, default_multiplier=None):
+    """The [mesh] target_elements mesh; angular_multiplier, if set, wins over the default."""
+    multiplier = _angular(cfg)
+    return generate_disk_mesh(_get(cfg, "mesh", "target_elements", cast=int),
+                              default_multiplier if multiplier is None else multiplier)
+
+
 def cmd_mesh(cfg, outdir, args):
-    target = _get(cfg, "mesh", "target_elements", cast=int)
-    mesh = generate_disk_mesh(target, _angular(cfg))
+    mesh = _disk_mesh(cfg)
     path = os.path.join(outdir, "mesh.txt")
     write_mesh(mesh, path)
     return [path], {"elements": mesh.n_elements, "nodes": mesh.n_nodes}
 
 
 def cmd_forward(cfg, outdir, args):
-    target = _get(cfg, "mesh", "target_elements", cast=int)
-    mesh = generate_disk_mesh(target, _angular(cfg))
+    mesh = _disk_mesh(cfg)
     sigma = sample_coefficient(mesh, _get(cfg, "coefficients", "sigma"))
     q = sample_coefficient(mesh, _get(cfg, "coefficients", "q"))
     g = sample_flux(mesh, _get(cfg, "forward", "flux"))
@@ -263,8 +256,7 @@ def cmd_forward(cfg, outdir, args):
 
 
 def cmd_ntd(cfg, outdir, args):
-    target = _get(cfg, "mesh", "target_elements", cast=int)
-    mesh = generate_disk_mesh(target, _angular(cfg))
+    mesh = _disk_mesh(cfg)
     sigma = sample_coefficient(mesh, _get(cfg, "coefficients", "sigma"))
     q = sample_coefficient(mesh, _get(cfg, "coefficients", "q"))
     op = build_ntd(mesh, sigma, q)
@@ -274,13 +266,11 @@ def cmd_ntd(cfg, outdir, args):
 
 
 def cmd_lipschitz(cfg, outdir, args):
-    target = _get(cfg, "mesh", "target_elements", cast=int)
-    n_cells = _get(cfg, "lipschitz", "n_cells", default=8, cast=int)
-    multiplier = _angular(cfg)
-    if multiplier is None:
-        # align mesh spokes with the sector boundaries (and keep decent aspect)
-        multiplier = n_cells * max(1, -(-4 // n_cells))
-    mesh = generate_disk_mesh(target, multiplier)
+    n_cells = _get(cfg, "lipschitz", "n_cells", default=8, cast=int, minimum=1)
+    n_pairs = _get(cfg, "lipschitz", "stability_pairs", default=50, cast=int)
+    seed = _get(cfg, "lipschitz", "stability_seed", default=123, cast=int, minimum=0)
+    # by default, align mesh spokes with the sector boundaries (and keep decent aspect)
+    mesh = _disk_mesh(cfg, n_cells * max(1, -(-4 // n_cells)))
     part = subdomain_partition(mesh, _get(cfg, "lipschitz", "omega_radius", default=0.5, cast=float), n_cells)
     setup = make_probing_setup(
         part,
@@ -298,8 +288,6 @@ def cmd_lipschitz(cfg, outdir, args):
         for c in currents
     )))
 
-    n_pairs = _get(cfg, "lipschitz", "stability_pairs", default=50, cast=int)
-    seed = _get(cfg, "lipschitz", "stability_seed", default=123, cast=int)
     rows = stability_report(setup, currents, n_pairs, seed)
     stab_csv = os.path.join(outdir, "stability.csv")
     header = "pair,coeff_distance,ntd_opnorm,certified_bound,holds"
@@ -331,7 +319,7 @@ def cmd_reconstruct(cfg, outdir, args):
         coarse_elements=coarse,
         fluxes=tuple(v for _, v in flux_items),
         noise_level=_get(cfg, "noise", "epsilon", default=0.0, cast=float),
-        seed=_get(cfg, "noise", "seed", default=0, cast=int),
+        seed=_get(cfg, "noise", "seed", default=0, cast=int, minimum=0),
         truth_sigma=_get(cfg, "truth", "sigma"),
         truth_q=_get(cfg, "truth", "q"),
         init_sigma=_get(cfg, "optimizer", "init_sigma", default="one"),
@@ -362,8 +350,6 @@ def cmd_reconstruct(cfg, outdir, args):
         beta_balance=_get(cfg, "optimizer", "beta_balance", default=1.5, cast=float),
         max_iter=_get(cfg, "optimizer", "max_iter", default=200, cast=int),
         gradient_tolerance=_get(cfg, "optimizer", "gradient_tolerance", default=1e-9, cast=float),
-        armijo=_get(cfg, "optimizer", "armijo", default=1e-4, cast=float),
-        max_backtracks=_get(cfg, "optimizer", "max_backtracks", default=30, cast=int),
     )
 
     outputs = []
@@ -462,6 +448,18 @@ def _write_manifest(args, cfg, outdir, outputs, extra, wall_time) -> None:
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# name -> (handler, help text)
+COMMANDS = {
+    "mesh": (cmd_mesh, "generate a disk mesh and write the mesh file"),
+    "forward": (cmd_forward, "solve one Neumann problem and write solution artifacts"),
+    "ntd": (cmd_ntd, "build the discrete Neumann-to-Dirichlet matrix"),
+    "lipschitz": (cmd_lipschitz, "compute stability certificates and the sampled report"),
+    "reconstruct": (cmd_reconstruct, "generate synthetic data and reconstruct coefficients"),
+    "example1": (cmd_reconstruct, "absorption-only benchmark reconstruction"),
+    "example2": (cmd_reconstruct, "simultaneous benchmark reconstruction"),
+}
 
 
 if __name__ == "__main__":

@@ -167,22 +167,19 @@ def parse_descriptor(text: str):
     raise FieldError(f"malformed coefficient descriptor {text!r}")
 
 
-def sample_coefficient(mesh: TriMesh, expr, positive: bool = True) -> PiecewiseConstantField:
+def sample_coefficient(mesh: TriMesh, expr) -> PiecewiseConstantField:
     """Sample a descriptor at element centroids.
 
     ``expr`` is a catalogue name, a descriptor string, or a callable of
-    vectorized (x, y).  With ``positive=True`` (the coefficient role) any
-    non-positive sampled value is an error.
+    vectorized (x, y).  A coefficient must be positive: any non-positive
+    sampled value is an error.
     """
     fn = parse_descriptor(expr) if isinstance(expr, str) else expr
     cen = mesh.centroids
     values = np.asarray(fn(cen[:, 0], cen[:, 1]), dtype=float)
     if values.shape != (mesh.n_elements,):
         raise FieldError("descriptor did not evaluate to one value per element")
-    out = PiecewiseConstantField(mesh, values)
-    if positive:
-        out.require_positive()
-    return out
+    return PiecewiseConstantField(mesh, values).require_positive()
 
 
 def restrict_to_boundary(u: NodalField) -> BoundaryTrace:

@@ -48,6 +48,12 @@ LBFGS_MEMORY = 20
 # An accepted step that lowers J by at most FTOL * max(|J_old|, |J_new|, 1)
 # ends the solve.
 FTOL = 1e-12
+# Armijo sufficient-decrease constant; step halvings tried after the full step.
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 30
+# Balancing: at most BALANCE_MAX_OUTER solves, stop once rho moves <= BALANCE_RTOL.
+BALANCE_MAX_OUTER = 20
+BALANCE_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,11 @@ class InversionConfig:
 
     ``sigma0`` is the known diffusion in q-only mode and the initial guess in
     joint mode; ``q0`` is the initial absorption guess.  Bounds are inclusive
-    boxes applied per element.  ``max_iter``, ``gradient_tolerance``,
-    ``armijo`` and ``max_backtracks`` control the projected L-BFGS descent;
-    ``beta_balance``, ``balance_max_outer`` and ``balance_rtol`` control the
-    balancing fixed point for ``rho``.
+    boxes applied per element.  ``max_iter`` and ``gradient_tolerance`` bound
+    the projected L-BFGS descent; ``beta_balance`` sets the balancing target.
+    Optimizer internals are module constants: ``LBFGS_MEMORY`` = 20, ``FTOL`` =
+    1e-12, ``ARMIJO`` = 1e-4, ``MAX_BACKTRACKS`` = 30 step halvings, and for
+    the balancing fixed point ``BALANCE_MAX_OUTER`` = 20 and ``BALANCE_RTOL`` = 1e-3.
     """
 
     mode: str
@@ -98,10 +105,6 @@ class InversionConfig:
     beta_balance: float = 1.5
     max_iter: int = 200
     gradient_tolerance: float = 1e-9
-    armijo: float = 1e-4
-    max_backtracks: int = 30
-    balance_max_outer: int = 20
-    balance_rtol: float = 1e-3
 
     def __post_init__(self):
         if self.mode not in (Q_ONLY, JOINT):
@@ -129,16 +132,8 @@ class OptimizationTrace:
     evaluations: int = 0
 
     def add(self, iteration, value, data_fit, penalty, grad_norm, step):
-        self.rows.append(
-            {
-                "iteration": iteration,
-                "J": value,
-                "data_fit": data_fit,
-                "penalty": penalty,
-                "grad_norm": grad_norm,
-                "step": step,
-            }
-        )
+        self.rows.append({"iteration": iteration, "J": value, "data_fit": data_fit,
+                          "penalty": penalty, "grad_norm": grad_norm, "step": step})
 
 
 def _solutions(meas: MeasurementSet, sigma, q):
@@ -158,11 +153,18 @@ def _data_fit(matrix, un, ud) -> float:
     return float(np.sum(w * (matrix @ w)))
 
 
-def _penalty_integral(mesh, sigma, q, mode) -> float:
-    val = float(np.sum(mesh.areas * q.values ** 2))
+def _penalty(mesh, sigma, q, rho, mode):
+    """The penalty (rho/2) P, its integral P = int sigma^2 + q^2, and its gradient.
+
+    In q-only mode sigma is known: P = int q^2 and the sigma gradient is None.
+    Returns (value, P, (g_sigma, g_q)).
+    """
+    integral = float(np.sum(mesh.areas * q.values ** 2))
+    gsig = None
     if mode == JOINT:
-        val += float(np.sum(mesh.areas * sigma.values ** 2))
-    return val
+        integral += float(np.sum(mesh.areas * sigma.values ** 2))
+        gsig = rho * mesh.areas * sigma.values
+    return 0.5 * rho * integral, integral, (gsig, rho * mesh.areas * q.values)
 
 
 def kv_terms(
@@ -174,13 +176,8 @@ def kv_terms(
 ) -> tuple[float, float, float]:
     """Return (J, data_fit, penalty) of the energy-misfit functional."""
     fit = _data_fit(*_solutions(meas, sigma, q))
-    pen = 0.5 * rho * _penalty_integral(meas.mesh, sigma, q, mode)
+    pen = _penalty(meas.mesh, sigma, q, rho, mode)[0]
     return fit + pen, fit, pen
-
-
-def kv_value(meas, sigma, q, rho, mode: str = JOINT) -> float:
-    """Value of the energy-misfit functional."""
-    return kv_terms(meas, sigma, q, rho, mode)[0]
 
 
 def kv_gradient(
@@ -198,17 +195,17 @@ def kv_gradient(
     """
     mesh = meas.mesh
     _, un, ud = _solutions(meas, sigma, q)
-    gsig, gq = _gradient_from_solutions(mesh, sigma, q, rho, mode, un, ud)
+    gsig, gq = _add_data_gradient(mesh, un, ud, *_penalty(mesh, sigma, q, rho, mode)[2])
     return (None if gsig is None else PiecewiseConstantField(mesh, gsig),
             PiecewiseConstantField(mesh, gq))
 
 
-def _gradient_from_solutions(mesh, sigma, q, rho, mode, un, ud):
-    """Per-element (g_sigma, g_q) arrays from all 2K solution columns at once.
+def _add_data_gradient(mesh, un, ud, gsig, gq):
+    """Add the data-fit gradient of all 2K solution columns to (gsig, gq) at once.
 
-    g_sigma = sum_k |grad u_Dk|^2 - |grad u_Nk|^2 and g_q = sum_k u_Dk^2 - u_Nk^2,
-    integrated over each element, plus the penalty terms; g_sigma is None in
-    q-only mode.
+    The data-fit gradient is sum_k |grad u_Dk|^2 - |grad u_Nk|^2 for sigma and
+    sum_k u_Dk^2 - u_Nk^2 for q, integrated over each element; a None gsig
+    (q-only mode) stays None.
     """
     k = un.shape[1]
     u = np.concatenate((un, ud), axis=1)
@@ -219,71 +216,59 @@ def _gradient_from_solutions(mesh, sigma, q, rho, mode, un, ud):
     # exact P1 integral of u^2 on an element: area/12 ((sum_i u_i)^2 + sum_i u_i^2)
     total = u0 + u1 + u2
     mass_sq = total * total + u0 * u0 + u1 * u1 + u2 * u2
-    gq = mesh.areas / 12.0 * ((mass_sq[:, k:] - mass_sq[:, :k]) @ pairs)
-    gq += rho * mesh.areas * q.values
-    if mode == Q_ONLY:
+    gq = mesh.areas / 12.0 * ((mass_sq[:, k:] - mass_sq[:, :k]) @ pairs) + gq
+    if gsig is None:
         return None, gq
     g = mesh.element_grads[:, :, :, None]
     gx = g[:, 0, 0] * u0 + g[:, 1, 0] * u1 + g[:, 2, 0] * u2
     gy = g[:, 0, 1] * u0 + g[:, 1, 1] * u1 + g[:, 2, 1] * u2
     grad_sq = gx * gx + gy * gy
-    gsig = mesh.areas * ((grad_sq[:, k:] - grad_sq[:, :k]) @ pairs)
-    gsig += rho * mesh.areas * sigma.values
-    return gsig, gq
+    return mesh.areas * ((grad_sq[:, k:] - grad_sq[:, :k]) @ pairs) + gsig, gq
 
 
 class _Objective:
-    """Stacked-vector view of the functional for the optimizer."""
+    """Stacked-vector view of the functional for the optimizer.
+
+    The stacked layout lives here alone: sigma then q per element in joint
+    mode, q alone in q-only mode, where sigma is the known ``sigma0``.
+    """
 
     def __init__(self, meas, config):
         self.meas = meas
         self.config = config
         self.mesh = config.q0.mesh
+        self.lo, self.hi = (self.stack(s, q) for s, q in
+                            zip(config.sigma_bounds or (None, None), config.q_bounds))
+
+    def stack(self, sigma, q):
+        """The stacked vector of per-element arrays (or scalars) sigma and q."""
+        blocks = (sigma, q) if self.config.mode == JOINT else (q,)
         n = self.mesh.n_elements
-        if config.mode == JOINT:
-            lo = np.concatenate(
-                (np.full(n, config.sigma_bounds[0]), np.full(n, config.q_bounds[0]))
-            )
-            hi = np.concatenate(
-                (np.full(n, config.sigma_bounds[1]), np.full(n, config.q_bounds[1]))
-            )
-            x0 = np.concatenate((config.sigma0.values, config.q0.values))
-        else:
-            lo = np.full(n, config.q_bounds[0])
-            hi = np.full(n, config.q_bounds[1])
-            x0 = config.q0.values.copy()
-        self.lo, self.hi = lo, hi
-        self.x0 = np.clip(x0, lo, hi)
+        return np.concatenate([np.broadcast_to(b, n) for b in blocks], dtype=float)
+
+    def start(self, sigma, q):
+        """The in-bounds stacked point of the fields (sigma, q)."""
+        return self.project(self.stack(sigma.values, q.values))
 
     def split(self, x):
         n = self.mesh.n_elements
         if self.config.mode == JOINT:
-            sigma = PiecewiseConstantField(self.mesh, x[:n])
-            q = PiecewiseConstantField(self.mesh, x[n:])
-        else:
-            sigma = self.config.sigma0
-            q = PiecewiseConstantField(self.mesh, x)
-        return sigma, q
+            return PiecewiseConstantField(self.mesh, x[:n]), PiecewiseConstantField(self.mesh, x[n:])
+        return self.config.sigma0, PiecewiseConstantField(self.mesh, x)
 
     def project(self, x):
         return np.clip(x, self.lo, self.hi)
 
     def value_and_gradient(self, x, rho):
+        """(J, data_fit, penalty, stacked gradient); ``meas=None`` leaves the bare penalty."""
         sigma, q = self.split(x)
-        mode = self.config.mode
-        if self.meas is None:
-            pen = 0.5 * rho * _penalty_integral(self.mesh, sigma, q, mode)
-            gq = rho * self.mesh.areas * q.values
-            if mode == JOINT:
-                gs = rho * self.mesh.areas * sigma.values
-                return pen, 0.0, pen, np.concatenate((gs, gq))
-            return pen, 0.0, pen, gq
-        matrix, un, ud = _solutions(self.meas, sigma, q)
-        fit = _data_fit(matrix, un, ud)
-        pen = 0.5 * rho * _penalty_integral(self.mesh, sigma, q, mode)
-        gsig, gq = _gradient_from_solutions(self.mesh, sigma, q, rho, mode, un, ud)
-        grad = gq if mode == Q_ONLY else np.concatenate((gsig, gq))
-        return fit + pen, fit, pen, grad
+        pen, _, (gsig, gq) = _penalty(self.mesh, sigma, q, rho, self.config.mode)
+        fit = 0.0
+        if self.meas is not None:
+            matrix, un, ud = _solutions(self.meas, sigma, q)
+            fit = _data_fit(matrix, un, ud)
+            gsig, gq = _add_data_gradient(self.mesh, un, ud, gsig, gq)
+        return fit + pen, fit, pen, self.stack(gsig, gq)
 
 
 class _LimitedMemoryInverseHessian:
@@ -324,19 +309,19 @@ def bfgs_minimize(
     meas: MeasurementSet | None,
     config: InversionConfig,
     rho: float | None = None,
-    x_start: np.ndarray | None = None,
+    start: tuple[PiecewiseConstantField, PiecewiseConstantField] | None = None,
 ):
     """Projected L-BFGS descent on the energy-misfit functional.
 
     Returns (sigma_rec, q_rec, trace); ``trace.message`` names the stop and
     ``trace.evaluations`` counts the objective evaluations made.
     ``meas=None`` optimizes the bare penalty (useful as a convexity sanity
-    check).  ``x_start`` overrides the configured initial guess (used by
-    warm-started outer loops).
+    check).  ``start``, a (sigma, q) pair of fields, overrides the configured
+    initial guess (used by warm-started outer loops).
     """
     obj = _Objective(meas, config)
     rho = config.rho if rho is None else rho
-    x = obj.project(x_start.copy()) if x_start is not None else obj.x0.copy()
+    x = obj.start(*(start or (config.sigma0, config.q0)))
     hessian = _LimitedMemoryInverseHessian()
     trace = OptimizationTrace()
 
@@ -345,26 +330,24 @@ def bfgs_minimize(
         return obj.value_and_gradient(x_eval, rho)
 
     value, fit, pen, grad = evaluate(x)
-    pg = x - obj.project(x - grad)
-    trace.add(0, value, fit, pen, float(np.linalg.norm(pg)), 0.0)
+    pg_norm = float(np.linalg.norm(x - obj.project(x - grad)))
+    trace.add(0, value, fit, pen, pg_norm, 0.0)
     updated = False
 
     def backtrack(direction):
         step = 1.0
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             x_new = obj.project(x + step * direction)
             dx = x_new - x
             slope = float(grad @ dx)
             if slope < 0.0:
                 v_new, fit_new, pen_new, grad_new = evaluate(x_new)
-                if v_new <= value + config.armijo * slope:
+                if v_new <= value + ARMIJO * slope:
                     return x_new, v_new, fit_new, pen_new, grad_new, step
             step *= 0.5
         return None
 
     for it in range(1, config.max_iter + 1):
-        pg = x - obj.project(x - grad)
-        pg_norm = float(np.linalg.norm(pg))
         if pg_norm <= config.gradient_tolerance:
             trace.converged = True
             trace.message = f"projected gradient norm {pg_norm:.3e} below tolerance"
@@ -391,8 +374,8 @@ def bfgs_minimize(
         reduction = value - v_new
         scale = max(abs(value), abs(v_new), 1.0)
         x, value, fit, pen, grad = x_new, v_new, fit_new, pen_new, grad_new
-        pg = x - obj.project(x - grad)
-        trace.add(it, value, fit, pen, float(np.linalg.norm(pg)), step)
+        pg_norm = float(np.linalg.norm(x - obj.project(x - grad)))
+        trace.add(it, value, fit, pen, pg_norm, step)
         if reduction <= FTOL * scale:
             trace.converged = True
             trace.message = (f"relative reduction {reduction / scale:.3e} of J "
@@ -419,9 +402,9 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
     """
     obj = _Objective(meas, config)
     beta = config.beta_balance
-    sigma0, q0 = obj.split(obj.x0)
+    sigma0, q0 = obj.split(obj.start(config.sigma0, config.q0))
     _, fit0, _ = kv_terms(meas, sigma0, q0, 0.0, config.mode)
-    pen0 = _penalty_integral(meas.mesh, sigma0, q0, config.mode)
+    pen0 = _penalty(meas.mesh, sigma0, q0, 0.0, config.mode)[1]
     scale = abs(fit0) + abs(pen0)
     if fit0 <= 1e-14 * scale:
         return 0.0, [{"outer": 0, "rho": 0.0, "data_fit": fit0, "penalty_integral": pen0,
@@ -429,16 +412,13 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
 
     rho = 2.0 * (beta - 1.0) * fit0 / pen0
     history = []
-    x_warm = obj.x0.copy()
+    start = None
     evaluations = 1
-    for outer in range(1, config.balance_max_outer + 1):
-        sigma_rec, q_rec, trace = bfgs_minimize(meas, config, rho=rho, x_start=x_warm)
-        if config.mode == JOINT:
-            x_warm = np.concatenate((sigma_rec.values, q_rec.values))
-        else:
-            x_warm = q_rec.values.copy()
+    for outer in range(1, BALANCE_MAX_OUTER + 1):
+        sigma_rec, q_rec, trace = bfgs_minimize(meas, config, rho=rho, start=start)
+        start = (sigma_rec, q_rec)
         fit = trace.rows[-1]["data_fit"]
-        pen = _penalty_integral(meas.mesh, sigma_rec, q_rec, config.mode)
+        pen = _penalty(meas.mesh, sigma_rec, q_rec, rho, config.mode)[1]
         residual = abs((beta - 1.0) * fit - 0.5 * rho * pen)
         history.append(
             {"outer": outer, "rho": rho, "data_fit": fit, "penalty_integral": pen,
@@ -449,7 +429,7 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
         if fit <= 1e-14 * (abs(fit) + abs(pen)):
             return 0.0, history
         rho_next = 2.0 * (beta - 1.0) * fit / pen
-        if abs(rho_next - rho) <= config.balance_rtol * rho:
+        if abs(rho_next - rho) <= BALANCE_RTOL * rho:
             break
         rho = rho_next
     return history[-1]["rho"], history

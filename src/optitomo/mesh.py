@@ -397,14 +397,20 @@ def _row_blocks(array: np.ndarray):
         yield start, array[start:start + _WRITE_BLOCK].tolist()
 
 
+# Row format per mesh file section; i is the row position, counted from 0.
+_ROW_FORMATS = {"nodes": "i x y", "elements": "i a b c", "boundary": "node"}
+
+
 def read_mesh(path) -> TriMesh:
-    """Read the plain-text mesh format written by :func:`write_mesh`."""
-    section = None
-    nodes: list[tuple[float, float]] = []
-    elements: list[tuple[int, int, int]] = []
-    bn: list[int] = []
+    """Read the plain-text mesh format written by :func:`write_mesh`.
+
+    Rows follow ``_ROW_FORMATS``: the leading index of a node or element row
+    must equal its row position.  A malformed row is a :class:`MeshError`
+    naming the file and line.
+    """
+    section, nodes, elements, bn = None, [], [], []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
@@ -412,14 +418,20 @@ def read_mesh(path) -> TriMesh:
                 section = line[1:].strip()
                 continue
             parts = line.split()
-            if section == "nodes":
-                nodes.append((float(parts[1]), float(parts[2])))
-            elif section == "elements":
-                elements.append((int(parts[1]), int(parts[2]), int(parts[3])))
-            elif section == "boundary":
-                bn.append(int(parts[0]))
-            else:
-                raise MeshError(f"unrecognized mesh file section {section!r}")
+            try:
+                if section == "nodes" and len(parts) == 3 and int(parts[0]) == len(nodes):
+                    nodes.append((float(parts[1]), float(parts[2])))
+                elif section == "elements" and len(parts) == 4 and int(parts[0]) == len(elements):
+                    elements.append((int(parts[1]), int(parts[2]), int(parts[3])))
+                elif section == "boundary" and len(parts) == 1:
+                    bn.append(int(parts[0]))
+                elif section in _ROW_FORMATS:
+                    raise ValueError
+                else:
+                    raise MeshError(f"{path}, line {lineno}: unrecognized mesh file section {section!r}")
+            except ValueError:
+                raise MeshError(f"{path}, line {lineno}: malformed {section} row {line!r}, expected "
+                                f"{_ROW_FORMATS[section]!r}") from None
     bn_arr = np.asarray(bn, dtype=np.int64)
     bedges = np.column_stack((bn_arr, np.roll(bn_arr, -1)))
     mesh = TriMesh(np.asarray(nodes), np.asarray(elements, dtype=np.int64), bn_arr, bedges)

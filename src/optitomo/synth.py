@@ -84,8 +84,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.fine_elements <= self.coarse_elements:
             raise FieldError("fine mesh must have more elements than the coarse mesh")
-        if self.noise_level < 0.0:
-            raise FieldError("noise level must be nonnegative")
+        if not 0.0 <= self.noise_level < math.inf:  # also false for NaN
+            raise FieldError(f"noise level must be finite and nonnegative, got {self.noise_level}")
         if len(self.fluxes) < 1:
             raise FieldError("at least one flux is required")
 

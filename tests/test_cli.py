@@ -73,6 +73,9 @@ def test_forward_rerun_byte_identical(tmp_path):
 def test_unknown_config_key_exits_one(tmp_path):
     assert run(["forward", "--bogus.key=1", "--out", str(tmp_path)]) == 1
     assert run(["forward", "--forward.bogus=1", "--out", str(tmp_path)]) == 1
+    # line-search internals are module constants, not settings
+    assert run(["example1", "--optimizer.armijo=1e-4", "--out", str(tmp_path)]) == 1
+    assert run(["example1", "--optimizer.max_backtracks=30", "--out", str(tmp_path)]) == 1
     assert run(["no_such_command"]) == 1
 
 
@@ -87,6 +90,38 @@ def test_malformed_descriptor_number_exits_two(tmp_path, capsys, override, messa
     ]
     assert run(args) == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["example1", "--seed", "-1"],
+    ["example1", "--noise.seed=-1"],
+    ["lipschitz", "--mesh.target_elements=254", "--lipschitz.a=1", "--lipschitz.b=2",
+     "--lipschitz.stability_seed=-3"],
+    ["lipschitz", "--mesh.target_elements=254", "--lipschitz.a=1", "--lipschitz.b=2",
+     "--lipschitz.n_cells=0"],
+])
+def test_negative_seed_or_cell_count_is_a_usage_error(tmp_path, capsys, args):
+    assert run(args + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "target_elements = 254\n",                                    # key before any section
+    "[mesh]\ntarget_elements = 254\n[mesh]\ncoarse_elements = 1\n",  # repeated section
+])
+def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run(["mesh", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_nan_noise_level_exits_two(tmp_path, capsys):
+    assert run(["example1", "--epsilon=nan", "--optimizer.max_iter=1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: noise level must be finite and nonnegative, got nan\n"
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_config_file_and_overrides(tmp_path):

@@ -25,7 +25,6 @@ from optitomo.inversion import (
     bfgs_minimize,
     kv_gradient,
     kv_terms,
-    kv_value,
 )
 from optitomo.synth import (
     consistent_measurements,
@@ -119,7 +118,7 @@ def _data_energy(meas, sigma, q):
 
 def test_value_zero_on_consistent_data(example1_consistent):
     sigma, q_true, meas = example1_consistent
-    value = kv_value(meas, sigma, q_true, 0.0, Q_ONLY)
+    value = kv_terms(meas, sigma, q_true, 0.0, Q_ONLY)[0]
     assert 0.0 <= value <= 1e-10 * _data_energy(meas, sigma, q_true)
 
 
@@ -128,19 +127,19 @@ def test_value_reduces_to_penalty_on_consistent_data(example1_consistent):
     mesh = meas.mesh
     rho = 0.37
     expected = 0.5 * rho * float(np.sum(mesh.areas * q_true.values ** 2))
-    value = kv_value(meas, sigma, q_true, rho, Q_ONLY)
+    value = kv_terms(meas, sigma, q_true, rho, Q_ONLY)[0]
     assert value == pytest.approx(expected, rel=1e-10)
     expected_joint = 0.5 * rho * float(
         np.sum(mesh.areas * (sigma.values ** 2 + q_true.values ** 2))
     )
-    assert kv_value(meas, sigma, q_true, rho, JOINT) == pytest.approx(expected_joint, rel=1e-10)
+    assert kv_terms(meas, sigma, q_true, rho, JOINT)[0] == pytest.approx(expected_joint, rel=1e-10)
 
 
 def test_value_nonnegative(example1_consistent):
     sigma, _, meas = example1_consistent
     rng = np.random.default_rng(0)
     q = PiecewiseConstantField(meas.mesh, rng.uniform(0.5, 3.0, meas.mesh.n_elements))
-    assert kv_value(meas, sigma, q, 0.0, Q_ONLY) >= 0.0
+    assert kv_terms(meas, sigma, q, 0.0, Q_ONLY)[0] >= 0.0
 
 
 def test_gradient_vanishes_at_truth(example1_consistent):
@@ -164,8 +163,8 @@ def test_gradient_matches_finite_differences(example1_consistent):
         for t in (1e-2, 1e-3, 1e-4):
             plus = PiecewiseConstantField(mesh, q.values + t * d)
             minus = PiecewiseConstantField(mesh, q.values - t * d)
-            fd = (kv_value(meas, sigma, plus, rho, Q_ONLY)
-                  - kv_value(meas, sigma, minus, rho, Q_ONLY)) / (2 * t)
+            fd = (kv_terms(meas, sigma, plus, rho, Q_ONLY)[0]
+                  - kv_terms(meas, sigma, minus, rho, Q_ONLY)[0]) / (2 * t)
             best = min(best, abs(fd - analytic) / max(abs(analytic), 1e-300))
         assert best <= 1e-4
 
@@ -231,6 +230,35 @@ def test_relative_reduction_stop_fires_on_converged_solve(benchmark_data):
     drops = [(a - b) / max(abs(a), abs(b), 1.0) for a, b in zip(values, values[1:])]
     assert drops[-1] <= FTOL
     assert min(drops[:-1]) > FTOL
+
+
+def test_q_only_solve_matches_scipy_lbfgsb():
+    # scipy's L-BFGS-B as an oracle for the line-search and stopping constants:
+    # on criterion 6b's data at its balanced weight rho* = 204.3577, from the
+    # same start and on the same value and gradient, our projected L-BFGS must
+    # stop no higher than scipy's, up to 1e-9 relative.
+    from scipy.optimize import minimize
+
+    spec = example1_spec(0.05, seed=7)
+    meas = make_measurements(spec)
+    mesh = meas.mesh
+    cfg = InversionConfig(
+        mode=Q_ONLY, sigma0=sample_coefficient(mesh, spec.truth_sigma),
+        q0=sample_coefficient(mesh, spec.init_q), q_bounds=(0.1, 5.0), rho=204.3577,
+        max_iter=150, gradient_tolerance=1e-10,
+    )
+    _, _, trace = bfgs_minimize(meas, cfg)
+    obj = _Objective(meas, cfg)
+
+    def value_and_gradient(x):
+        value, _, _, grad = obj.value_and_gradient(x, cfg.rho)
+        return value, grad
+
+    oracle = minimize(value_and_gradient, obj.start(cfg.sigma0, cfg.q0), jac=True,
+                      method="L-BFGS-B", bounds=list(zip(obj.lo, obj.hi)),
+                      options={"maxiter": cfg.max_iter, "gtol": cfg.gradient_tolerance})
+    assert oracle.success
+    assert trace.rows[-1]["J"] <= (1.0 + 1e-9) * oracle.fun
 
 
 def test_trace_counts_objective_evaluations(example1_consistent, monkeypatch):
@@ -332,10 +360,12 @@ def test_config_validation(mesh_small):
         InversionConfig(mode=Q_ONLY, sigma0=sigma, q0=q0, q_bounds=(1, 2), beta_balance=1.0)
 
 
-def test_balancing_one_step_closed_form():
+def test_balancing_one_step_closed_form(monkeypatch):
     # noisy data so the fit term is nonzero; frozen coefficients via max_iter=0
+    import optitomo.inversion
     from optitomo.synth import example1_spec
 
+    monkeypatch.setattr(optitomo.inversion, "BALANCE_MAX_OUTER", 1)
     spec = example1_spec(noise_level=0.05, seed=3)
     spec = dataclasses.replace(spec, fine_elements=1016, coarse_elements=254)
     meas = make_measurements(spec)
@@ -344,11 +374,12 @@ def test_balancing_one_step_closed_form():
     q0 = sample_coefficient(mesh, "constant:1")
     cfg = InversionConfig(
         mode=Q_ONLY, sigma0=sigma, q0=q0, q_bounds=(0.1, 5.0),
-        max_iter=0, beta_balance=1.5, balance_max_outer=1,
+        max_iter=0, beta_balance=1.5,
     )
     rho_star, history = balancing_rho(meas, cfg)
     _, fit0, _ = kv_terms(meas, sigma, q0, 0.0, Q_ONLY)
     pen0 = float(np.sum(mesh.areas * q0.values ** 2))
+    assert len(history) == 1
     assert history[0]["rho"] == pytest.approx(2.0 * 0.5 * fit0 / pen0, rel=1e-12)
     assert rho_star == pytest.approx(history[-1]["rho"])
 

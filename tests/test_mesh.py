@@ -191,6 +191,23 @@ def test_partition_rejects_disconnected_cells(mesh_small):
         Partition(mesh_small, labels, 1)
 
 
+@pytest.mark.parametrize("section, row, bad", [
+    ("nodes", 0, "0 1.0 zero\n"),      # non-numeric field
+    ("nodes", 0, "0 1.0\n"),           # too few fields
+    ("nodes", 1, "2 0.0 1.0\n"),       # node index off its row position
+    ("elements", 1, "0 0 1 2\n"),      # element index off its row position
+])
+def test_read_mesh_rejects_malformed_rows(tmp_path, mesh_small, section, row, bad):
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh_small, path)
+    lines = path.read_text().splitlines(keepends=True)
+    line = lines.index(f"# {section}\n") + 2 + row    # 1-based file line of the row
+    lines[line - 1] = bad
+    path.write_text("".join(lines))
+    with pytest.raises(MeshError, match=f"mesh.txt, line {line}: malformed {section} row"):
+        read_mesh(path)
+
+
 def test_mesh_file_round_trip(tmp_path, mesh_small):
     path = tmp_path / "mesh.txt"
     write_mesh(mesh_small, path)

@@ -76,8 +76,9 @@ def test_example_specs_match_formulas_at_random_points():
 def test_spec_validation():
     with pytest.raises(FieldError):
         dataclasses.replace(example1_spec(), fine_elements=100, coarse_elements=200)
-    with pytest.raises(FieldError):
-        example1_spec(noise_level=-0.1)
+    for level in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(FieldError):
+            example1_spec(noise_level=level)
 
 
 def test_noise_free_equals_clean_transfer():
