@@ -5,10 +5,11 @@ coefficients times P1 products, so the assembled matrix carries no quadrature
 error.  The Neumann problem needs no mean-zero gauge: q > 0 on a set of
 positive area makes the bilinear form coercive, and the system matrix is
 symmetric positive definite.  Factorizations are cached per coefficient pair
-and reused across right-hand sides.  There is one Neumann path and one
-Dirichlet path: ``solve_neumann`` and ``solve_dirichlet`` are one-column calls
-of ``solve_neumann_many`` and ``solve_dirichlet_many``, and every column of a
-solve must meet the SOLVE_RTOL residual contract on its own.
+and reused across right-hand sides.  There is one full-system path, for
+boundary-flux loads (``solve_neumann_many``, with ``solve_neumann`` its
+one-column call) and interior loads (``solve_source``) alike, and one
+Dirichlet path (``solve_dirichlet_many``, with ``solve_dirichlet``).  Every
+column of a solve must meet the SOLVE_RTOL residual contract on its own.
 """
 
 from __future__ import annotations
@@ -95,15 +96,15 @@ def _csc_block(data, rows, counts, n_rows: int) -> sp.csc_matrix:
 def assemble(mesh: TriMesh, sigma: PiecewiseConstantField, q: PiecewiseConstantField) -> AssembledSystem:
     """Assemble A(sigma, q) for the weak form of the diffusion-absorption equation.
 
-    Requires sigma > 0 everywhere and q >= 0 with q > 0 somewhere; a q that
-    vanishes identically leaves the Neumann problem singular up to constants
-    and is rejected.
+    Requires finite coefficients, sigma > 0 everywhere and q >= 0 with q > 0
+    somewhere; a q that vanishes identically leaves the Neumann problem
+    singular up to constants and is rejected.
     """
     if sigma.mesh is not mesh or q.mesh is not mesh:
         raise FieldError("coefficient fields live on a different mesh")
     sigma.require_positive()
-    if np.any(q.values < 0.0):
-        raise FieldError("absorption coefficient must be nonnegative")
+    if not np.all(np.isfinite(q.values) & (q.values >= 0.0)):
+        raise FieldError("absorption coefficient must be finite and nonnegative")
     if not np.any(q.values > 0.0):
         raise FieldError("absorption coefficient vanishes identically; system is singular")
 
@@ -122,14 +123,6 @@ def boundary_load(mesh: TriMesh, g_values: np.ndarray) -> np.ndarray:
     """Load of the boundary term: exact edge integration of P1 g, per column of g_values."""
     out = np.zeros((mesh.n_nodes, *g_values.shape[1:]))
     out[mesh.boundary_nodes] = mesh.boundary_mass @ g_values
-    return out
-
-
-def source_load(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
-    """Load vector of an interior piecewise-constant source."""
-    out = np.zeros(mesh.n_nodes)
-    contrib = np.repeat(values * mesh.areas / 3.0, 3)
-    np.add.at(out, mesh.elements.ravel(), contrib)
     return out
 
 
@@ -162,9 +155,13 @@ def solve_neumann(sys: AssembledSystem, g: BoundaryTrace) -> NodalField:
 
 def solve_neumann_many(sys: AssembledSystem, g_values: np.ndarray) -> np.ndarray:
     """Solve for many boundary-flux columns at once; returns (n_nodes, k) array."""
-    b = boundary_load(sys.mesh, g_values)
+    return _full_system_solve(sys, boundary_load(sys.mesh, g_values), "Neumann solve")
+
+
+def _full_system_solve(sys: AssembledSystem, b: np.ndarray, what: str) -> np.ndarray:
+    """Solve A x = b on the full LU under the residual contract."""
     x = sys.full_solve(b)
-    _check_residual(sys.matrix, x, b, "Neumann solve")
+    _check_residual(sys.matrix, x, b, what)
     return x
 
 
@@ -187,23 +184,12 @@ def solve_dirichlet_many(sys: AssembledSystem, f_values: np.ndarray) -> np.ndarr
     return out
 
 
-def solve_source(
-    sys: AssembledSystem,
-    F: PiecewiseConstantField,
-    support: np.ndarray | None = None,
-) -> NodalField:
-    """Solve with an interior piecewise-constant source F.
-
-    When a boolean element mask ``support`` is given, F must vanish outside it.
-    """
-    if F.mesh is not sys.mesh:
-        raise FieldError("source field lives on a different mesh")
-    if support is not None and np.any(F.values[~support] != 0.0):
-        raise FieldError("source field is nonzero outside its declared support")
-    b = source_load(sys.mesh, F.values)
-    x = sys.full_solve(b)
-    _check_residual(sys.matrix, x, b, "source solve")
-    return NodalField(sys.mesh, x)
+def solve_source(sys: AssembledSystem, elements: np.ndarray, values: np.ndarray) -> NodalField:
+    """Solve with an interior source equal to ``values`` on ``elements``, zero elsewhere."""
+    mesh = sys.mesh
+    b = np.zeros(mesh.n_nodes)
+    np.add.at(b, mesh.elements[elements].ravel(), np.repeat(values * mesh.areas[elements] / 3.0, 3))
+    return NodalField(mesh, _full_system_solve(sys, b, "source solve"))
 
 
 def element_gradients(u: NodalField) -> np.ndarray:

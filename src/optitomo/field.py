@@ -38,11 +38,12 @@ class PiecewiseConstantField:
         vals.setflags(write=False)
 
     def require_positive(self) -> "PiecewiseConstantField":
-        if np.any(self.values <= 0.0):
-            bad = int(np.argmin(self.values))
+        """Require every value to be finite and > 0 (NaN fails both tests)."""
+        bad = np.flatnonzero(~(np.isfinite(self.values) & (self.values > 0.0)))
+        if bad.size:
             raise FieldError(
-                f"coefficient must be strictly positive; element {bad} has "
-                f"value {self.values[bad]:.6g}"
+                f"coefficient must be finite and strictly positive; element {bad[0]} has "
+                f"value {self.values[bad[0]]:.6g}"
             )
         return self
 

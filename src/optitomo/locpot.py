@@ -5,7 +5,12 @@ bracket k, a probing coefficient eta(j,k) is fixed and a boundary current is
 sought whose solution concentrates on D_j.  The search runs conjugate
 gradients on the normal equations of the current-to-interior operator
 T: g -> u|_omega (least-squares form, so the residual decreases monotonically)
-against a cell-indicator target; after every iterate the certificate
+against a cell-indicator target.  T maps a current to the element averages
+of its Neumann solution over the subdomain elements omega; its adjoint T*
+solves with a piecewise-constant source given on omega alone and returns the
+boundary trace.  Both act on arrays indexed by the omega elements, and
+``find_localized_current`` checks the pair against ADJOINT_RTOL before its
+first sweep.  After every iterate the certificate
 
     beta(j,k) = 1/2 int_{D_j} u^2 - (3b/(2a) - 1/2) int_{omega \\ D_j} u^2
 
@@ -37,13 +42,7 @@ import numpy as np
 
 from .errors import CertificateError, FieldError
 from .field import BoundaryTrace, NodalField, PiecewiseConstantField
-from .fem import (
-    assemble,
-    element_l2_products,
-    element_means,
-    solve_neumann,
-    solve_source,
-)
+from .fem import assemble, element_l2_products, solve_neumann, solve_source
 from .mesh import Partition, TriMesh
 from .ntd import boundary_inner, build_ntd, m_weighted_opnorm
 
@@ -133,9 +132,9 @@ def cell_values_to_field(partition: Partition, cell_values) -> PiecewiseConstant
     cell_values = np.asarray(cell_values, dtype=float)
     if cell_values.shape != (partition.n_cells,):
         raise FieldError(f"expected {partition.n_cells} cell values")
+    omega = partition.omega_mask
     values = np.zeros(partition.mesh.n_elements)
-    for j in range(1, partition.n_cells + 1):
-        values[partition.cell_mask(j)] = cell_values[j - 1]
+    values[omega] = cell_values[partition.labels[omega] - 1]
     return PiecewiseConstantField(partition.mesh, values)
 
 
@@ -145,26 +144,26 @@ def bracket_index(setup: ProbingSetup, qj: float) -> int:
     return min(max(k, 1), setup.K)
 
 
-def _interior_split(setup: ProbingSetup, j: int):
-    part = setup.partition
-    cell = part.cell_mask(j)
-    rest = part.omega_mask & ~cell
-    return cell, rest
+def _cell_and_rest(part: Partition, j: int, usq: np.ndarray) -> tuple[float, float]:
+    """Sums of an array over the omega elements, on D_j and on omega \\ D_j."""
+    cell = part.labels[part.omega_mask] == j
+    return float(usq[cell].sum()), float(usq[~cell].sum())
 
 
 def _certificate(setup: ProbingSetup, j: int, usq: np.ndarray) -> float:
-    cell, rest = _interior_split(setup, j)
+    """beta(j, k) from the element integrals of u^2 over the subdomain elements."""
+    inside, rest = _cell_and_rest(setup.partition, j, usq)
     weight = 3.0 * setup.b / (2.0 * setup.a) - 0.5
-    return 0.5 * float(usq[cell].sum()) - weight * float(usq[rest].sum())
+    return 0.5 * inside - weight * rest
 
 
 def localization_gap(setup: ProbingSetup, q: PiecewiseConstantField, g: BoundaryTrace, j: int) -> float:
     """int_{D_j} u^2 - int_{omega \\ D_j} u^2 for the Neumann solution at absorption q."""
     sys = assemble(setup.mesh, setup.sigma, q)
     u = solve_neumann(sys, g)
-    usq = element_l2_products(u, u)
-    cell, rest = _interior_split(setup, j)
-    return float(usq[cell].sum()) - float(usq[rest].sum())
+    usq = element_l2_products(u, u)[setup.partition.omega_mask]
+    inside, rest = _cell_and_rest(setup.partition, j, usq)
+    return inside - rest
 
 
 def find_localized_current(
@@ -175,10 +174,9 @@ def find_localized_current(
 ) -> LocalizedCurrent:
     """Search for a boundary current certified by beta(j,k) > 1.
 
-    Runs CG on the normal equations of T: g -> element averages of the
-    Neumann solution on the subdomain (adjoint applications use the
-    source-to-trace operator), against the indicator of cell j scaled so that
-    its squared interior norm is 3.  The first iterate with beta > 1 is
+    Runs CG on the normal equations of T against the indicator of cell j
+    scaled so that its squared interior norm is 3, after checking the
+    operator pair on a fixed random draw.  The first iterate with beta > 1 is
     accepted.  A sweep ends uncertified after ``max_iter`` iterations or once
     its best squared current norm per unit certificate has not improved for
     PLATEAU_ITERATIONS iterations.  Because CG iterates are linear in the
@@ -196,124 +194,96 @@ def find_localized_current(
     """
     mesh = setup.mesh
     part = setup.partition
-    eta = eta_field(setup, j, k)
-    sys = assemble(mesh, setup.sigma, eta)
+    sys = assemble(mesh, setup.sigma, eta_field(setup, j, k))
     mass = mesh.boundary_mass
     omega = np.flatnonzero(part.omega_mask)
-    areas_omega = mesh.areas[omega]
+    vertices = mesh.elements[omega]
+    areas = mesh.areas[omega]
+    target = (part.labels[omega] == j).astype(float) * math.sqrt(3.0 / part.cell_area(j))
     forward_applications = 0
+    top_beta = -math.inf
 
-    def apply_forward(gvals: np.ndarray):
-        """T g: interior element averages of the Neumann solution (plus the nodal field)."""
+    def forward(g):
+        """T g: element averages of the Neumann solution over omega, and its nodal values."""
         nonlocal forward_applications
         forward_applications += 1
-        u = solve_neumann(sys, BoundaryTrace(mesh, gvals))
-        return element_means(u)[omega], u.values
+        u = solve_neumann(sys, BoundaryTrace(mesh, g)).values
+        return u[vertices].mean(axis=1), u
 
-    def apply_adjoint(fvals_omega: np.ndarray) -> np.ndarray:
-        """T* f: boundary trace of the source solve, as hat-basis coefficients."""
-        full = np.zeros(mesh.n_elements)
-        full[omega] = fvals_omega
-        v = solve_source(sys, PiecewiseConstantField(mesh, full), part.omega_mask)
-        return v.values[mesh.boundary_nodes]
-
-    _check_adjoint(setup, j, k, mass, areas_omega, apply_forward, apply_adjoint)
-
-    target = (part.labels[omega] == j).astype(float) * math.sqrt(3.0 / part.cell_area(j))
-
-    def sweep(lift: float):
-        return _cgls_search(
-            setup, j, mesh, mass, areas_omega, target * lift,
-            apply_forward, apply_adjoint, max_iter,
-        )
-
-    found, best, top_beta = sweep(1.0)
-    if found is None and best is not None:
-        found, _, retry_top_beta = sweep(math.sqrt(1.25 / best[1]))
-        top_beta = max(top_beta, retry_top_beta)
-    if found is not None:
-        g, beta, it, residuals = found
-        return LocalizedCurrent(
-            j, k, BoundaryTrace(mesh, g), beta, it, residuals, forward_applications
-        )
-    # every CG iteration makes one forward solve, and the adjoint check made one more
-    raise CertificateError(
-        f"no certificate for cell {j}, bracket {k} after {forward_applications - 1} CG "
-        f"iterations (best beta {top_beta:.4f}); mesh or partition too coarse"
-    )
-
-
-def _cgls_search(
-    setup, j, mesh, mass, areas_omega, target,
-    apply_forward, apply_adjoint, max_iter,
-):
-    """One CGLS sweep.
-
-    Returns (accepted (g, beta, iteration, residuals) or None, best
-    (norm_sq/beta, beta) over iterates with beta > 0 or None, largest beta).
-    """
+    def adjoint(f):
+        """T* f: boundary trace of the solve with source f on omega, in the hat basis."""
+        return solve_source(sys, omega, f).values[mesh.boundary_nodes]
 
     def wdot(x, y):
-        return float(np.sum(areas_omega * x * y))
+        return float(np.sum(areas * x * y))
 
     def mdot(x, y):
         return float(x @ (mass @ y))
 
-    g = np.zeros(mesh.n_boundary)
-    u_g = np.zeros(mesh.n_nodes)
-    r = target.copy()
-    s = apply_adjoint(r)
-    p = s.copy()
-    gamma = mdot(s, s)
-    residuals = [math.sqrt(wdot(r, r))]
-    best = None
-    best_it = 0
-    top_beta = -math.inf
+    def sweep(lift):
+        """One CGLS sweep against the lifted target.
 
-    for it in range(1, max_iter + 1):
-        t_p, u_p = apply_forward(p)
-        denom = wdot(t_p, t_p)
-        if denom <= 0.0 or gamma <= 0.0:
-            break
-        alpha = gamma / denom
-        g += alpha * p
-        u_g += alpha * u_p
-        r -= alpha * t_p
-        residuals.append(math.sqrt(wdot(r, r)))
-        uf = NodalField(mesh, u_g)
-        beta = _certificate(setup, j, element_l2_products(uf, uf))
-        top_beta = max(top_beta, beta)
-        if beta > 0.0:
-            ratio = mdot(g, g) / beta
-            if best is None or ratio < best[0]:
-                best = (ratio, beta)
-                best_it = it
-        if beta > 1.0:
-            return (g.copy(), beta, it, np.asarray(residuals)), best, top_beta
-        if it - best_it >= PLATEAU_ITERATIONS:
-            break
-        s = apply_adjoint(r)
-        gamma_new = mdot(s, s)
-        p = s + (gamma_new / gamma) * p
-        gamma = gamma_new
+        Returns (g, beta, iteration, residuals) of the first certified
+        iterate or None, and (norm_sq/beta, beta) of the best iterate with
+        beta > 0 or None.
+        """
+        nonlocal top_beta
+        g = np.zeros(mesh.n_boundary)
+        u_g = np.zeros(mesh.n_nodes)
+        r = target * lift
+        s = adjoint(r)
+        p = s.copy()
+        gamma = mdot(s, s)
+        residuals = [math.sqrt(wdot(r, r))]
+        best, best_it = None, 0
+        for it in range(1, max_iter + 1):
+            t_p, u_p = forward(p)
+            denom = wdot(t_p, t_p)
+            if denom <= 0.0 or gamma <= 0.0:
+                break
+            alpha = gamma / denom
+            g += alpha * p
+            u_g += alpha * u_p
+            r -= alpha * t_p
+            residuals.append(math.sqrt(wdot(r, r)))
+            uf = NodalField(mesh, u_g)
+            beta = _certificate(setup, j, element_l2_products(uf, uf)[omega])
+            top_beta = max(top_beta, beta)
+            if beta > 0.0:
+                ratio = mdot(g, g) / beta
+                if best is None or ratio < best[0]:
+                    best, best_it = (ratio, beta), it
+            if beta > 1.0:
+                return (g.copy(), beta, it, np.asarray(residuals)), best
+            if it - best_it >= PLATEAU_ITERATIONS:
+                break
+            s = adjoint(r)
+            gamma_new = mdot(s, s)
+            p = s + (gamma_new / gamma) * p
+            gamma = gamma_new
+        return None, best
 
-    return None, best, top_beta
-
-
-def _check_adjoint(setup, j, k, mass, areas_omega, apply_forward, apply_adjoint) -> None:
-    """Verify <A f, g>_M = <f, A* g>_omega on a fixed random draw before running CG."""
+    # <T* f, g>_M = <f, T g>_omega on a fixed random draw
     rng = np.random.default_rng([17, j, k])
-    f = rng.standard_normal(areas_omega.size)
-    g = rng.standard_normal(setup.mesh.n_boundary)
-    af = apply_adjoint(f)
-    astar_g, _ = apply_forward(g)
-    lhs = float(af @ (mass @ g))
-    rhs = float(np.sum(areas_omega * f * astar_g))
+    f, g = rng.standard_normal(omega.size), rng.standard_normal(mesh.n_boundary)
+    lhs, rhs = mdot(adjoint(f), g), wdot(f, forward(g)[0])
     scale = max(abs(lhs), abs(rhs), 1e-300)
     if abs(lhs - rhs) > ADJOINT_RTOL * scale:
         raise CertificateError(
             f"adjoint consistency check failed: relative defect {abs(lhs - rhs) / scale:.3e}"
         )
+
+    found, best = sweep(1.0)
+    if found is None and best is not None:
+        found, _ = sweep(math.sqrt(1.25 / best[1]))
+    if found is not None:
+        g, beta, it, residuals = found
+        return LocalizedCurrent(j, k, BoundaryTrace(mesh, g), beta, it, residuals, forward_applications)
+    # every CG iteration makes one forward solve, and the adjoint check made one more
+    raise CertificateError(
+        f"no certificate for cell {j}, bracket {k} after {forward_applications - 1} CG "
+        f"iterations (best beta {top_beta:.4f}); mesh or partition too coarse"
+    )
 
 
 def verify_localization(

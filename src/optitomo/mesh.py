@@ -138,13 +138,9 @@ class TriMesh:
         return m
 
     @cached_property
-    def _edges(self) -> tuple:
-        return _edge_table(self.elements, self.n_nodes + 1)
-
-    @cached_property
     def element_neighbors(self) -> np.ndarray:
         """Neighbor element across edge opposite local vertex i, -1 on the boundary."""
-        _, _, _, slot_edge, counts = self._edges
+        _, _, _, slot_edge, counts = _edge_table(self.elements, self.n_nodes + 1)
         by_edge = np.argsort(slot_edge.ravel())
         start = (np.cumsum(counts) - counts)[counts == 2]
         s, t = by_edge[start], by_edge[start + 1]
@@ -164,7 +160,7 @@ class TriMesh:
                 f"degenerate triangulation: element {bad} has signed area "
                 f"{self.signed_areas[bad]:.3e}"
             )
-        base, keys, _, _, counts = self._edges
+        base, keys, _, _, counts = _edge_table(self.elements, self.n_nodes + 1)
         if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
         boundary = keys[counts == 1]
@@ -281,7 +277,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     (c, ca, bc), (ab, bc, ca), in that order.  Node order is part of the mesh
     file format.
     """
-    base, keys, first, slot_edge, counts = mesh._edges
+    base, keys, first, slot_edge, counts = _edge_table(mesh.elements, mesh.n_nodes + 1)
     order = np.argsort(first)  # edges in order of first encounter
     ab, bc, ca = (mesh.n_nodes + np.argsort(order)[slot_edge]).T
     lo, hi = np.divmod(keys[order], base)

@@ -92,6 +92,24 @@ def test_malformed_descriptor_number_exits_two(tmp_path, capsys, override, messa
     assert capsys.readouterr().err == message + "\n"
 
 
+@pytest.mark.parametrize("coefficient", [
+    "--coefficients.sigma=constant:nan",
+    "--coefficients.sigma=constant:inf",
+    "--coefficients.q=constant:nan",
+    "--coefficients.q=constant:inf",
+])
+def test_non_finite_coefficient_exits_two(tmp_path, capsys, coefficient):
+    args = [
+        "forward", "--mesh.target_elements=254", "--coefficients.sigma=one",
+        "--coefficients.q=one", "--forward.flux=sin:1", coefficient, "--out", str(tmp_path),
+    ]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coefficient must be finite and strictly positive")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["example1", "--seed", "-1"],
     ["example1", "--noise.seed=-1"],

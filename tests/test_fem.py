@@ -68,6 +68,14 @@ def test_assemble_rejects_bad_coefficients(mesh_small):
     negative_q = PiecewiseConstantField(mesh_small, np.full(mesh_small.n_elements, -1.0))
     with pytest.raises(FieldError):
         assemble(mesh_small, one, negative_q)
+    for bad in (np.nan, np.inf):
+        values = np.ones(mesh_small.n_elements)
+        values[7] = bad
+        field = PiecewiseConstantField(mesh_small, values)
+        with pytest.raises(FieldError, match="must be finite and strictly positive"):
+            assemble(mesh_small, field, one)
+        with pytest.raises(FieldError, match="absorption coefficient must be finite"):
+            assemble(mesh_small, one, field)
 
 
 def test_neumann_zero_current(mesh_small, unit_coefficients):
@@ -218,7 +226,8 @@ def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficien
 def test_source_zero(mesh_small, unit_coefficients):
     sigma, q = unit_coefficients
     sys = assemble(mesh_small, sigma, q)
-    v = solve_source(sys, PiecewiseConstantField(mesh_small, np.zeros(mesh_small.n_elements)))
+    every = np.arange(mesh_small.n_elements)
+    v = solve_source(sys, every, np.zeros(mesh_small.n_elements))
     assert np.all(v.values == 0.0)
 
 
@@ -227,15 +236,15 @@ def test_source_adjoint_identity(mesh_small_aligned, rng_seed=5):
     one = sample_coefficient(mesh, "one")
     sys = assemble(mesh, one, one)
     part = subdomain_partition(mesh, 0.5, 4)
-    omega = part.omega_mask
+    omega = np.flatnonzero(part.omega_mask)
     rng = np.random.default_rng(rng_seed)
     for _ in range(5):
-        fvals = np.where(omega, rng.standard_normal(mesh.n_elements), 0.0)
+        fvals = rng.standard_normal(omega.size)
         gvals = rng.standard_normal(mesh.n_boundary)
-        v = solve_source(sys, PiecewiseConstantField(mesh, fvals), part.omega_mask)
+        v = solve_source(sys, omega, fvals)
         u = solve_neumann(sys, BoundaryTrace(mesh, gvals))
         lhs = float(v.values[mesh.boundary_nodes] @ (mesh.boundary_mass @ gvals))
-        rhs = float(np.sum(mesh.areas[omega] * fvals[omega] * element_means(u)[omega]))
+        rhs = float(np.sum(mesh.areas[omega] * fvals * element_means(u)[omega]))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
@@ -244,7 +253,7 @@ def test_source_indicator_peaks_inside(mesh_small, unit_coefficients):
     mesh = mesh_small
     sys = assemble(mesh, sigma, q)
     inside = np.hypot(*mesh.centroids.T) < 0.5
-    v = solve_source(sys, PiecewiseConstantField(mesh, inside.astype(float)))
+    v = solve_source(sys, np.flatnonzero(inside), np.ones(inside.sum()))
     # dense oracle
     dense = np.linalg.solve(sys.matrix.toarray(),
                             np.zeros(mesh.n_nodes) + _source_vec(mesh, inside.astype(float)))
@@ -259,14 +268,24 @@ def _source_vec(mesh, values):
     return out
 
 
-def test_source_rejects_offsupport_values(mesh_small_aligned):
+@pytest.mark.parametrize("subset", ["omega", "every", "scattered"])
+def test_source_on_listed_elements_matches_full_field_load(mesh_small_aligned, subset):
+    # Loads scattered for the listed elements only give the same bits as the
+    # full-field load with zeros elsewhere: the omitted addends are all zero.
     mesh = mesh_small_aligned
-    one = sample_coefficient(mesh, "one")
-    sys = assemble(mesh, one, one)
-    part = subdomain_partition(mesh, 0.5, 4)
-    vals = np.ones(mesh.n_elements)  # nonzero outside omega
-    with pytest.raises(FieldError):
-        solve_source(sys, PiecewiseConstantField(mesh, vals), part.omega_mask)
+    sys = assemble(mesh, sample_coefficient(mesh, "example1_sigma"),
+                   sample_coefficient(mesh, "example1_q"))
+    rng = np.random.default_rng(12)
+    elements = {
+        "omega": np.flatnonzero(subdomain_partition(mesh, 0.5, 4).omega_mask),
+        "every": np.arange(mesh.n_elements),
+        "scattered": np.sort(rng.choice(mesh.n_elements, 40, replace=False)),
+    }[subset]
+    values = rng.standard_normal(elements.size)
+    full = np.zeros(mesh.n_elements)
+    full[elements] = values
+    v = solve_source(sys, elements, values)
+    assert np.array_equal(v.values, sys.full_solve(_source_vec(mesh, full)))
 
 
 def test_element_gradients_linear_reproduction(mesh_small):

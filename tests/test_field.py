@@ -44,6 +44,14 @@ def test_coefficient_positivity_enforced(mesh_small):
         field.require_positive()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_positive_rejects_non_finite(mesh_small, bad):
+    values = np.ones(mesh_small.n_elements)
+    values[9] = bad
+    with pytest.raises(FieldError, match=f"finite and strictly positive; element 9 has value {bad}"):
+        PiecewiseConstantField(mesh_small, values).require_positive()
+
+
 def test_example1_sigma_values(mesh_small):
     field = sample_coefficient(mesh_small, "example1_sigma")
     cen = mesh_small.centroids

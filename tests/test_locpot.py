@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import optitomo.locpot
-from optitomo.errors import CertificateError, FieldError
+from optitomo.errors import CertificateError, FieldError, MeshError
 from optitomo.field import BoundaryTrace, PiecewiseConstantField
-from optitomo.fem import assemble, element_l2_products, solve_neumann
+from optitomo.fem import assemble, element_l2_products, element_means, solve_neumann, solve_source
 from optitomo.locpot import (
     DEFAULT_MAX_ITER,
     bracket_index,
@@ -19,7 +20,7 @@ from optitomo.locpot import (
     stability_report,
     verify_localization,
 )
-from optitomo.mesh import Partition, subdomain_partition
+from optitomo.mesh import Partition, generate_disk_mesh, subdomain_partition
 
 
 @pytest.fixture(scope="module")
@@ -97,26 +98,69 @@ def test_cg_residual_non_increasing(setup_small):
     assert np.all(np.diff(cur.residuals) <= 1e-12 * cur.residuals[0])
 
 
+def _operator_pair(setup, j, k):
+    """The normal-equation pair of the search, built from its public parts."""
+    mesh = setup.mesh
+    sys = assemble(mesh, setup.sigma, eta_field(setup, j, k))
+    omega = np.flatnonzero(setup.partition.omega_mask)
+
+    def forward(g):
+        return element_means(solve_neumann(sys, BoundaryTrace(mesh, g)))[omega]
+
+    def adjoint(f):
+        return solve_source(sys, omega, f).values[mesh.boundary_nodes]
+
+    return omega, forward, adjoint
+
+
+def _adjoint_defect(setup, omega, forward, adjoint, f, g):
+    mesh = setup.mesh
+    lhs = float(adjoint(f) @ (mesh.boundary_mass @ g))
+    rhs = float(np.sum(mesh.areas[omega] * f * forward(g)))
+    return abs(lhs - rhs), max(abs(lhs), abs(rhs))
+
+
 def test_adjoint_identity_explicit(setup_small):
     # the operator pair behind the normal equations: trace of the source
     # solve against interior averages of the Neumann solve
-    from optitomo.fem import element_means, solve_source
-
-    setup = setup_small
-    mesh = setup.mesh
-    eta = eta_field(setup, 2, 2)
-    sys = assemble(mesh, setup.sigma, eta)
-    part = setup.partition
-    omega = part.omega_mask
+    omega, forward, adjoint = _operator_pair(setup_small, 2, 2)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        fvals = np.where(omega, rng.standard_normal(mesh.n_elements), 0.0)
-        gvals = rng.standard_normal(mesh.n_boundary)
-        v = solve_source(sys, PiecewiseConstantField(mesh, fvals))
-        u = solve_neumann(sys, BoundaryTrace(mesh, gvals))
-        lhs = float(v.values[mesh.boundary_nodes] @ (mesh.boundary_mass @ gvals))
-        rhs = float(np.sum(mesh.areas[omega] * fvals[omega] * element_means(u)[omega]))
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        f = rng.standard_normal(omega.size)
+        g = rng.standard_normal(setup_small.mesh.n_boundary)
+        defect, scale = _adjoint_defect(setup_small, omega, forward, adjoint, f, g)
+        assert defect <= 1e-12 * scale
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(
+    target=st.integers(100, 1200),
+    n_cells=st.sampled_from([2, 4, 8]),
+    a=st.floats(0.1, 5.0),
+    ratio=st.floats(1.0, 3.0),
+    pick=st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_identity_property(target, n_cells, a, ratio, pick, seed):
+    # <T* f, g>_M = <f, T g>_omega for random aligned meshes, bounds and (j, k),
+    # and the search's own check passes on the same setup
+    try:
+        part = subdomain_partition(generate_disk_mesh(target, angular_multiplier=8), 0.5, n_cells)
+    except MeshError:
+        assume(False)
+    setup = make_probing_setup(part, a, a * ratio)
+    j = 1 + int(pick[0] * n_cells)
+    k = 1 + int(pick[1] * setup.K)
+    omega, forward, adjoint = _operator_pair(setup, j, k)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(omega.size)
+    g = rng.standard_normal(setup.mesh.n_boundary)
+    defect, scale = _adjoint_defect(setup, omega, forward, adjoint, f, g)
+    assert defect <= 1e-12 * scale
+    try:
+        find_localized_current(setup, j, k, max_iter=1)
+    except CertificateError as exc:
+        assert "adjoint" not in str(exc)
 
 
 def test_monotonicity_of_squared_solutions(setup_small):
