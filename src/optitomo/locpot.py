@@ -1,29 +1,25 @@
 """Constructive stability certificates from localized boundary currents.
 
-For each cell D_j of a partition of the probed subdomain and each absorption
-bracket k, a probing coefficient eta(j,k) is fixed and a boundary current is
-sought whose solution concentrates on D_j.  The search runs conjugate
-gradients on the normal equations of the current-to-interior operator
-T: g -> u|_omega (least-squares form, so the residual decreases monotonically)
-against a cell-indicator target.  T maps a current to the element averages
-of its Neumann solution over the subdomain elements omega; its adjoint T*
-solves with a piecewise-constant source given on omega alone and returns the
-boundary trace.  Both act on arrays indexed by the omega elements, and
-``find_localized_current`` checks the pair against ADJOINT_RTOL before its
-first sweep.  After every iterate the certificate
+For each cell D_j of a partition of the probed subdomain omega and each
+absorption bracket k, a probing coefficient eta(j,k) is fixed and a boundary
+current g is sought whose Neumann solution u concentrates on D_j.  The
+certificate
 
     beta(j,k) = 1/2 int_{D_j} u^2 - (3b/(2a) - 1/2) int_{omega \\ D_j} u^2
 
-is evaluated, and the first iterate with beta > 1 is accepted.  The target
-indicator is scaled so that its squared interior norm is 3, which makes the
-certificate limit of an exactly localized solution equal to 3/2 independently
-of the cell area.  A sweep that has not improved its best squared current
-norm per unit certificate for PLATEAU_ITERATIONS iterations is stopped
-uncertified; it is then retried once with the target lifted so that this
-best iterate would certify at beta = 1.25, and the retry's first iterate with
-beta > 1 is accepted.  Certificates are scale-sensitive (beta and the squared
-current norm are both quadratic under scaling of g), and any current with its
-own beta > 1 yields a valid stability factor.
+is a quadratic form g^T B g with B = U^T Q U: column i of U is the Neumann
+solution for the i-th boundary hat current (the solve ``build_ntd`` makes),
+and Q sums the exact P1 element mass matrices over omega with weight 1/2 on
+D_j and -(3b/(2a) - 1/2) on the rest.  The current with the largest
+certificate per unit squared norm <g, g>_M is the top eigenvector of
+B g = lambda M g (Golub & Van Loan, Matrix Computations, section 8.7).
+``find_localized_current`` scales it to beta = BETA_TARGET, which makes
+<g, g>_M = BETA_TARGET / lambda_max the smallest squared norm of any current
+certified at that level; beta and the squared norm are both quadratic under
+scaling of g, and any current with its own beta > 1 yields a valid stability
+factor.  Every accepted current is certified again by an independent
+single-column Neumann solve: the recomputed beta must exceed 1 and lie within
+RECHECK_RTOL of BETA_TARGET, which catches a wrong form B or wrong weights.
 
 The certified sup-norm stability inequality reads
 
@@ -39,18 +35,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import CertificateError, FieldError
-from .field import BoundaryTrace, NodalField, PiecewiseConstantField
-from .fem import assemble, element_l2_products, solve_neumann, solve_source
+from .field import BoundaryTrace, PiecewiseConstantField
+from .fem import assemble, element_l2_products, solve_neumann, solve_neumann_many
 from .mesh import Partition, TriMesh
 from .ntd import boundary_inner, build_ntd, m_weighted_opnorm
 
-ADJOINT_RTOL = 1e-12
-DEFAULT_MAX_ITER = 200
-# A sweep ends once its best norm-per-certificate ratio is this many iterations
-# old (counted from the start while no iterate has a positive certificate).
-PLATEAU_ITERATIONS = 20
+# Certificate level of every accepted current; the margin above 1 is far
+# wider than the re-check tolerance.
+BETA_TARGET = 1.25
+# Relative agreement required between BETA_TARGET and the re-checked beta.
+RECHECK_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,19 +71,16 @@ class ProbingSetup:
 
 @dataclass(frozen=True)
 class LocalizedCurrent:
-    """An accepted localized current with its certificate.
+    """An accepted localized current with its re-checked certificate.
 
-    ``cg_iterations`` is the iteration of the accepting sweep at which the
-    current certified; ``forward_applications`` counts every Neumann solve
-    made to find it (the adjoint check and all sweeps).
+    ``forward_applications`` counts the Neumann columns solved to find and
+    certify it: one per boundary hat current, and the re-check.
     """
 
     j: int
     k: int
     g: BoundaryTrace
     beta: float
-    cg_iterations: int
-    residuals: np.ndarray
     forward_applications: int
 
     def norm_sq(self) -> float:
@@ -166,124 +160,57 @@ def localization_gap(setup: ProbingSetup, q: PiecewiseConstantField, g: Boundary
     return inside - rest
 
 
-def find_localized_current(
-    setup: ProbingSetup,
-    j: int,
-    k: int,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> LocalizedCurrent:
-    """Search for a boundary current certified by beta(j,k) > 1.
+def _certificate_form(mesh: TriMesh, elements: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_e weights_e int_e u_a u_b over the listed elements, for every column pair (a, b) of u.
 
-    Runs CG on the normal equations of T against the indicator of cell j
-    scaled so that its squared interior norm is 3, after checking the
-    operator pair on a fixed random draw.  The first iterate with beta > 1 is
-    accepted.  A sweep ends uncertified after ``max_iter`` iterations or once
-    its best squared current norm per unit certificate has not improved for
-    PLATEAU_ITERATIONS iterations.  Because CG iterates are linear in the
-    target and the certificate is quadratic, an uncertified sweep with a
-    positive certificate is then retried once with the target lifted so that
-    its best iterate would certify at beta = 1.25; the retry accepts its
-    first iterate with beta > 1.  The lift depends only on the first sweep's
-    best iterate, so the plateau stop leaves the accepted current unchanged
-    whenever no iterate past the plateau would have improved on it or
-    certified on its own.
+    Uses the exact P1 element mass formula of ``element_l2_products``,
+    int_e u v = |e|/12 (sum_i u_i sum_i v_i + sum_i u_i v_i) over the vertices i of e.
+    """
+    vertex = u[mesh.elements[elements]]
+    w = weights * mesh.areas[elements] / 12.0
+    total = vertex.sum(axis=1)
+    flat = vertex.reshape(-1, u.shape[1])
+    return (total.T * w) @ total + (flat.T * np.repeat(w, 3)) @ flat
 
-    Raises :class:`CertificateError` with the best certificate seen if no
-    iterate ever achieves a positive certificate or the retry ends
-    uncertified, which signals a mesh or partition too coarse for the bounds.
+
+def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurrent:
+    """The current with the smallest squared norm certified at beta(j,k) = BETA_TARGET.
+
+    Solves the Neumann problem at eta(j,k) for every boundary hat current,
+    forms the certificate's quadratic form B over the omega elements, takes
+    the top eigenpair of B g = lambda M g and scales the eigenvector to
+    beta = BETA_TARGET.  The current is then certified again by its own
+    Neumann solve.
+
+    Raises :class:`CertificateError` if lambda_max <= 0, so that no current
+    has a positive certificate (a mesh or partition too coarse for the
+    bounds), or if the re-checked beta is not above 1 or not within
+    RECHECK_RTOL of BETA_TARGET.
     """
     mesh = setup.mesh
     part = setup.partition
     sys = assemble(mesh, setup.sigma, eta_field(setup, j, k))
-    mass = mesh.boundary_mass
     omega = np.flatnonzero(part.omega_mask)
-    vertices = mesh.elements[omega]
-    areas = mesh.areas[omega]
-    target = (part.labels[omega] == j).astype(float) * math.sqrt(3.0 / part.cell_area(j))
-    forward_applications = 0
-    top_beta = -math.inf
-
-    def forward(g):
-        """T g: element averages of the Neumann solution over omega, and its nodal values."""
-        nonlocal forward_applications
-        forward_applications += 1
-        u = solve_neumann(sys, BoundaryTrace(mesh, g)).values
-        return u[vertices].mean(axis=1), u
-
-    def adjoint(f):
-        """T* f: boundary trace of the solve with source f on omega, in the hat basis."""
-        return solve_source(sys, omega, f).values[mesh.boundary_nodes]
-
-    def wdot(x, y):
-        return float(np.sum(areas * x * y))
-
-    def mdot(x, y):
-        return float(x @ (mass @ y))
-
-    def sweep(lift):
-        """One CGLS sweep against the lifted target.
-
-        Returns (g, beta, iteration, residuals) of the first certified
-        iterate or None, and (norm_sq/beta, beta) of the best iterate with
-        beta > 0 or None.
-        """
-        nonlocal top_beta
-        g = np.zeros(mesh.n_boundary)
-        u_g = np.zeros(mesh.n_nodes)
-        r = target * lift
-        s = adjoint(r)
-        p = s.copy()
-        gamma = mdot(s, s)
-        residuals = [math.sqrt(wdot(r, r))]
-        best, best_it = None, 0
-        for it in range(1, max_iter + 1):
-            t_p, u_p = forward(p)
-            denom = wdot(t_p, t_p)
-            if denom <= 0.0 or gamma <= 0.0:
-                break
-            alpha = gamma / denom
-            g += alpha * p
-            u_g += alpha * u_p
-            r -= alpha * t_p
-            residuals.append(math.sqrt(wdot(r, r)))
-            uf = NodalField(mesh, u_g)
-            beta = _certificate(setup, j, element_l2_products(uf, uf)[omega])
-            top_beta = max(top_beta, beta)
-            if beta > 0.0:
-                ratio = mdot(g, g) / beta
-                if best is None or ratio < best[0]:
-                    best, best_it = (ratio, beta), it
-            if beta > 1.0:
-                return (g.copy(), beta, it, np.asarray(residuals)), best
-            if it - best_it >= PLATEAU_ITERATIONS:
-                break
-            s = adjoint(r)
-            gamma_new = mdot(s, s)
-            p = s + (gamma_new / gamma) * p
-            gamma = gamma_new
-        return None, best
-
-    # <T* f, g>_M = <f, T g>_omega on a fixed random draw
-    rng = np.random.default_rng([17, j, k])
-    f, g = rng.standard_normal(omega.size), rng.standard_normal(mesh.n_boundary)
-    lhs, rhs = mdot(adjoint(f), g), wdot(f, forward(g)[0])
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if abs(lhs - rhs) > ADJOINT_RTOL * scale:
+    # stated apart from ``_certificate``, so the re-check also catches a wrong weight
+    weights = np.where(part.labels[omega] == j, 0.5, 0.5 - 1.5 * setup.b / setup.a)
+    n_b = mesh.n_boundary
+    form = _certificate_form(mesh, omega, weights, solve_neumann_many(sys, np.eye(n_b)))
+    lam, vec = sla.eigh(form, mesh.boundary_mass, subset_by_index=[n_b - 1, n_b - 1])
+    if not lam[0] > 0.0:
         raise CertificateError(
-            f"adjoint consistency check failed: relative defect {abs(lhs - rhs) / scale:.3e}"
+            f"no certificate for cell {j}, bracket {k}: the best beta per unit squared "
+            f"current norm is lambda_max = {lam[0]:.4e} <= 0; mesh or partition too coarse"
         )
-
-    found, best = sweep(1.0)
-    if found is None and best is not None:
-        found, _ = sweep(math.sqrt(1.25 / best[1]))
-    if found is not None:
-        g, beta, it, residuals = found
-        return LocalizedCurrent(j, k, BoundaryTrace(mesh, g), beta, it, residuals, forward_applications)
-    # every CG iteration makes one forward solve, and the adjoint check made one more
-    raise CertificateError(
-        f"no certificate for cell {j}, bracket {k} after {forward_applications - 1} CG "
-        f"iterations (best beta {top_beta:.4f}); mesh or partition too coarse"
-    )
+    g = BoundaryTrace(mesh, vec[:, 0] * math.sqrt(BETA_TARGET / lam[0]))
+    u = solve_neumann(sys, g)
+    beta = _certificate(setup, j, element_l2_products(u, u)[omega])
+    defect = abs(beta - BETA_TARGET) / BETA_TARGET
+    if not (beta > 1.0 and defect <= RECHECK_RTOL):
+        raise CertificateError(
+            f"re-check failed for cell {j}, bracket {k}: beta {beta:.10g} from an independent "
+            f"solve against {BETA_TARGET} from the eigenproblem (relative defect {defect:.3e})"
+        )
+    return LocalizedCurrent(j, k, g, beta, n_b + 1)
 
 
 def verify_localization(
@@ -312,15 +239,12 @@ def verify_localization(
     return localization_gap(setup, q, current.g, current.j)
 
 
-def lipschitz_constant(
-    setup: ProbingSetup,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, list[LocalizedCurrent]]:
+def lipschitz_constant(setup: ProbingSetup) -> tuple[float, list[LocalizedCurrent]]:
     """Compute all N*K certified currents and L = 1 / max <g, g>_M."""
     currents = []
     for j in range(1, setup.n_cells + 1):
         for k in range(1, setup.K + 1):
-            currents.append(find_localized_current(setup, j, k, max_iter=max_iter))
+            currents.append(find_localized_current(setup, j, k))
     return 1.0 / stability_factor(currents), currents
 
 

@@ -208,14 +208,3 @@ def lambda_frechet_form(
     mass_term = float(np.sum(d2.values * element_l2_products(ug, uh)))
     return -grad_term - mass_term
 
-
-def dirichlet_flux(sys, u) -> BoundaryTrace:
-    """Boundary flux coefficients of a solution: the discrete Dirichlet-to-Neumann map.
-
-    Solves M g = r where r is the boundary residual of A u (interior rows of
-    A u vanish for any solution of the homogeneous equation).
-    """
-    mesh = sys.mesh
-    r = (sys.matrix @ u.values)[mesh.boundary_nodes]
-    g = np.linalg.solve(mesh.boundary_mass, r)
-    return BoundaryTrace(mesh, g)

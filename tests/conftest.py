@@ -39,13 +39,19 @@ def unit_coefficients(mesh_small):
 
 @pytest.fixture
 def forward_solves(monkeypatch):
-    """Records every Neumann solve that ``optitomo.locpot`` makes during the test."""
-    calls = []
-    original = optitomo.locpot.solve_neumann
+    """Column counts of the Neumann solves that ``optitomo.locpot`` makes during the test."""
+    columns = []
+    single = optitomo.locpot.solve_neumann
+    many = optitomo.locpot.solve_neumann_many
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting_single(sys, g):
+        columns.append(1)
+        return single(sys, g)
 
-    monkeypatch.setattr(optitomo.locpot, "solve_neumann", counting)
-    return calls
+    def counting_many(sys, g_values):
+        columns.append(g_values.shape[1])
+        return many(sys, g_values)
+
+    monkeypatch.setattr(optitomo.locpot, "solve_neumann", counting_single)
+    monkeypatch.setattr(optitomo.locpot, "solve_neumann_many", counting_many)
+    return columns

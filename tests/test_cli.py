@@ -76,6 +76,8 @@ def test_unknown_config_key_exits_one(tmp_path):
     # line-search internals are module constants, not settings
     assert run(["example1", "--optimizer.armijo=1e-4", "--out", str(tmp_path)]) == 1
     assert run(["example1", "--optimizer.max_backtracks=30", "--out", str(tmp_path)]) == 1
+    # the certificate search is direct and has no iteration budget
+    assert run(["lipschitz", "--lipschitz.max_iter=5", "--out", str(tmp_path)]) == 1
     assert run(["no_such_command"]) == 1
 
 
@@ -182,8 +184,8 @@ def test_lipschitz_command_small(tmp_path, forward_solves):
     assert cert_lines[0] == "j,k,beta,cg_iterations,g_norm_sq,forward_applications"
     betas = [float(line.split(",")[2]) for line in cert_lines[1:]]
     assert all(b > 1.0 for b in betas)
-    # the work column records every forward solve the certificates cost
-    assert sum(int(line.split(",")[5]) for line in cert_lines[1:]) == len(forward_solves)
+    # the work column records every Neumann column the certificates cost
+    assert sum(int(line.split(",")[5]) for line in cert_lines[1:]) == sum(forward_solves)
     summary = (out / "lipschitz.csv").read_text().strip().splitlines()[1].split(",")
     assert float(summary[0]) > 0.0  # L
     assert int(summary[4]) == 0  # violations

@@ -205,6 +205,12 @@ def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficien
     sys.full_solve = lambda rhs: spoiled
     with pytest.raises(SolverError, match="Neumann solve did not converge in column 1"):
         solve_neumann_many(sys, g)
+    # one column takes the same test, also through the one-column callers
+    sys.full_solve = lambda rhs: spoiled[:, :1] * (1.0 + 1e-5)
+    with pytest.raises(SolverError, match="Neumann solve did not converge in column 0"):
+        solve_neumann(sys, BoundaryTrace(mesh_small, g[:, 0]))
+    with pytest.raises(SolverError, match="source solve did not converge in column 0"):
+        solve_source(sys, np.arange(mesh_small.n_elements), np.ones(mesh_small.n_elements))
 
     sys = assemble(mesh_small, sigma, q)
     idx, sub, coupling, lu = sys._interior_parts()

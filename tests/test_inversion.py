@@ -21,6 +21,8 @@ from optitomo.inversion import (
     InversionConfig,
     _LimitedMemoryInverseHessian,
     _Objective,
+    _data_fit,
+    _solutions,
     balancing_rho,
     bfgs_minimize,
     kv_gradient,
@@ -209,6 +211,34 @@ def test_bfgs_limited_memory_variant(q_only_descent):
     _, values = q_only_descent
     assert len(values) - 1 > LBFGS_MEMORY
     assert values[-1] <= 1e-2 * values[LBFGS_MEMORY]
+
+
+def _ntd_route_data_fit(meas, sigma, q):
+    """sum_k (Lambda g_k - f_k)^T S (Lambda g_k - f_k) from dense blocks, sharing no solve.
+
+    S = A_BB - A_BI A_II^-1 A_IB is the discrete Dirichlet-to-Neumann matrix
+    and Lambda = S^-1 M the discrete NtD.  W = U_N - U_D is discrete-harmonic
+    inside, so W^T A W reduces to its boundary values under S.
+    """
+    mesh = meas.mesh
+    a = assemble(mesh, sigma, q).matrix.toarray()
+    bn = mesh.boundary_nodes
+    inner = np.setdiff1d(np.arange(mesh.n_nodes), bn)
+    schur = a[np.ix_(bn, bn)] - a[np.ix_(bn, inner)] @ np.linalg.solve(
+        a[np.ix_(inner, inner)], a[np.ix_(inner, bn)])
+    w = np.linalg.solve(schur, mesh.boundary_mass @ meas.fluxes) - meas.traces
+    return float(np.sum(w * (schur @ w)))
+
+
+def test_data_fit_matches_the_ntd_route(benchmark_data):
+    # the Kohn-Vogelius data fit of the batched path against the paper's
+    # reformulation through the NtD operator, at both benchmark start points
+    for name, spec in (("example1", example1_spec()), ("example2", example2_spec())):
+        meas = benchmark_data[name]
+        sigma = sample_coefficient(meas.mesh, spec.init_sigma)
+        q = sample_coefficient(meas.mesh, spec.init_q)
+        fit = _data_fit(*_solutions(meas, sigma, q))
+        assert fit == pytest.approx(_ntd_route_data_fit(meas, sigma, q), rel=1e-10, abs=0)
 
 
 def test_relative_reduction_stop_fires_on_converged_solve(benchmark_data):

@@ -22,9 +22,12 @@ def test_source_compiles_without_warnings(path):
 
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
-# Spans the benchmark counts under the certificate search (forward and
-# adjoint applications); the tracer's own fem.factorize and fem.lu_solve
-# wrap scipy, not optitomo, and are not listed.
+# Spans the benchmark counts under the certificate search: fem.solve_neumann
+# for its forward applications (one re-check solve per certificate) and
+# fem.solve_source for its adjoint applications, which read 0 because the
+# search makes no source solve; the span stays while the benchmark reads it.
+# The tracer's own fem.factorize and fem.lu_solve wrap scipy, not optitomo,
+# and are not listed.
 UNDER_SEARCH = ("fem.solve_neumann", "fem.solve_source")
 
 
