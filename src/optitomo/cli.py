@@ -215,7 +215,7 @@ def _get(cfg, section, key, default=None, cast=str, minimum=None):
         value = cast(raw)
     except ValueError:
         raise UsageError(f"config key {key!r} has malformed value {raw!r}") from None
-    if minimum is not None and value < minimum:
+    if minimum is not None and not value >= minimum:
         raise UsageError(f"config key {key!r} in [{section}] must be at least {minimum}, got {raw!r}")
     return value
 
@@ -268,7 +268,7 @@ def cmd_ntd(cfg, outdir, args):
 
 def cmd_lipschitz(cfg, outdir, args):
     n_cells = _get(cfg, "lipschitz", "n_cells", default=8, cast=int, minimum=1)
-    n_pairs = _get(cfg, "lipschitz", "stability_pairs", default=50, cast=int)
+    n_pairs = _get(cfg, "lipschitz", "stability_pairs", default=50, cast=int, minimum=0)
     seed = _get(cfg, "lipschitz", "stability_seed", default=123, cast=int, minimum=0)
     # by default, align mesh spokes with the sector boundaries (and keep decent aspect)
     mesh = _disk_mesh(cfg, n_cells * max(1, -(-4 // n_cells)))
@@ -350,10 +350,11 @@ def cmd_reconstruct(cfg, outdir, args):
              _get(cfg, "optimizer", "sigma_upper", cast=float))
             if mode == JOINT else None
         ),
-        rho=_get(cfg, "optimizer", "rho", default=0.0, cast=float),
+        rho=_get(cfg, "optimizer", "rho", default=0.0, cast=float, minimum=0),
         beta_balance=_get(cfg, "optimizer", "beta_balance", default=1.5, cast=float),
-        max_iter=_get(cfg, "optimizer", "max_iter", default=200, cast=int),
-        gradient_tolerance=_get(cfg, "optimizer", "gradient_tolerance", default=1e-9, cast=float),
+        max_iter=_get(cfg, "optimizer", "max_iter", default=200, cast=int, minimum=0),
+        gradient_tolerance=_get(cfg, "optimizer", "gradient_tolerance", default=1e-9, cast=float,
+                                minimum=0),
     )
 
     outputs = []

@@ -4,11 +4,12 @@ Element integrals are evaluated in closed form for piecewise-constant
 coefficients times P1 products, so the assembled matrix carries no quadrature
 error.  The Neumann problem needs no mean-zero gauge: q > 0 on a set of
 positive area makes the bilinear form coercive, and the system matrix is
-symmetric positive definite.  Factorizations are cached per coefficient pair
-and reused across right-hand sides.  There is one full-system path, for
+symmetric positive definite.  Each system caches one factorization, of A,
+and reuses it across right-hand sides.  There is one full-system path, for
 boundary-flux loads (``solve_neumann_many``, with ``solve_neumann`` its
 one-column call) and interior loads (``solve_source``) alike, and one
-Dirichlet path (``solve_dirichlet_many``, with ``solve_dirichlet``).  Every
+Dirichlet path (``solve_dirichlet_many``, with ``solve_dirichlet``), which
+factors the interior block A_II once per call for all its columns.  Every
 column of a solve must meet the SOLVE_RTOL residual contract on its own.
 """
 
@@ -32,10 +33,10 @@ _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 @dataclass
 class AssembledSystem:
-    """Stiffness+mass matrix A(sigma, q) with cached factorizations.
+    """Stiffness+mass matrix A(sigma, q) with one cached factorization, of A.
 
-    Factorizations are created lazily on first use; warm them up before
-    sharing a system across threads.
+    The factorization is created lazily on first use; warm it up before
+    sharing a system across threads.  Dirichlet solves factor A_II per call.
     """
 
     mesh: TriMesh
@@ -43,54 +44,11 @@ class AssembledSystem:
     q: PiecewiseConstantField
     matrix: sp.csc_matrix
     _full_lu: object = dc_field(default=None, repr=False)
-    _interior: object = dc_field(default=None, repr=False)
 
     def full_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._full_lu is None:
             self._full_lu = spla.splu(self.matrix)
         return self._full_lu.solve(rhs)
-
-    def _interior_parts(self):
-        """Interior node numbers, A_II, A_IB (columns in boundary order) and the LU of A_II.
-
-        Both blocks are cut from the CSC entries of ``matrix`` by one mask,
-        entries in interior rows; every column holds its diagonal entry, so
-        ``reduceat`` counts each column's kept entries.
-        """
-        if self._interior is None:
-            a = self.matrix
-            bn = self.mesh.boundary_nodes
-            itype = a.indices.dtype
-            interior = np.ones(self.mesh.n_nodes, dtype=bool)
-            interior[bn] = False
-            idx = np.flatnonzero(interior)
-            number = np.full(self.mesh.n_nodes, -1, dtype=itype)
-            number[idx] = np.arange(idx.size, dtype=itype)
-            rows = number[a.indices]
-            keep = rows >= 0
-            # Interior columns ascend, so their kept entries are already in place.
-            inner = keep & np.repeat(interior, np.diff(a.indptr))
-            counts = np.add.reduceat(inner, a.indptr[:-1], dtype=itype)[idx]
-            sub = _csc_block(a.data[inner], rows[inner], counts, idx.size)
-            # Boundary columns follow the angular order of ``bn``.
-            lo = a.indptr[bn]
-            span = a.indptr[bn + 1] - lo
-            start = np.zeros(bn.size + 1, dtype=itype)
-            np.cumsum(span, out=start[1:])
-            take = np.repeat(lo - start[:-1], span) + np.arange(start[-1], dtype=itype)
-            flags = keep[take]
-            take = take[flags]
-            counts = np.add.reduceat(flags, start[:-1], dtype=itype)
-            coupling = _csc_block(a.data[take], rows[take], counts, idx.size)
-            self._interior = (idx, sub, coupling, spla.splu(sub))
-        return self._interior
-
-
-def _csc_block(data, rows, counts, n_rows: int) -> sp.csc_matrix:
-    """CSC matrix from column-ordered entries and per-column entry counts."""
-    ptr = np.zeros(counts.size + 1, dtype=counts.dtype)
-    np.cumsum(counts, out=ptr[1:])
-    return sp.csc_matrix((data, rows, ptr), shape=(n_rows, counts.size))
 
 
 def assemble(mesh: TriMesh, sigma: PiecewiseConstantField, q: PiecewiseConstantField) -> AssembledSystem:
@@ -165,14 +123,21 @@ def solve_dirichlet(sys: AssembledSystem, f: BoundaryTrace) -> NodalField:
 
 
 def solve_dirichlet_many(sys: AssembledSystem, f_values: np.ndarray) -> np.ndarray:
-    """Solve for many boundary-value columns at once; returns (n_nodes, k) array."""
-    idx, sub, coupling, lu = sys._interior_parts()
-    rhs = -coupling @ f_values
-    x_int = lu.solve(rhs)
+    """Solve for many boundary-value columns at once; returns (n_nodes, k) array.
+
+    With X0 holding f on the boundary rows and zeros elsewhere, the interior
+    rows solve A_II x = -(A X0)_I on an LU of A_II factored for this call.
+    """
+    mesh = sys.mesh
+    out = np.zeros((mesh.n_nodes, f_values.shape[1]))
+    out[mesh.boundary_nodes] = f_values
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[mesh.boundary_nodes] = False
+    rhs = -(sys.matrix @ out)[interior]
+    sub = sys.matrix[interior][:, interior]
+    x_int = spla.splu(sub).solve(rhs)
     _check_residual(sub, x_int, rhs, "Dirichlet solve")
-    out = np.empty((sys.mesh.n_nodes, f_values.shape[1]))
-    out[idx] = x_int
-    out[sys.mesh.boundary_nodes] = f_values
+    out[interior] = x_int
     return out
 
 

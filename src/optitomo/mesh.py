@@ -345,13 +345,6 @@ class Partition:
             raise MeshError(f"cell index {j} out of range 1..{self.n_cells}")
         return self.labels == j
 
-    def cell_area(self, j: int) -> float:
-        return float(self.mesh.areas[self.cell_mask(j)].sum())
-
-    @cached_property
-    def omega_area(self) -> float:
-        return float(self.mesh.areas[self.omega_mask].sum())
-
 
 def subdomain_partition(mesh: TriMesh, omega_radius: float, n_cells: int) -> Partition:
     """Label elements of the concentric subdomain by equal-angle sectors.

@@ -119,6 +119,11 @@ def test_non_finite_coefficient_exits_two(tmp_path, capsys, coefficient):
      "--lipschitz.stability_seed=-3"],
     ["lipschitz", "--mesh.target_elements=254", "--lipschitz.a=1", "--lipschitz.b=2",
      "--lipschitz.n_cells=0"],
+    ["lipschitz", "--mesh.target_elements=254", "--lipschitz.a=1", "--lipschitz.b=2",
+     "--lipschitz.stability_pairs=-3"],
+    ["example1", "--optimizer.max_iter=-5"],
+    ["example1", "--optimizer.rho=-1"],
+    ["example1", "--optimizer.gradient_tolerance=nan"],
 ])
 def test_negative_seed_or_cell_count_is_a_usage_error(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 1

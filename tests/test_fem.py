@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from scipy.special import iv
 
+import optitomo.fem
 from optitomo.errors import FieldError, SolverError
 from optitomo.field import (
     BoundaryTrace,
@@ -150,24 +152,23 @@ def test_dirichlet_matches_neumann_on_shared_trace(mesh_small):
 
 
 @pytest.mark.parametrize("target, levels", [(254, 0), (1016, 0), (4064, 0), (254, 1), (254, 2)])
-def test_interior_blocks_match_index_slices(target, levels):
-    # the masked CSC cut of A_II and A_IB equals fancy-index slicing entry
-    # for entry, with A_IB columns in the angular order of boundary_nodes
-    # (refined meshes number their boundary nodes out of angular order)
+def test_dirichlet_many_matches_dense_interior_solve(target, levels):
+    # dense oracle A_II x = -A_IB F from index slices, with A_IB columns in the
+    # angular order of boundary_nodes (refined meshes number their boundary
+    # nodes out of angular order, so F must be placed by node id)
     mesh = generate_disk_mesh(target)
     for _ in range(levels):
         mesh = refine_uniform(mesh)
     sys = assemble(mesh, sample_coefficient(mesh, "example1_sigma"),
                    sample_coefficient(mesh, "example1_q"))
-    idx, sub, coupling, _ = sys._interior_parts()
-    interior = np.ones(mesh.n_nodes, dtype=bool)
-    interior[mesh.boundary_nodes] = False
-    np.testing.assert_array_equal(idx, np.flatnonzero(interior))
-    for block, cols in ((sub, idx), (coupling, mesh.boundary_nodes)):
-        ref = sys.matrix[np.ix_(idx, cols)].tocsc()
-        assert block.shape == ref.shape
-        for part in ("data", "indices", "indptr"):
-            np.testing.assert_array_equal(getattr(block, part), getattr(ref, part))
+    bn = mesh.boundary_nodes
+    idx = np.setdiff1d(np.arange(mesh.n_nodes), bn)
+    a = sys.matrix.toarray()
+    f = _boundary_columns(mesh)
+    ref = np.linalg.solve(a[np.ix_(idx, idx)], -a[np.ix_(idx, bn)] @ f)
+    x = solve_dirichlet_many(sys, f)
+    np.testing.assert_array_equal(x[bn], f)
+    assert np.linalg.norm(x[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _boundary_columns(mesh):
@@ -188,7 +189,7 @@ def test_dirichlet_many_matches_column_solves(mesh_small):
         np.testing.assert_allclose(x[:, k], col, rtol=0, atol=1e-14 * np.max(np.abs(col), initial=1.0))
 
 
-def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficients):
+def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficients, monkeypatch):
     # column 1 carries a load a million times smaller than column 0; spoiling
     # it by 1e-5 keeps the block's Frobenius residual far below SOLVE_RTOL but
     # breaks that column's own contract, which each multi-column solve enforces
@@ -213,10 +214,13 @@ def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficien
         solve_source(sys, np.arange(mesh_small.n_elements), np.ones(mesh_small.n_elements))
 
     sys = assemble(mesh_small, sigma, q)
-    idx, sub, coupling, lu = sys._interior_parts()
-    rhs = -coupling @ g
-    x_int = lu.solve(rhs)
-    spoiled = x_int.copy()
+    interior = np.ones(mesh_small.n_nodes, dtype=bool)
+    interior[mesh_small.boundary_nodes] = False
+    sub = sys.matrix[interior][:, interior]
+    x0 = np.zeros((mesh_small.n_nodes, g.shape[1]))
+    x0[mesh_small.boundary_nodes] = g
+    rhs = -(sys.matrix @ x0)[interior]
+    spoiled = spla.splu(sub).solve(rhs)
     spoiled[:, 1] *= 1.0 + 1e-5
     assert np.linalg.norm(sub @ spoiled - rhs) <= SOLVE_RTOL * np.linalg.norm(rhs)
 
@@ -224,7 +228,7 @@ def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficien
         def solve(self, rhs):
             return spoiled
 
-    sys._interior = (idx, sub, coupling, SpoiledLU())
+    monkeypatch.setattr(optitomo.fem.spla, "splu", lambda matrix: SpoiledLU())
     with pytest.raises(SolverError, match="Dirichlet solve did not converge in column 1"):
         solve_dirichlet_many(sys, g)
 

@@ -312,6 +312,27 @@ def test_trace_counts_objective_evaluations(example1_consistent, monkeypatch):
     assert trace.evaluations == len(assemblies) > len(trace.rows)
 
 
+def test_one_evaluation_makes_two_factorizations(example1_consistent, monkeypatch):
+    # one LU of A for the Neumann columns and one of A_II for the Dirichlet
+    # columns, whatever the number of pairs
+    import optitomo.fem
+
+    sigma, q, meas = example1_consistent
+    sizes = []
+    original = optitomo.fem.spla.splu
+
+    def counting(matrix, *args, **kwargs):
+        sizes.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(optitomo.fem.spla, "splu", counting)
+    _solutions(meas, sigma, q)
+    n_nodes = meas.mesh.n_nodes
+    n_interior = n_nodes - meas.mesh.boundary_nodes.size
+    assert meas.fluxes.shape[1] > 1
+    assert sizes == [(n_nodes, n_nodes), (n_interior, n_interior)]
+
+
 @pytest.mark.parametrize("n_pairs", [5, LBFGS_MEMORY + 7])
 def test_two_loop_direction_matches_explicit_inverse_hessian(n_pairs):
     # pairs from a convex quadratic (y = A s, so s.y > 0); the second case
