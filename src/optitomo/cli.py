@@ -304,6 +304,7 @@ def cmd_lipschitz(cfg, outdir, args):
         "L": lip, "violations": violations, "n_currents": len(currents),
         "beta_target": BETA_TARGET,
         "recheck_defect_max": max(abs(c.beta - BETA_TARGET) / BETA_TARGET for c in currents),
+        "recheck_rtol_max": max(c.recheck_rtol for c in currents),
     }
 
 

@@ -19,6 +19,7 @@ import scipy.linalg as sla
 from .errors import FieldError, SolverError
 from .field import BoundaryTrace, PiecewiseConstantField, restrict_to_boundary
 from .fem import (
+    AssemblyPattern,
     assemble,
     element_gradients,
     element_l2_products,
@@ -46,14 +47,19 @@ class NtDMatrix:
         return self.lam.shape[0]
 
 
-def build_ntd(mesh: TriMesh, sigma: PiecewiseConstantField, q: PiecewiseConstantField) -> NtDMatrix:
+def build_ntd(
+    mesh: TriMesh,
+    sigma: PiecewiseConstantField,
+    q: PiecewiseConstantField,
+    pattern: AssemblyPattern | None = None,
+) -> NtDMatrix:
     """Build the discrete NtD matrix column by column from boundary hat currents.
 
     Column j is the boundary trace of the Neumann solution driven by the j-th
     boundary hat function.  M-symmetry and M-positive-definiteness are
-    verified on every build.
+    verified on every build.  ``pattern`` is passed on to ``assemble``.
     """
-    sys = assemble(mesh, sigma, q)
+    sys = assemble(mesh, sigma, q, pattern)
     columns = np.eye(mesh.n_boundary)
     x = solve_neumann_many(sys, columns)
     lam = x[mesh.boundary_nodes, :]

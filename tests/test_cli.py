@@ -196,6 +196,10 @@ def test_lipschitz_command_small(tmp_path, forward_solves):
     assert int(summary[4]) == 0  # violations
     stab_lines = (out / "stability.csv").read_text().strip().splitlines()
     assert len(stab_lines) - 1 == 5
+    # well-conditioned certificates keep the fixed re-check tolerance
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["recheck_rtol_max"] == 1e-6
+    assert 0.0 <= manifest["recheck_defect_max"] <= manifest["recheck_rtol_max"]
 
 
 def test_reconstruct_small_profile(tmp_path):

@@ -22,7 +22,7 @@ from optitomo.field import (
     write_trace_csv,
 )
 from optitomo.fem import assemble, solve_dirichlet
-from optitomo.mesh import TriMesh
+from optitomo.mesh import TriMesh, generate_disk_mesh, refine_uniform
 
 
 def test_containers_validate_lengths(mesh_small):
@@ -105,6 +105,30 @@ def test_transfer_preserves_constants(mesh_medium, mesh_small):
     fine_trace = BoundaryTrace(mesh_medium, np.full(mesh_medium.n_boundary, 2.5))
     coarse = transfer_boundary_trace(mesh_medium, fine_trace, mesh_small)
     assert np.all(coarse.values == 2.5)
+
+
+# c * R**2 elements with angular multiplier c >= 4 always have an exact ring layout
+DISK_MESHES = st.builds(
+    lambda multiplier, rings, refine: (refine_uniform if refine else (lambda m: m))(
+        generate_disk_mesh(multiplier * rings * rings, multiplier)),
+    st.integers(4, 9), st.integers(2, 12), st.booleans(),
+)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(fine=DISK_MESHES, coarse=DISK_MESHES, const=st.floats(-1e3, 1e3),
+       alpha=st.floats(-10.0, 10.0), beta=st.floats(-10.0, 10.0), seed=st.integers(0, 2**16))
+def test_transfer_is_exact_on_constants_and_linear(fine, coarse, const, alpha, beta, seed):
+    # between any two disk meshes, refined ones included (their boundary
+    # node ids are out of angular order)
+    flat = transfer_boundary_trace(fine, BoundaryTrace(fine, np.full(fine.n_boundary, const)), coarse)
+    assert np.max(np.abs(flat.values - const)) <= 1e-15 * abs(const)
+    rng = np.random.default_rng(seed)
+    f, h = rng.standard_normal((2, fine.n_boundary))
+    combined = transfer_boundary_trace(fine, BoundaryTrace(fine, alpha * f + beta * h), coarse).values
+    tf, th = (transfer_boundary_trace(fine, BoundaryTrace(fine, v), coarse).values for v in (f, h))
+    scale = (abs(alpha) + abs(beta)) * max(np.max(np.abs(f)), np.max(np.abs(h)))
+    assert np.max(np.abs(combined - (alpha * tf + beta * th))) <= 1e-14 * scale
 
 
 def test_restrict_zero_and_linear(mesh_small):

@@ -323,6 +323,8 @@ def test_one_evaluation_makes_two_factorizations(example1_consistent, monkeypatc
 
     def counting(matrix, *args, **kwargs):
         sizes.append(matrix.shape)
+        # both factorizations run in SuperLU's symmetric mode
+        assert not args and kwargs == optitomo.fem.SPLU_OPTIONS
         return original(matrix, *args, **kwargs)
 
     monkeypatch.setattr(optitomo.fem.spla, "splu", counting)
