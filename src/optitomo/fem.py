@@ -6,8 +6,7 @@ error.  The Neumann problem needs no mean-zero gauge: q > 0 on a set of
 positive area makes the bilinear form coercive, and the system matrix is
 symmetric positive definite.  ``assemble`` sums the nine entries of every
 element matrix into the data of a CSC matrix with one ``np.bincount``,
-through an ``AssemblyPattern`` holding the mesh's CSC structure; callers that
-assemble many times on one mesh hold one pattern and pass it in.  Every
+through the mesh's ``TriMesh.assembly_pattern``, built once per mesh.  Every
 factorization is SuperLU in symmetric mode (``SPLU_OPTIONS``), which needs no
 row interchanges on SPD matrices and fills less than the default ordering.
 Each system caches one factorization, of A, and reuses it across right-hand
@@ -23,7 +22,6 @@ on its own, which also catches a breakdown of the unpivoted factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,52 +44,6 @@ SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-class AssemblyPattern:
-    """CSC structure of the system matrix on one mesh.
-
-    Entry (a, b) of element e's 3x3 matrix, flattened row-major, is summed into
-    data slot ``slots[9 e + 3 a + b]`` of a CSC matrix with ``indptr`` and
-    ``indices`` (rows sorted within each column, no duplicates).  The interior
-    block A_II of such a matrix is a fixed subset of its data slots, found
-    once on first use.  A pattern costs about 90 B per element, and about 40 B
-    more once A_II has been cut; hold it where many assemblies on one mesh
-    share it, not for the mesh's life.
-    """
-
-    def __init__(self, mesh: TriMesh):
-        n = mesh.n_nodes
-        shape = (mesh.n_elements, 3, 3)
-        rows = np.broadcast_to(mesh.elements[:, :, None], shape).ravel()
-        cols = np.broadcast_to(mesh.elements[:, None, :], shape).ravel()
-        # scipy sorts and merges the entries once; numbering the merged
-        # entries reads the slot of every element entry back by (row, column)
-        structure = sp.csc_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        structure.data = np.arange(structure.nnz, dtype=float)
-        self.mesh = mesh
-        self.slots = structure[rows, cols].astype(np.intp)
-        self.indices = structure.indices
-        self.indptr = structure.indptr
-
-    @cached_property
-    def _interior(self) -> tuple:
-        """Interior node mask, and the data slots, indices and indptr of A_II."""
-        n = self.mesh.n_nodes
-        interior = np.ones(n, dtype=bool)
-        interior[self.mesh.boundary_nodes] = False
-        # numbered data carry each entry's slot through the slice (from 1, so
-        # that no slot is a zero)
-        slots = np.arange(1.0, self.indices.size + 1)
-        numbered = sp.csc_array((slots, self.indices, self.indptr), shape=(n, n))
-        block = numbered[interior][:, interior]
-        return interior, block.data.astype(np.intp) - 1, block.indices, block.indptr
-
-    def interior_block(self, matrix: sp.csc_matrix) -> tuple[np.ndarray, sp.csc_matrix]:
-        """Interior node mask and A_II of a matrix assembled on this pattern."""
-        interior, slots, indices, indptr = self._interior
-        size = indptr.size - 1
-        return interior, sp.csc_matrix((matrix.data[slots], indices, indptr), shape=(size, size))
-
-
 def _factorize(matrix):
     """LU of an SPD matrix under SPLU_OPTIONS."""
     return spla.splu(matrix, **SPLU_OPTIONS)
@@ -106,10 +58,7 @@ class AssembledSystem:
     """
 
     mesh: TriMesh
-    sigma: PiecewiseConstantField
-    q: PiecewiseConstantField
     matrix: sp.csc_matrix
-    pattern: AssemblyPattern = dc_field(repr=False)
     _full_lu: object = dc_field(default=None, repr=False)
 
     def full_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -122,26 +71,23 @@ def assemble(
     mesh: TriMesh,
     sigma: PiecewiseConstantField,
     q: PiecewiseConstantField,
-    pattern: AssemblyPattern | None = None,
 ) -> AssembledSystem:
     """Assemble A(sigma, q) for the weak form of the diffusion-absorption equation.
 
     Requires finite coefficients, sigma > 0 everywhere and q >= 0 with q > 0
     somewhere; a q that vanishes identically leaves the Neumann problem
-    singular up to constants and is rejected.  ``pattern`` is the mesh's
-    ``AssemblyPattern``; without one, a pattern is built for this call.
+    singular up to constants and is rejected.
     """
     if sigma.mesh is not mesh or q.mesh is not mesh:
         raise FieldError("coefficient fields live on a different mesh")
-    if pattern is None:
-        pattern = AssemblyPattern(mesh)
-    elif pattern.mesh is not mesh:
-        raise FieldError("assembly pattern belongs to a different mesh")
     sigma.require_positive()
     if not np.all(np.isfinite(q.values) & (q.values >= 0.0)):
         raise FieldError("absorption coefficient must be finite and nonnegative")
     if not np.any(q.values > 0.0):
         raise FieldError("absorption coefficient vanishes identically; system is singular")
+
+    # a first call builds the pattern before the element matrices take memory
+    pattern = mesh.assembly_pattern
 
     gx = mesh.element_grads[:, :, 0]
     gy = mesh.element_grads[:, :, 1]
@@ -151,7 +97,7 @@ def assemble(
     local += _MASS_PATTERN * (mesh.areas * q.values)[:, None, None]
     data = np.bincount(pattern.slots, weights=local.ravel(), minlength=pattern.indices.size)
     matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(mesh.n_nodes, mesh.n_nodes))
-    return AssembledSystem(mesh, sigma, q, matrix, pattern)
+    return AssembledSystem(mesh, matrix)
 
 
 def boundary_load(mesh: TriMesh, g_values: np.ndarray) -> np.ndarray:
@@ -204,12 +150,12 @@ def solve_dirichlet_many(sys: AssembledSystem, f_values: np.ndarray) -> np.ndarr
 
     With X0 holding f on the boundary rows and zeros elsewhere, the interior
     rows solve A_II x = -(A X0)_I on an LU of A_II factored for this call;
-    A_II is read from the data of A through the system's pattern.
+    A_II is read from the data of A through the mesh's pattern.
     """
     mesh = sys.mesh
     out = np.zeros((mesh.n_nodes, f_values.shape[1]))
     out[mesh.boundary_nodes] = f_values
-    interior, sub = sys.pattern.interior_block(sys.matrix)
+    interior, sub = mesh.assembly_pattern.interior_block(sys.matrix)
     rhs = -(sys.matrix @ out)[interior]
     x_int = _factorize(sub).solve(rhs)
     _check_residual(sub, x_int, rhs, "Dirichlet solve")

@@ -32,13 +32,12 @@ penalty reduces to (rho/2) int q^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import FieldError
 from .field import PiecewiseConstantField
-from .fem import AssemblyPattern, assemble, solve_dirichlet_many, solve_neumann_many
+from .fem import assemble, solve_dirichlet_many, solve_neumann_many
 from .mesh import TriMesh
 
 Q_ONLY = "q_only"
@@ -61,8 +60,7 @@ BALANCE_RTOL = 1e-3
 class MeasurementSet:
     """Flux/trace pairs (g_k, f_k) on the inversion mesh.
 
-    ``fluxes`` and ``traces`` stack the g_k and f_k as (n_boundary, K) columns;
-    ``pattern`` is the assembly pattern every objective evaluation shares.
+    ``fluxes`` and ``traces`` stack the g_k and f_k as (n_boundary, K) columns.
     """
 
     mesh: TriMesh
@@ -83,10 +81,6 @@ class MeasurementSet:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @cached_property
-    def pattern(self) -> AssemblyPattern:
-        return AssemblyPattern(self.mesh)
 
 
 @dataclass
@@ -149,7 +143,7 @@ def _solutions(meas: MeasurementSet, sigma, q):
     in column k of the (n_nodes, K) arrays.  The factorizations are released
     on return, before the fit and gradient allocate their temporaries.
     """
-    sys = assemble(meas.mesh, sigma, q, meas.pattern)
+    sys = assemble(meas.mesh, sigma, q)
     return sys.matrix, solve_neumann_many(sys, meas.fluxes), solve_dirichlet_many(sys, meas.traces)
 
 

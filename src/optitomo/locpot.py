@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import CertificateError, FieldError
 from .field import BoundaryTrace, PiecewiseConstantField
-from .fem import AssemblyPattern, assemble, element_l2_products, solve_neumann, solve_neumann_many
+from .fem import assemble, element_l2_products, solve_neumann, solve_neumann_many
 from .mesh import Partition, TriMesh
 from .ntd import boundary_inner, build_ntd, m_weighted_opnorm
 
@@ -61,11 +60,7 @@ RECHECK_ROUNDING = 4.0
 
 @dataclass(frozen=True)
 class ProbingSetup:
-    """Partitioned subdomain, coefficient bounds, and the known background diffusion.
-
-    ``pattern`` is the assembly pattern shared by every system the
-    certificate search and the stability report assemble on the mesh.
-    """
+    """Partitioned subdomain, coefficient bounds, and the known background diffusion."""
 
     partition: Partition
     a: float
@@ -80,10 +75,6 @@ class ProbingSetup:
     @property
     def n_cells(self) -> int:
         return self.partition.n_cells
-
-    @cached_property
-    def pattern(self) -> AssemblyPattern:
-        return AssemblyPattern(self.mesh)
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ def _certificate(setup: ProbingSetup, j: int, usq: np.ndarray) -> float:
 
 def localization_gap(setup: ProbingSetup, q: PiecewiseConstantField, g: BoundaryTrace, j: int) -> float:
     """int_{D_j} u^2 - int_{omega \\ D_j} u^2 for the Neumann solution at absorption q."""
-    sys = assemble(setup.mesh, setup.sigma, q, setup.pattern)
+    sys = assemble(setup.mesh, setup.sigma, q)
     u = solve_neumann(sys, g)
     usq = element_l2_products(u, u)[setup.partition.omega_mask]
     inside, rest = _cell_and_rest(setup.partition, j, usq)
@@ -208,7 +199,7 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     """
     mesh = setup.mesh
     part = setup.partition
-    sys = assemble(mesh, setup.sigma, eta_field(setup, j, k), setup.pattern)
+    sys = assemble(mesh, setup.sigma, eta_field(setup, j, k))
     omega = np.flatnonzero(part.omega_mask)
     # stated apart from ``_certificate``, so the re-check also catches a wrong weight
     weights = np.where(part.labels[omega] == j, 0.5, 0.5 - 1.5 * setup.b / setup.a)
@@ -299,7 +290,7 @@ def stability_report(
         if dist == 0.0:
             continue
         lam1, lam2 = (
-            build_ntd(setup.mesh, setup.sigma, cell_values_to_field(part, v), setup.pattern).lam
+            build_ntd(setup.mesh, setup.sigma, cell_values_to_field(part, v)).lam
             for v in (q1, q2)
         )
         opnorm = m_weighted_opnorm(lam1 - lam2, setup.mesh.boundary_mass)

@@ -19,7 +19,6 @@ import scipy.linalg as sla
 from .errors import FieldError, SolverError
 from .field import BoundaryTrace, PiecewiseConstantField, restrict_to_boundary
 from .fem import (
-    AssemblyPattern,
     assemble,
     element_gradients,
     element_l2_products,
@@ -37,8 +36,6 @@ class NtDMatrix:
     """Dense discrete Neumann-to-Dirichlet operator with its boundary mass matrix."""
 
     mesh: TriMesh
-    sigma: PiecewiseConstantField
-    q: PiecewiseConstantField
     lam: np.ndarray
     mass: np.ndarray
 
@@ -51,15 +48,14 @@ def build_ntd(
     mesh: TriMesh,
     sigma: PiecewiseConstantField,
     q: PiecewiseConstantField,
-    pattern: AssemblyPattern | None = None,
 ) -> NtDMatrix:
     """Build the discrete NtD matrix column by column from boundary hat currents.
 
     Column j is the boundary trace of the Neumann solution driven by the j-th
     boundary hat function.  M-symmetry and M-positive-definiteness are
-    verified on every build.  ``pattern`` is passed on to ``assemble``.
+    verified on every build.
     """
-    sys = assemble(mesh, sigma, q, pattern)
+    sys = assemble(mesh, sigma, q)
     columns = np.eye(mesh.n_boundary)
     x = solve_neumann_many(sys, columns)
     lam = x[mesh.boundary_nodes, :]
@@ -73,7 +69,7 @@ def build_ntd(
     eigmin = float(np.min(sla.eigvalsh(0.5 * (ml + ml.T))))
     if eigmin <= 0.0:
         raise SolverError(f"NtD quadratic form is not positive definite (min eig {eigmin:.3e})")
-    return NtDMatrix(mesh, sigma, q, lam, m)
+    return NtDMatrix(mesh, lam, m)
 
 
 def boundary_inner(g: BoundaryTrace, h: BoundaryTrace, mass: np.ndarray) -> float:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -16,7 +19,6 @@ from optitomo.field import (
 )
 from optitomo.fem import (
     SOLVE_RTOL,
-    AssemblyPattern,
     assemble,
     boundary_load,
     element_gradients,
@@ -29,8 +31,10 @@ from optitomo.fem import (
     solve_neumann_many,
     solve_source,
 )
-from optitomo.mesh import generate_disk_mesh, refine_uniform, subdomain_partition
-from optitomo.ntd import boundary_inner
+from optitomo.inversion import MeasurementSet, _solutions
+from optitomo.locpot import lipschitz_constant, make_probing_setup, stability_report
+from optitomo.mesh import AssemblyPattern, generate_disk_mesh, refine_uniform, subdomain_partition
+from optitomo.ntd import boundary_inner, build_ntd, monotonicity_gap_q
 
 
 def bessel_dn(n, x=1.0):
@@ -192,16 +196,13 @@ def test_pattern_assembly_matches_the_coo_route(target, levels):
         mesh = refine_uniform(mesh)
     sigma = sample_coefficient(mesh, "example1_sigma")
     q = sample_coefficient(mesh, "example1_q")
-    pattern = AssemblyPattern(mesh)
-    a = assemble(mesh, sigma, q, pattern).matrix
+    a = assemble(mesh, sigma, q).matrix
     ref = _coo_matrix(mesh, sigma, q)
     np.testing.assert_array_equal(a.indptr, ref.indptr)
     np.testing.assert_array_equal(a.indices, ref.indices)
     assert np.max(np.abs(a.data - ref.data) / np.abs(ref.data)) <= 1e-15
-    # a pattern-free call builds the same pattern for itself
-    assert np.array_equal(assemble(mesh, sigma, q).matrix.data, a.data)
 
-    interior, sub = pattern.interior_block(a)
+    interior, sub = mesh.assembly_pattern.interior_block(a)
     assert np.array_equal(np.flatnonzero(~interior), np.sort(mesh.boundary_nodes))
     cut = a[interior][:, interior]
     np.testing.assert_array_equal(sub.indptr, cut.indptr)
@@ -209,10 +210,49 @@ def test_pattern_assembly_matches_the_coo_route(target, levels):
     np.testing.assert_array_equal(sub.data, cut.data)
 
 
-def test_pattern_belongs_to_one_mesh(mesh_small, mesh_medium):
-    one = sample_coefficient(mesh_small, "one")
-    with pytest.raises(FieldError, match="pattern belongs to a different mesh"):
-        assemble(mesh_small, one, one, AssemblyPattern(mesh_medium))
+def test_each_mesh_builds_one_assembly_pattern(monkeypatch):
+    # certificates, the stability report, objective evaluations, NtD builds
+    # and the monotonicity terms all share their mesh's pattern
+    built = []
+    original = AssemblyPattern.__init__
+
+    def counting(self, mesh):
+        built.append(mesh)
+        original(self, mesh)
+
+    monkeypatch.setattr(AssemblyPattern, "__init__", counting)
+    probed = generate_disk_mesh(254, angular_multiplier=8)
+    setup = make_probing_setup(subdomain_partition(probed, 0.5, 4), 1.0, 1.2)
+    _, currents = lipschitz_constant(setup)
+    stability_report(setup, currents, 3, seed=0)
+
+    mesh = generate_disk_mesh(254)
+    sigma = sample_coefficient(mesh, "example1_sigma")
+    q = sample_coefficient(mesh, "example1_q")
+    ang = mesh.boundary_angles
+    g = BoundaryTrace(mesh, np.cos(ang))
+    meas = MeasurementSet(mesh, ((g, BoundaryTrace(mesh, np.sin(ang))),))
+    _solutions(meas, sigma, q)
+    _solutions(meas, sigma, q)
+    build_ntd(mesh, sigma, q)
+    monotonicity_gap_q(q, sample_coefficient(mesh, "one"), sigma, g)
+    assert len(built) == 2 and built[0] is probed and built[1] is mesh
+
+
+def test_mesh_and_pattern_form_no_reference_cycle():
+    # the pattern keeps the mesh's arrays, not the mesh, so dropping the last
+    # reference frees the mesh without the cyclic collector
+    gc.disable()
+    try:
+        mesh = generate_disk_mesh(254)
+        one = sample_coefficient(mesh, "one")
+        sys = assemble(mesh, one, one)
+        solve_dirichlet_many(sys, _boundary_columns(mesh))
+        alive = weakref.ref(mesh)
+        del mesh, one, sys
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_unpivoted_factorization_meets_the_contract_at_high_contrast(mesh_medium):
@@ -251,7 +291,7 @@ def test_symmetric_mode_fills_less_than_the_default_ordering(mesh_medium, monkey
     monkeypatch.setattr(optitomo.fem.spla, "splu", keeping)
     solve_neumann_many(sys, _boundary_columns(mesh_medium))
     solve_dirichlet_many(sys, _boundary_columns(mesh_medium))
-    interior, sub = sys.pattern.interior_block(sys.matrix)
+    interior, sub = mesh_medium.assembly_pattern.interior_block(sys.matrix)
     for lu, matrix in zip(factors, (sys.matrix, sub)):
         default = original(matrix)
         assert lu.L.nnz + lu.U.nnz < 0.85 * (default.L.nnz + default.U.nnz)
