@@ -65,8 +65,7 @@ SCHEMA = {
     "noise": {"epsilon", "seed"},
     "truth": {"sigma", "q"},
     "lipschitz": {
-        "omega_radius", "n_cells", "a", "b", "sigma_outside", "sigma_inside",
-        "stability_pairs", "stability_seed",
+        "omega_radius", "n_cells", "a", "b", "stability_pairs", "stability_seed",
     },
     "optimizer": {
         "mode", "rho", "balancing", "beta_balance", "max_iter", "gradient_tolerance",
@@ -277,8 +276,6 @@ def cmd_lipschitz(cfg, outdir, args):
         part,
         _get(cfg, "lipschitz", "a", cast=float),
         _get(cfg, "lipschitz", "b", cast=float),
-        _get(cfg, "lipschitz", "sigma_outside", default=1.0, cast=float),
-        _get(cfg, "lipschitz", "sigma_inside", default=2.0, cast=float),
     )
     lip, currents = lipschitz_constant(setup)
 
@@ -319,7 +316,6 @@ def cmd_reconstruct(cfg, outdir, args):
         raise UsageError(f"optimizer mode must be {Q_ONLY!r} or {JOINT!r}")
 
     spec = ExperimentSpec(
-        name="custom",
         fine_elements=fine,
         coarse_elements=coarse,
         fluxes=tuple(v for _, v in flux_items),

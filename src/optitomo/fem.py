@@ -108,12 +108,12 @@ def boundary_load(mesh: TriMesh, g_values: np.ndarray) -> np.ndarray:
 
 
 def _check_residual(matrix, x, b, what: str) -> None:
-    """Require ||A x - b|| <= SOLVE_RTOL ||b|| for every column of the 2-D b."""
+    """Require ||A x - b|| <= SOLVE_RTOL ||b|| for every column of the 2-D b; NaN fails."""
     r = matrix @ x - b
     res = np.sqrt(np.einsum("ij,ij->j", r, r))
     ratio = res / np.maximum(np.sqrt(np.einsum("ij,ij->j", b, b)), 1e-300)
-    worst = int(np.argmax(ratio))
-    if ratio[worst] > SOLVE_RTOL:
+    worst = int(np.argmax(ratio))  # the first NaN, if any
+    if not ratio[worst] <= SOLVE_RTOL:
         raise SolverError(
             f"{what} did not converge in column {worst}: relative residual {ratio[worst]:.3e}"
         )

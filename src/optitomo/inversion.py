@@ -8,11 +8,11 @@ coefficient-weighted energy norm, plus a Tikhonov penalty:
                   + (rho/2) int (sigma^2 + q^2).
 
 J vanishes exactly when both solutions coincide for every pair.  One
-evaluation is one batched pass: a single assembly of A(sigma, q), one
-K-column Neumann solve and one K-column Dirichlet solve.  Because the assembly
-integrates piecewise-constant coefficients in closed form, the data fit is
-exactly the energy sum_k w_k^T A w_k of the columns of W = U_N - U_D, taken
-as one sparse matrix product.  The gradient with respect to per-element
+evaluation, ``kv_evaluate``, is one batched pass: a single assembly of
+A(sigma, q), one K-column Neumann solve and one K-column Dirichlet solve.
+Because the assembly integrates piecewise-constant coefficients in closed
+form, the data fit is exactly the energy sum_k w_k^T A w_k of the columns of
+W = U_N - U_D, taken as one sparse matrix product.  The gradient with respect to per-element
 coefficient values is analytic (no adjoint solves beyond the 2K forward
 solves) and is formed for all 2K solution columns at once.  Minimization runs
 a projected L-BFGS: a limited-memory quasi-Newton step from the two-loop
@@ -60,27 +60,25 @@ BALANCE_RTOL = 1e-3
 class MeasurementSet:
     """Flux/trace pairs (g_k, f_k) on the inversion mesh.
 
-    ``fluxes`` and ``traces`` stack the g_k and f_k as (n_boundary, K) columns.
+    ``fluxes`` and ``traces`` hold the g_k and f_k as the columns of two
+    read-only (n_boundary, K) arrays, K >= 1.
     """
 
     mesh: TriMesh
-    pairs: tuple
-    fluxes: np.ndarray = dc_field(init=False, repr=False, compare=False)
-    traces: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    fluxes: np.ndarray
+    traces: np.ndarray
 
     def __post_init__(self):
-        if len(self.pairs) < 1:
-            raise FieldError("a measurement set needs at least one pair")
-        for g, f in self.pairs:
-            if g.mesh is not self.mesh or f.mesh is not self.mesh:
-                raise FieldError("measurement traces live on a different mesh")
-        for name, k in (("fluxes", 0), ("traces", 1)):
-            stacked = np.column_stack([pair[k].values for pair in self.pairs])
-            stacked.setflags(write=False)
-            object.__setattr__(self, name, stacked)
+        shape, n = self.fluxes.shape, self.mesh.n_boundary
+        if len(shape) != 2 or shape[0] != n or shape[1] < 1:
+            raise FieldError(f"fluxes must be (n_boundary={n}, K >= 1), got {shape}")
+        if self.traces.shape != shape:
+            raise FieldError(f"traces {self.traces.shape} do not match fluxes {shape}")
+        self.fluxes.setflags(write=False)
+        self.traces.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.fluxes.shape[1]
 
 
 @dataclass
@@ -167,37 +165,25 @@ def _penalty(mesh, sigma, q, rho, mode):
     return 0.5 * rho * integral, integral, (gsig, rho * mesh.areas * q.values)
 
 
-def kv_terms(
-    meas: MeasurementSet,
-    sigma: PiecewiseConstantField,
-    q: PiecewiseConstantField,
-    rho: float,
-    mode: str = JOINT,
-) -> tuple[float, float, float]:
-    """Return (J, data_fit, penalty) of the energy-misfit functional."""
-    fit = _data_fit(*_solutions(meas, sigma, q))
-    pen = _penalty(meas.mesh, sigma, q, rho, mode)[0]
-    return fit + pen, fit, pen
-
-
-def kv_gradient(
+def kv_evaluate(
     meas: MeasurementSet,
     sigma: PiecewiseConstantField,
     q: PiecewiseConstantField,
     rho: float,
     mode: str = JOINT,
 ):
-    """Analytic gradient with respect to per-element coefficient values.
+    """The energy-misfit functional and its analytic gradient in one batched pass.
 
-    Returns (g_sigma, g_q) as fields; g_sigma is None in q-only mode.  The
-    components pair with coefficient directions through the plain Euclidean
-    dot product of element values.
+    Returns (J, data_fit, penalty, g_sigma, g_q) with the gradient taken with
+    respect to per-element coefficient values, as arrays that pair with
+    coefficient directions through the plain Euclidean dot product; g_sigma is
+    None in q-only mode.
     """
-    mesh = meas.mesh
-    _, un, ud = _solutions(meas, sigma, q)
-    gsig, gq = _add_data_gradient(mesh, un, ud, *_penalty(mesh, sigma, q, rho, mode)[2])
-    return (None if gsig is None else PiecewiseConstantField(mesh, gsig),
-            PiecewiseConstantField(mesh, gq))
+    pen, _, (gsig, gq) = _penalty(meas.mesh, sigma, q, rho, mode)
+    matrix, un, ud = _solutions(meas, sigma, q)
+    fit = _data_fit(matrix, un, ud)
+    gsig, gq = _add_data_gradient(meas.mesh, un, ud, gsig, gq)
+    return fit + pen, fit, pen, gsig, gq
 
 
 def _add_data_gradient(mesh, un, ud, gsig, gq):
@@ -236,7 +222,7 @@ class _Objective:
     def __init__(self, meas, config):
         self.meas = meas
         self.config = config
-        self.mesh = config.q0.mesh
+        self.mesh = meas.mesh
         self.lo, self.hi = (self.stack(s, q) for s, q in
                             zip(config.sigma_bounds or (None, None), config.q_bounds))
 
@@ -260,15 +246,9 @@ class _Objective:
         return np.clip(x, self.lo, self.hi)
 
     def value_and_gradient(self, x, rho):
-        """(J, data_fit, penalty, stacked gradient); ``meas=None`` leaves the bare penalty."""
-        sigma, q = self.split(x)
-        pen, _, (gsig, gq) = _penalty(self.mesh, sigma, q, rho, self.config.mode)
-        fit = 0.0
-        if self.meas is not None:
-            matrix, un, ud = _solutions(self.meas, sigma, q)
-            fit = _data_fit(matrix, un, ud)
-            gsig, gq = _add_data_gradient(self.mesh, un, ud, gsig, gq)
-        return fit + pen, fit, pen, self.stack(gsig, gq)
+        """(J, data_fit, penalty, stacked gradient) at the stacked point x."""
+        value, fit, pen, gsig, gq = kv_evaluate(self.meas, *self.split(x), rho, self.config.mode)
+        return value, fit, pen, self.stack(gsig, gq)
 
 
 class _LimitedMemoryInverseHessian:
@@ -306,7 +286,7 @@ class _LimitedMemoryInverseHessian:
 
 
 def bfgs_minimize(
-    meas: MeasurementSet | None,
+    meas: MeasurementSet,
     config: InversionConfig,
     rho: float | None = None,
     start: tuple[PiecewiseConstantField, PiecewiseConstantField] | None = None,
@@ -314,10 +294,9 @@ def bfgs_minimize(
     """Projected L-BFGS descent on the energy-misfit functional.
 
     Returns (sigma_rec, q_rec, trace); ``trace.message`` names the stop and
-    ``trace.evaluations`` counts the objective evaluations made.
-    ``meas=None`` optimizes the bare penalty (useful as a convexity sanity
-    check).  ``start``, a (sigma, q) pair of fields, overrides the configured
-    initial guess (used by warm-started outer loops).
+    ``trace.evaluations`` counts the objective evaluations made.  ``start``,
+    a (sigma, q) pair of fields, overrides the configured initial guess (used
+    by warm-started outer loops).
     """
     obj = _Objective(meas, config)
     rho = config.rho if rho is None else rho
@@ -403,7 +382,7 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
     obj = _Objective(meas, config)
     beta = config.beta_balance
     sigma0, q0 = obj.split(obj.start(config.sigma0, config.q0))
-    _, fit0, _ = kv_terms(meas, sigma0, q0, 0.0, config.mode)
+    fit0 = kv_evaluate(meas, sigma0, q0, 0.0, config.mode)[1]
     pen0 = _penalty(meas.mesh, sigma0, q0, 0.0, config.mode)[1]
     scale = abs(fit0) + abs(pen0)
     if fit0 <= 1e-14 * scale:

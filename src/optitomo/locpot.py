@@ -104,17 +104,9 @@ def compute_K(a: float, b: float) -> int:
     return int(math.floor(3.0 * (b / a - 1.0))) + 3
 
 
-def make_probing_setup(
-    partition: Partition,
-    a: float,
-    b: float,
-    sigma_outside: float = 1.0,
-    sigma_inside: float = 2.0,
-) -> ProbingSetup:
-    """Build a probing setup with the two-phase background diffusion."""
-    mesh = partition.mesh
-    sigma_vals = np.where(partition.omega_mask, sigma_inside, sigma_outside)
-    sigma = PiecewiseConstantField(mesh, sigma_vals).require_positive()
+def make_probing_setup(partition: Partition, a: float, b: float) -> ProbingSetup:
+    """Build a probing setup with the background diffusion 1 outside omega and 2 inside."""
+    sigma = PiecewiseConstantField(partition.mesh, np.where(partition.omega_mask, 2.0, 1.0))
     return ProbingSetup(partition, float(a), float(b), compute_K(a, b), sigma)
 
 

@@ -33,11 +33,10 @@ MSYM_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class NtDMatrix:
-    """Dense discrete Neumann-to-Dirichlet operator with its boundary mass matrix."""
+    """Dense discrete Neumann-to-Dirichlet operator; ``mesh.boundary_mass`` weights its norms."""
 
     mesh: TriMesh
     lam: np.ndarray
-    mass: np.ndarray
 
     @property
     def n_boundary(self) -> int:
@@ -69,7 +68,7 @@ def build_ntd(
     eigmin = float(np.min(sla.eigvalsh(0.5 * (ml + ml.T))))
     if eigmin <= 0.0:
         raise SolverError(f"NtD quadratic form is not positive definite (min eig {eigmin:.3e})")
-    return NtDMatrix(mesh, lam, m)
+    return NtDMatrix(mesh, lam)
 
 
 def boundary_inner(g: BoundaryTrace, h: BoundaryTrace, mass: np.ndarray) -> float:
@@ -100,14 +99,14 @@ def opnorm_diff(l1: NtDMatrix, l2: NtDMatrix) -> float:
     """M-weighted operator norm of the difference of two NtD operators."""
     if l1.mesh is not l2.mesh:
         raise FieldError("NtD operators live on different meshes")
-    return m_weighted_opnorm(l1.lam - l2.lam, l1.mass)
+    return m_weighted_opnorm(l1.lam - l2.lam, l1.mesh.boundary_mass)
 
 
 def min_m_eigenvalue(l1: NtDMatrix, l2: NtDMatrix) -> float:
     """Smallest M-generalized eigenvalue of l1 - l2 (quadratic-form ordering test)."""
     if l1.mesh is not l2.mesh:
         raise FieldError("NtD operators live on different meshes")
-    return float(np.min(sla.eigvalsh(_m_symmetrized(l1.lam - l2.lam, l1.mass))))
+    return float(np.min(sla.eigvalsh(_m_symmetrized(l1.lam - l2.lam, l1.mesh.boundary_mass))))
 
 
 def _common_support(q1: PiecewiseConstantField, q2: PiecewiseConstantField) -> np.ndarray:

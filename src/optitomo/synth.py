@@ -48,6 +48,8 @@ def parse_flux(text: str):
         parts = [float(p) for p in arg.split(",")] if arg else []
     except ValueError:  # no form matches: malformed descriptor below
         parts = []
+    if not all(map(math.isfinite, parts)):  # float() accepts nan and inf
+        parts = []
     if name == "const" and len(parts) == 1:
         return lambda theta: np.full_like(np.asarray(theta, dtype=float), parts[0])
     if name == "sin" and len(parts) == 1:
@@ -62,14 +64,16 @@ def parse_flux(text: str):
 def sample_flux(mesh: TriMesh, flux) -> BoundaryTrace:
     """Sample a flux descriptor (string or callable of theta) at boundary nodes."""
     fn = parse_flux(flux) if isinstance(flux, str) else flux
-    return BoundaryTrace(mesh, np.asarray(fn(mesh.boundary_angles), dtype=float))
+    values = np.asarray(fn(mesh.boundary_angles), dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise FieldError("flux samples must be finite")
+    return BoundaryTrace(mesh, values)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A reproducible synthetic experiment."""
 
-    name: str
     fine_elements: int
     coarse_elements: int
     fluxes: tuple
@@ -97,7 +101,6 @@ def example1_spec(noise_level: float = 0.0, seed: int = 0) -> ExperimentSpec:
     inversion on ~1016.
     """
     return ExperimentSpec(
-        name="example1",
         fine_elements=4064,
         coarse_elements=1016,
         fluxes=tuple(f"offset_sin:10,{k}" for k in range(1, 6)),
@@ -113,7 +116,6 @@ def example1_spec(noise_level: float = 0.0, seed: int = 0) -> ExperimentSpec:
 def example2_spec(noise_level: float = 0.0, seed: int = 0) -> ExperimentSpec:
     """Simultaneous benchmark: four circular inclusions, fluxes sin(k*theta)."""
     return ExperimentSpec(
-        name="example2",
         fine_elements=4064,
         coarse_elements=1016,
         fluxes=tuple(f"sin:{k}" for k in range(1, 6)),
@@ -140,23 +142,24 @@ def apply_trace_noise(trace: BoundaryTrace, epsilon: float, rng: np.random.Gener
 
 
 def make_measurements(spec: ExperimentSpec) -> MeasurementSet:
-    """Generate measurement pairs on the coarse mesh from fine-mesh truth solves."""
+    """Generate measurement pairs on the coarse mesh from fine-mesh truth solves.
+
+    The fine solves go one flux at a time: a K-column solve can differ from
+    K one-column solves in the last bits.
+    """
     fine = generate_disk_mesh(spec.fine_elements, spec.angular_multiplier)
     coarse = generate_disk_mesh(spec.coarse_elements, spec.angular_multiplier)
     sigma_f = sample_coefficient(fine, spec.truth_sigma)
     q_f = sample_coefficient(fine, spec.truth_q)
     sys = assemble(fine, sigma_f, q_f)
-    pairs = []
+    fluxes, traces = [], []
     for k, flux in enumerate(spec.fluxes, start=1):
-        g_fine = sample_flux(fine, flux)
-        u = solve_neumann(sys, g_fine)
-        f_fine = restrict_to_boundary(u)
+        f_fine = restrict_to_boundary(solve_neumann(sys, sample_flux(fine, flux)))
         rng = np.random.default_rng([spec.seed, k])
         f_noisy = apply_trace_noise(f_fine, spec.noise_level, rng)
-        f_coarse = transfer_boundary_trace(fine, f_noisy, coarse)
-        g_coarse = sample_flux(coarse, flux)
-        pairs.append((g_coarse, f_coarse))
-    return MeasurementSet(coarse, tuple(pairs))
+        traces.append(transfer_boundary_trace(fine, f_noisy, coarse).values)
+        fluxes.append(sample_flux(coarse, flux).values)
+    return MeasurementSet(coarse, np.column_stack(fluxes), np.column_stack(traces))
 
 
 def consistent_measurements(mesh: TriMesh, sigma, q, fluxes) -> MeasurementSet:
@@ -166,11 +169,9 @@ def consistent_measurements(mesh: TriMesh, sigma, q, fluxes) -> MeasurementSet:
     exact zero; used for optimizer and gradient consistency checks.
     """
     sys = assemble(mesh, sigma, q)
-    pairs = []
-    for flux in fluxes:
-        g = sample_flux(mesh, flux)
-        pairs.append((g, restrict_to_boundary(solve_neumann(sys, g))))
-    return MeasurementSet(mesh, tuple(pairs))
+    gs = [sample_flux(mesh, flux) for flux in fluxes]
+    fs = [restrict_to_boundary(solve_neumann(sys, g)).values for g in gs]
+    return MeasurementSet(mesh, np.column_stack([g.values for g in gs]), np.column_stack(fs))
 
 
 def example2_regions(mesh: TriMesh) -> dict[str, np.ndarray]:
@@ -226,8 +227,8 @@ def write_measurements_csv(meas: MeasurementSet, path) -> None:
     write_csv(path, "k,boundary_node,g,f", [
         np.repeat(np.arange(1, len(meas) + 1), nodes.size),
         np.tile(nodes, len(meas)),
-        np.concatenate([g.values for g, _ in meas.pairs]),
-        np.concatenate([f.values for _, f in meas.pairs]),
+        meas.fluxes.ravel(order="F"),
+        meas.traces.ravel(order="F"),
     ])
 
 
@@ -236,9 +237,9 @@ def read_measurements_csv(mesh: TriMesh, path) -> MeasurementSet:
     rows = read_csv(path, "k,boundary_node,g,f")
     ks, nodes = _numbers(path, rows, 0, int), _numbers(path, rows, 1, int)
     gf = np.column_stack([_numbers(path, rows, c, float) for c in (2, 3)])
-    pairs = []
-    for k in np.unique(ks):
-        values = np.empty((mesh.n_boundary, 2))
-        values[_positions(f"{path}, k={k}", nodes[ks == k], mesh.boundary_nodes)] = gf[ks == k]
-        pairs.append((BoundaryTrace(mesh, values[:, 0]), BoundaryTrace(mesh, values[:, 1])))
-    return MeasurementSet(mesh, tuple(pairs))
+    k_values = np.unique(ks)
+    fluxes, traces = np.empty((2, mesh.n_boundary, k_values.size))
+    for i, k in enumerate(k_values):
+        at = _positions(f"{path}, k={k}", nodes[ks == k], mesh.boundary_nodes)
+        fluxes[at, i], traces[at, i] = gf[ks == k].T
+    return MeasurementSet(mesh, fluxes, traces)

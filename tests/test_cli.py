@@ -78,12 +78,17 @@ def test_unknown_config_key_exits_one(tmp_path):
     assert run(["example1", "--optimizer.max_backtracks=30", "--out", str(tmp_path)]) == 1
     # the certificate search is direct and has no iteration budget
     assert run(["lipschitz", "--lipschitz.max_iter=5", "--out", str(tmp_path)]) == 1
+    # the background diffusion is fixed at 1 outside omega and 2 inside
+    for side in ("outside", "inside"):
+        assert run(["lipschitz", f"--lipschitz.sigma_{side}=1", "--out", str(tmp_path)]) == 1
     assert run(["no_such_command"]) == 1
 
 
 @pytest.mark.parametrize("override, message", [
     ("--coefficients.sigma=constant:abc", "error: malformed coefficient descriptor 'constant:abc'"),
     ("--forward.flux=sin:x", "error: malformed flux descriptor 'sin:x'"),
+    ("--forward.flux=const:nan", "error: malformed flux descriptor 'const:nan'"),
+    ("--forward.flux=sin:inf", "error: malformed flux descriptor 'sin:inf'"),
 ])
 def test_malformed_descriptor_number_exits_two(tmp_path, capsys, override, message):
     args = [

@@ -19,6 +19,7 @@ from optitomo.field import (
 )
 from optitomo.fem import (
     SOLVE_RTOL,
+    _check_residual,
     assemble,
     boundary_load,
     element_gradients,
@@ -231,7 +232,7 @@ def test_each_mesh_builds_one_assembly_pattern(monkeypatch):
     q = sample_coefficient(mesh, "example1_q")
     ang = mesh.boundary_angles
     g = BoundaryTrace(mesh, np.cos(ang))
-    meas = MeasurementSet(mesh, ((g, BoundaryTrace(mesh, np.sin(ang))),))
+    meas = MeasurementSet(mesh, np.cos(ang)[:, None], np.sin(ang)[:, None])
     _solutions(meas, sigma, q)
     _solutions(meas, sigma, q)
     build_ntd(mesh, sigma, q)
@@ -357,6 +358,21 @@ def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficien
     monkeypatch.setattr(optitomo.fem.spla, "splu", lambda matrix, **options: SpoiledLU())
     with pytest.raises(SolverError, match="Dirichlet solve did not converge in column 1"):
         solve_dirichlet_many(sys, g)
+
+
+def test_residual_check_refuses_nan_columns(mesh_small, unit_coefficients):
+    # a NaN ratio compares false with SOLVE_RTOL: a NaN load, or the NaN of a
+    # broken-down factorization, must fail the contract all the same
+    sys = assemble(mesh_small, *unit_coefficients)
+    ang = mesh_small.boundary_angles
+    x = solve_neumann_many(sys, np.column_stack((np.cos(ang), np.sin(ang))))
+    b = sys.matrix @ x
+    _check_residual(sys.matrix, x, b, "clean solve")
+    for spoil in ("solution", "load"):
+        xs, bs = x.copy(), b.copy()
+        (xs if spoil == "solution" else bs)[3, 1] = np.nan
+        with pytest.raises(SolverError, match="spoiled solve did not converge in column 1"):
+            _check_residual(sys.matrix, xs, bs, "spoiled solve")
 
 
 def test_source_zero(mesh_small, unit_coefficients):

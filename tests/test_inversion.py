@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from optitomo.errors import FieldError
-from optitomo.field import NodalField, PiecewiseConstantField, sample_coefficient
+from optitomo.field import BoundaryTrace, NodalField, PiecewiseConstantField, sample_coefficient
 from optitomo.fem import (
     assemble,
     element_gradients,
@@ -19,14 +19,14 @@ from optitomo.inversion import (
     LBFGS_MEMORY,
     Q_ONLY,
     InversionConfig,
+    MeasurementSet,
     _LimitedMemoryInverseHessian,
     _Objective,
     _data_fit,
     _solutions,
     balancing_rho,
     bfgs_minimize,
-    kv_gradient,
-    kv_terms,
+    kv_evaluate,
 )
 from optitomo.synth import (
     consistent_measurements,
@@ -51,7 +51,9 @@ def _reference_kv(meas, sigma, q, rho, mode):
     """The functional pair by pair: 2K single-column solves, per-pair data fit and gradient."""
     mesh = meas.mesh
     sys = assemble(mesh, sigma, q)
-    sols = [(solve_neumann(sys, g), solve_dirichlet(sys, f)) for g, f in meas.pairs]
+    sols = [(solve_neumann(sys, BoundaryTrace(mesh, g)),
+             solve_dirichlet(sys, BoundaryTrace(mesh, f)))
+            for g, f in zip(meas.fluxes.T, meas.traces.T)]
     fit = 0.0
     gsig = np.zeros(mesh.n_elements)
     gq = np.zeros(mesh.n_elements)
@@ -104,23 +106,29 @@ def test_batched_evaluation_matches_per_pair_reference(benchmark_data, example, 
         assert fit == pytest.approx(ref_fit, rel=1e-12)
         assert pen == ref_pen
         assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
-        assert kv_terms(meas, sigma, q, rho, mode) == (value, fit, pen)
-        gsig, gq = kv_gradient(meas, sigma, q, rho, mode)
-        np.testing.assert_array_equal(gq.values, grad[-mesh.n_elements:])
-        if mode == JOINT:
-            np.testing.assert_array_equal(gsig.values, grad[:mesh.n_elements])
-        else:
-            assert gsig is None
+
+
+def test_measurement_set_checks_its_shapes(mesh_small):
+    n = mesh_small.n_boundary
+    for fluxes, traces in (((n + 1, 2), (n + 1, 2)),   # wrong row count
+                           ((n, 0), (n, 0)),           # K = 0
+                           ((n, 2), (n, 3)),           # mismatched shapes
+                           ((n,), (n,))):              # not (n_boundary, K)
+        with pytest.raises(FieldError):
+            MeasurementSet(mesh_small, np.ones(fluxes), np.ones(traces))
+    meas = MeasurementSet(mesh_small, np.ones((n, 2)), np.zeros((n, 2)))
+    assert len(meas) == 2
+    assert not meas.fluxes.flags.writeable and not meas.traces.flags.writeable
 
 
 def _data_energy(meas, sigma, q):
     sys = assemble(meas.mesh, sigma, q)
-    return sum(energy(sys, solve_neumann(sys, g)) for g, _ in meas.pairs)
+    return sum(energy(sys, solve_neumann(sys, BoundaryTrace(meas.mesh, g))) for g in meas.fluxes.T)
 
 
 def test_value_zero_on_consistent_data(example1_consistent):
     sigma, q_true, meas = example1_consistent
-    value = kv_terms(meas, sigma, q_true, 0.0, Q_ONLY)[0]
+    value = kv_evaluate(meas, sigma, q_true, 0.0, Q_ONLY)[0]
     assert 0.0 <= value <= 1e-10 * _data_energy(meas, sigma, q_true)
 
 
@@ -129,26 +137,26 @@ def test_value_reduces_to_penalty_on_consistent_data(example1_consistent):
     mesh = meas.mesh
     rho = 0.37
     expected = 0.5 * rho * float(np.sum(mesh.areas * q_true.values ** 2))
-    value = kv_terms(meas, sigma, q_true, rho, Q_ONLY)[0]
+    value = kv_evaluate(meas, sigma, q_true, rho, Q_ONLY)[0]
     assert value == pytest.approx(expected, rel=1e-10)
     expected_joint = 0.5 * rho * float(
         np.sum(mesh.areas * (sigma.values ** 2 + q_true.values ** 2))
     )
-    assert kv_terms(meas, sigma, q_true, rho, JOINT)[0] == pytest.approx(expected_joint, rel=1e-10)
+    assert kv_evaluate(meas, sigma, q_true, rho, JOINT)[0] == pytest.approx(expected_joint, rel=1e-10)
 
 
 def test_value_nonnegative(example1_consistent):
     sigma, _, meas = example1_consistent
     rng = np.random.default_rng(0)
     q = PiecewiseConstantField(meas.mesh, rng.uniform(0.5, 3.0, meas.mesh.n_elements))
-    assert kv_terms(meas, sigma, q, 0.0, Q_ONLY)[0] >= 0.0
+    assert kv_evaluate(meas, sigma, q, 0.0, Q_ONLY)[0] >= 0.0
 
 
 def test_gradient_vanishes_at_truth(example1_consistent):
     sigma, q_true, meas = example1_consistent
-    gsig, gq = kv_gradient(meas, sigma, q_true, 0.0, JOINT)
-    assert np.max(np.abs(gq.values)) <= 1e-10
-    assert np.max(np.abs(gsig.values)) <= 1e-10
+    _, _, _, gsig, gq = kv_evaluate(meas, sigma, q_true, 0.0, JOINT)
+    assert np.max(np.abs(gq)) <= 1e-10
+    assert np.max(np.abs(gsig)) <= 1e-10
 
 
 def test_gradient_matches_finite_differences(example1_consistent):
@@ -157,16 +165,16 @@ def test_gradient_matches_finite_differences(example1_consistent):
     rng = np.random.default_rng(42)
     q = PiecewiseConstantField(mesh, q_true.values * rng.uniform(0.9, 1.1, mesh.n_elements))
     rho = 1e-3
-    _, gq = kv_gradient(meas, sigma, q, rho, Q_ONLY)
+    gq = kv_evaluate(meas, sigma, q, rho, Q_ONLY)[4]
     for _ in range(5):
         d = rng.standard_normal(mesh.n_elements)
-        analytic = float(gq.values @ d)
+        analytic = float(gq @ d)
         best = np.inf
         for t in (1e-2, 1e-3, 1e-4):
             plus = PiecewiseConstantField(mesh, q.values + t * d)
             minus = PiecewiseConstantField(mesh, q.values - t * d)
-            fd = (kv_terms(meas, sigma, plus, rho, Q_ONLY)[0]
-                  - kv_terms(meas, sigma, minus, rho, Q_ONLY)[0]) / (2 * t)
+            fd = (kv_evaluate(meas, sigma, plus, rho, Q_ONLY)[0]
+                  - kv_evaluate(meas, sigma, minus, rho, Q_ONLY)[0]) / (2 * t)
             best = min(best, abs(fd - analytic) / max(abs(analytic), 1e-300))
         assert best <= 1e-4
 
@@ -176,9 +184,9 @@ def test_gradient_penalty_only_term(example1_consistent):
     sigma, q_true, meas = example1_consistent
     mesh = meas.mesh
     rho = 0.25
-    gsig, _ = kv_gradient(meas, sigma, q_true, rho, JOINT)
+    gsig = kv_evaluate(meas, sigma, q_true, rho, JOINT)[3]
     expected = rho * mesh.areas * sigma.values
-    np.testing.assert_allclose(gsig.values, expected, rtol=0,
+    np.testing.assert_allclose(gsig, expected, rtol=0,
                                atol=1e-10 * np.max(np.abs(expected)))
 
 
@@ -364,17 +372,27 @@ def test_two_loop_direction_matches_explicit_inverse_hessian(n_pairs):
 
 
 def test_bfgs_pure_penalty_hits_projected_zero(mesh_small):
+    # the penalty outweighs the data fit: dJ/dq > 0 on the whole box (checked
+    # at its corners and at random points), so the projected minimizer is the
+    # lower bound in every element
     sigma = sample_coefficient(mesh_small, "one")
+    q2 = sample_coefficient(mesh_small, "constant:2")
+    meas = consistent_measurements(mesh_small, sigma, q2, FLUXES)
     cfg = InversionConfig(
         mode=Q_ONLY,
         sigma0=sigma,
-        q0=sample_coefficient(mesh_small, "constant:2"),
+        q0=q2,
         q_bounds=(0.5, 4.0),
-        rho=1.0,
+        rho=1e5,
         max_iter=200,
         gradient_tolerance=1e-14,
     )
-    _, q_rec, _ = bfgs_minimize(None, cfg)
+    obj = _Objective(meas, cfg)
+    rng = np.random.default_rng(0)
+    for x in (obj.lo, obj.hi, *rng.uniform(obj.lo, obj.hi, (20, obj.lo.size))):
+        assert np.all(obj.value_and_gradient(x, cfg.rho)[3] > 0.0)
+    _, q_rec, trace = bfgs_minimize(meas, cfg)
+    assert trace.converged
     np.testing.assert_allclose(q_rec.values, 0.5, rtol=0, atol=1e-8)
 
 
@@ -430,7 +448,7 @@ def test_balancing_one_step_closed_form(monkeypatch):
         max_iter=0, beta_balance=1.5,
     )
     rho_star, history = balancing_rho(meas, cfg)
-    _, fit0, _ = kv_terms(meas, sigma, q0, 0.0, Q_ONLY)
+    fit0 = kv_evaluate(meas, sigma, q0, 0.0, Q_ONLY)[1]
     pen0 = float(np.sum(mesh.areas * q0.values ** 2))
     assert len(history) == 1
     assert history[0]["rho"] == pytest.approx(2.0 * 0.5 * fit0 / pen0, rel=1e-12)
@@ -495,4 +513,4 @@ def test_balancing_history_data_fit_is_the_final_fit(monkeypatch):
     _, history = balancing_rho(meas, cfg)
     assert len(history) == len(solves) >= 2
     for row, (sigma_rec, q_rec, _) in zip(history, solves):
-        assert row["data_fit"] == kv_terms(meas, sigma_rec, q_rec, 0.0, JOINT)[1]
+        assert row["data_fit"] == kv_evaluate(meas, sigma_rec, q_rec, 0.0, JOINT)[1]

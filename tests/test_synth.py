@@ -89,11 +89,11 @@ def test_noise_free_equals_clean_transfer():
     sigma = sample_coefficient(fine, spec.truth_sigma)
     q = sample_coefficient(fine, spec.truth_q)
     sys = assemble(fine, sigma, q)
-    for (g, f), flux in zip(meas.pairs, spec.fluxes):
+    for g, f, flux in zip(meas.fluxes.T, meas.traces.T, spec.fluxes):
         u = solve_neumann(sys, sample_flux(fine, flux))
         expected = transfer_boundary_trace(fine, restrict_to_boundary(u), coarse)
-        assert np.array_equal(f.values, expected.values)
-        assert np.array_equal(g.values, sample_flux(coarse, flux).values)
+        assert np.array_equal(f, expected.values)
+        assert np.array_equal(g, sample_flux(coarse, flux).values)
 
 
 def test_noise_standard_deviation():
@@ -113,9 +113,8 @@ def test_same_seed_bit_identical():
     spec = small(example1_spec(noise_level=0.05, seed=21))
     a = make_measurements(spec)
     b = make_measurements(spec)
-    for (ga, fa), (gb, fb) in zip(a.pairs, b.pairs):
-        assert np.array_equal(ga.values, gb.values)
-        assert np.array_equal(fa.values, fb.values)
+    assert np.array_equal(a.fluxes, b.fluxes)
+    assert np.array_equal(a.traces, b.traces)
 
 
 def test_different_k_streams_independent():
@@ -123,7 +122,7 @@ def test_different_k_streams_independent():
     clean = small(example1_spec(noise_level=0.0, seed=21))
     noisy = make_measurements(spec)
     base = make_measurements(clean)
-    deltas = [f.values - f0.values for (_, f), (_, f0) in zip(noisy.pairs, base.pairs)]
+    deltas = list((noisy.traces - base.traces).T)
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
             assert not np.array_equal(deltas[i], deltas[j])
@@ -153,37 +152,40 @@ def test_example2_regions_partition(mesh_small):
     assert np.all(total == 1)
 
 
-@pytest.mark.parametrize("text", ["sin:x", "offset_sin:10,", "const:", "cos:1,y"])
+@pytest.mark.parametrize("text", ["sin:x", "offset_sin:10,", "const:", "cos:1,y",
+                                  "const:nan", "sin:inf", "offset_sin:-inf,1"])
 def test_parse_flux_rejects_malformed_numbers(text):
     with pytest.raises(FieldError, match="malformed flux descriptor"):
         parse_flux(text)
 
 
+def test_sample_flux_rejects_non_finite_samples(mesh_small):
+    with pytest.raises(FieldError, match="flux samples must be finite"):
+        sample_flux(mesh_small, lambda theta: np.where(theta > 1.0, np.nan, 1.0))
+
+
 def _reference_measurements_csv(meas, path):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("k,boundary_node,g,f\n")
-        for k, (g, f) in enumerate(meas.pairs, start=1):
-            for node, gv, fv in zip(meas.mesh.boundary_nodes, g.values, f.values):
+        for k, (g, f) in enumerate(zip(meas.fluxes.T, meas.traces.T), start=1):
+            for node, gv, fv in zip(meas.mesh.boundary_nodes, g, f):
                 fh.write(f"{k},{node},{gv:.17g},{fv:.17g}\n")
 
 
 def test_measurements_writer_matches_reference_bytes(tmp_path, mesh_small):
     rng = np.random.default_rng(9)
-    pairs = tuple(
-        (BoundaryTrace(mesh_small, rng.standard_normal(mesh_small.n_boundary)),
-         BoundaryTrace(mesh_small, np.r_[-0.0, np.inf, np.nan,
-                                         rng.standard_normal(mesh_small.n_boundary - 3)]))
-        for _ in range(3)
-    )
-    meas = MeasurementSet(mesh_small, pairs)
+    fluxes = rng.standard_normal((mesh_small.n_boundary, 3))
+    traces = rng.standard_normal((mesh_small.n_boundary, 3))
+    traces[:3] = np.array([-0.0, np.inf, np.nan])[:, None]
+    meas = MeasurementSet(mesh_small, fluxes, traces)
     write_measurements_csv(meas, tmp_path / "new.csv")
     _reference_measurements_csv(meas, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_measurements_reader_rejects_duplicate_node(tmp_path, mesh_small):
-    g = BoundaryTrace(mesh_small, np.ones(mesh_small.n_boundary))
-    write_measurements_csv(MeasurementSet(mesh_small, ((g, g),)), tmp_path / "m.csv")
+    g = np.ones((mesh_small.n_boundary, 1))
+    write_measurements_csv(MeasurementSet(mesh_small, g, g), tmp_path / "m.csv")
     node = mesh_small.boundary_nodes[0]
     (tmp_path / "m.csv").write_text((tmp_path / "m.csv").read_text() + f"1,{node},2,2\n")
     with pytest.raises(FieldError, match=f"k=1: index {node} appears more than once"):
@@ -196,6 +198,5 @@ def test_measurements_csv_round_trip(tmp_path):
     path = tmp_path / "meas.csv"
     write_measurements_csv(meas, path)
     back = read_measurements_csv(meas.mesh, path)
-    for (g, f), (g2, f2) in zip(meas.pairs, back.pairs):
-        assert np.array_equal(g.values, g2.values)
-        assert np.array_equal(f.values, f2.values)
+    assert np.array_equal(meas.fluxes, back.fluxes)
+    assert np.array_equal(meas.traces, back.traces)
