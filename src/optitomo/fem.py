@@ -15,8 +15,10 @@ sides.  There is one full-system path, for boundary-flux loads
 interior loads (``solve_source``) alike, and one Dirichlet path
 (``solve_dirichlet_many``, with ``solve_dirichlet``), which reads A_II from
 the data of A through the pattern and factors it once per call for all its
-columns.  Every column of a solve must meet the SOLVE_RTOL residual contract
-on its own, which also catches a breakdown of the unpivoted factorization.
+columns.  ``solve_sparse_spd`` and ``solve_dense_spd`` solve with a block of
+a system, such as A_II, on a factorization made for the call.  Every column
+of a solve must meet the SOLVE_RTOL residual contract on its own, which also
+catches a breakdown of the unpivoted factorization.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -157,10 +160,31 @@ def solve_dirichlet_many(sys: AssembledSystem, f_values: np.ndarray) -> np.ndarr
     out[mesh.boundary_nodes] = f_values
     interior, sub = mesh.assembly_pattern.interior_block(sys.matrix)
     rhs = -(sys.matrix @ out)[interior]
-    x_int = _factorize(sub).solve(rhs)
-    _check_residual(sub, x_int, rhs, "Dirichlet solve")
-    out[interior] = x_int
+    out[interior] = solve_sparse_spd(sub, rhs, "Dirichlet solve")
     return out
+
+
+def solve_sparse_spd(matrix, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve with a sparse SPD matrix on an LU made for this call, each column under the contract."""
+    x = _factorize(matrix).solve(rhs)
+    _check_residual(matrix, x, rhs, what)
+    return x
+
+
+def solve_dense_spd(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve with a dense SPD matrix by Cholesky, every column under the residual contract.
+
+    The factorization reads the lower triangle; the residual is taken against
+    the whole matrix, and also refuses a NaN that a non-finite input leaves.
+    Raises :class:`SolverError` if the matrix is not positive definite.
+    """
+    try:
+        factor = sla.cho_factor(matrix, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{what} failed: the matrix is not positive definite ({exc})") from None
+    x = sla.cho_solve(factor, rhs, check_finite=False)
+    _check_residual(matrix, x, rhs, what)
+    return x
 
 
 def solve_source(sys: AssembledSystem, elements: np.ndarray, values: np.ndarray) -> NodalField:

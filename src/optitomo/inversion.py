@@ -116,8 +116,8 @@ class InversionConfig:
             lo, hi = self.sigma_bounds
             if not 0.0 < lo <= hi:
                 raise FieldError("sigma bounds must be ordered and positive")
-        if self.beta_balance <= 1.0:
-            raise FieldError("beta_balance must exceed 1")
+        if not self.beta_balance > 1.0:  # NaN fails too
+            raise FieldError(f"beta_balance must exceed 1, got {self.beta_balance}")
 
 
 @dataclass

@@ -8,10 +8,10 @@ certificate
     beta(j,k) = 1/2 int_{D_j} u^2 - (3b/(2a) - 1/2) int_{omega \\ D_j} u^2
 
 is a quadratic form g^T B g with B = U^T Q U: column i of U is the Neumann
-solution for the i-th boundary hat current (the solve ``build_ntd`` makes),
-and Q sums the exact P1 element mass matrices over omega with weight 1/2 on
-D_j and -(3b/(2a) - 1/2) on the rest.  The current with the largest
-certificate per unit squared norm <g, g>_M is the top eigenvector of
+solution for the i-th boundary hat current on the nodes of the omega
+elements, and Q sums the exact P1 element mass matrices over omega with
+weight 1/2 on D_j and -(3b/(2a) - 1/2) on the rest.  The current with the
+largest certificate per unit squared norm <g, g>_M is the top eigenvector of
 B g = lambda M g (Golub & Van Loan, Matrix Computations, section 8.7).
 ``find_localized_current`` scales it to beta = BETA_TARGET, which makes
 <g, g>_M = BETA_TARGET / lambda_max the smallest squared norm of any current
@@ -23,7 +23,7 @@ a relative tolerance of BETA_TARGET, which catches a wrong form B or wrong
 weights.  The tolerance is RECHECK_RTOL, or RECHECK_ROUNDING * eps * kappa
 where that is larger: kappa = max |lambda_i| / lambda_max over the spectrum
 of B g = lambda M g, and the rounding of B reaches the re-checked beta as
-about eps * kappa (measured at most 0.16 eps * kappa on 288 and 968 elements),
+about eps * kappa (measured at most 0.28 eps * kappa on 288 and 968 elements),
 so strongly indefinite forms keep their certificates while a relative weight
 error delta, which moves beta by about 3.6 delta, is still refused.
 
@@ -33,21 +33,38 @@ The certified sup-norm stability inequality reads
 
 with stability factor S = max over (j,k) of <g, g>_M; ``lipschitz_constant``
 returns its reciprocal L = 1/S together with the accepted currents.
+
+Every probing absorption (eta(j,k), and the random fields of
+``stability_report``) vanishes outside omega, so the systems of one setup
+differ only in the block of the nodes of the omega elements.
+``Condensation`` eliminates the rest once per setup, and each system is then
+one dense Schur complement solve for U on those nodes; the NtD matrices of
+the stability report are read from the same solve.  The re-check of a
+certificate is a sparse solve of the full system, on its own factorization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import CertificateError, FieldError
 from .field import BoundaryTrace, PiecewiseConstantField
-from .fem import assemble, element_l2_products, solve_neumann, solve_neumann_many
+from .fem import (
+    AssembledSystem,
+    assemble,
+    boundary_load,
+    element_l2_products,
+    solve_dense_spd,
+    solve_neumann,
+    solve_sparse_spd,
+)
 from .mesh import Partition, TriMesh
-from .ntd import boundary_inner, build_ntd, m_weighted_opnorm
+from .ntd import NtDMatrix, boundary_inner, m_weighted_opnorm
 
 # Certificate level of every accepted current; the margin above 1 is far
 # wider than the re-check tolerance.
@@ -76,6 +93,78 @@ class ProbingSetup:
     def n_cells(self) -> int:
         return self.partition.n_cells
 
+    @cached_property
+    def condensation(self) -> Condensation:
+        """The probing systems condensed onto omega, built on first use."""
+        return Condensation(self)
+
+
+class Condensation:
+    """The probing systems of a setup, condensed onto the nodes of the omega elements.
+
+    With I the nodes of the omega elements and E the rest, an absorption that
+    vanishes outside omega changes only the block A_II of A; A_EE and A_EI
+    are fixed by sigma.  The setup factors A_EE once and solves, every column
+    under the residual contract, Z = A_EE^-1 b_E for the boundary hat loads b
+    and Y = A_EE^-1 A_EI; it keeps W = A_IE Z - b_I, C = A_IE Y, and the
+    boundary rows of Z and Y.  Per absorption q the rows I of the Neumann
+    solutions solve S x_I = -W with the Schur complement S = A_II(q) - C
+    (Quarteroni & Valli, Domain Decomposition Methods for PDEs, 1999, ch. 1),
+    by dense Cholesky under the residual contract, and the NtD matrix is
+    Z_B - Y_B x_I.  The residual of the full system splits into these two
+    contracts: its rows I are the Schur residual S x_I + W, and its rows E
+    are R_Z - R_Y x_I, with R_Z and R_Y the residuals of the A_EE columns.
+    """
+
+    def __init__(self, setup: ProbingSetup):
+        mesh = setup.mesh
+        self.mesh = mesh
+        self.sigma = setup.sigma
+        self.omega_mask = setup.partition.omega_mask
+        n_b = mesh.n_boundary
+        inner = np.zeros(mesh.n_nodes, dtype=bool)
+        inner[mesh.elements[self.omega_mask]] = True
+        outer = ~inner
+        # any absorption that vanishes outside omega gives the same A_EE and A_EI
+        a = assemble(mesh, setup.sigma, eta_field(setup, 1, 1)).matrix[outer]
+        a_ei = a[:, inner].toarray()
+        b = boundary_load(mesh, np.eye(n_b))
+        zy = solve_sparse_spd(a[:, outer], np.hstack([b[outer], a_ei]), "exterior solve")
+        z, y = np.hsplit(zy, [n_b])
+        self.w = a_ei.T @ z - b[inner]
+        self.c = a_ei.T @ y
+        # Lambda = Z_B - Y_B x_I; a boundary node of an omega element reads its
+        # own row of x_I (0 in Z_B, -1 in Y_B)
+        local = np.where(inner, np.cumsum(inner), np.cumsum(outer)) - 1
+        bn = mesh.boundary_nodes
+        on_e = outer[bn]
+        self.z_b = np.zeros((n_b, n_b))
+        self.y_b = np.zeros((n_b, self.c.shape[0]))
+        self.z_b[on_e] = z[local[bn[on_e]]]
+        self.y_b[on_e] = y[local[bn[on_e]]]
+        self.y_b[~on_e, local[bn[~on_e]]] = -1.0
+        # the data slots of A_II and their dense (row, column) places
+        self._slots, rows, indptr = mesh.assembly_pattern.principal_block(inner)
+        self._places = (rows, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)))
+
+    def solve(self, q: PiecewiseConstantField) -> tuple[AssembledSystem, np.ndarray]:
+        """A(q), and the rows I of the Neumann solutions for every boundary hat current.
+
+        Raises :class:`FieldError` if q is nonzero outside omega, and
+        :class:`SolverError` if S is not positive definite or a column misses
+        the residual contract.
+        """
+        if np.any(q.values[~self.omega_mask] != 0.0):
+            raise FieldError("absorption field must vanish outside the subdomain")
+        sys = assemble(self.mesh, self.sigma, q)
+        schur = -self.c
+        schur[self._places] += sys.matrix.data[self._slots]
+        return sys, -solve_dense_spd(schur, self.w, "condensed Neumann solve")
+
+    def ntd(self, q: PiecewiseConstantField) -> NtDMatrix:
+        """The NtD matrix at absorption q, checked as every ``NtDMatrix`` is."""
+        return NtDMatrix(self.mesh, self.z_b - self.y_b @ self.solve(q)[1])
+
 
 @dataclass(frozen=True)
 class LocalizedCurrent:
@@ -83,7 +172,8 @@ class LocalizedCurrent:
 
     ``recheck_rtol`` is the relative tolerance its re-check was held to;
     ``forward_applications`` counts the Neumann columns solved to find and
-    certify it: one per boundary hat current, and the re-check.
+    certify it: one condensed column per boundary hat current, and the
+    re-check.
     """
 
     j: int
@@ -165,24 +255,28 @@ def localization_gap(setup: ProbingSetup, q: PiecewiseConstantField, g: Boundary
 def _certificate_form(mesh: TriMesh, elements: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """sum_e weights_e int_e u_a u_b over the listed elements, for every column pair (a, b) of u.
 
-    Uses the exact P1 element mass formula of ``element_l2_products``,
-    int_e u v = |e|/12 (sum_i u_i sum_i v_i + sum_i u_i v_i) over the vertices i of e.
+    Row r of u holds the values at the r-th lowest node of the listed
+    elements.  The form is u^T Q u, with Q the weighted sum of the exact P1
+    element mass matrices of ``element_l2_products``, |e|/12 (1 1^T + I) on
+    the vertices of e.
     """
-    vertex = u[mesh.elements[elements]]
-    w = weights * mesh.areas[elements] / 12.0
-    total = vertex.sum(axis=1)
-    flat = vertex.reshape(-1, u.shape[1])
-    return (total.T * w) @ total + (flat.T * np.repeat(w, 3)) @ flat
+    _, local = np.unique(mesh.elements[elements], return_inverse=True)
+    local = local.reshape(-1, 3)
+    n = u.shape[0]
+    entries = (weights * mesh.areas[elements] / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    pairs = (local[:, :, None] * n + local[:, None, :]).ravel()
+    q = np.bincount(pairs, weights=entries.ravel(), minlength=n * n).reshape(n, n)
+    return u.T @ (q @ u)
 
 
 def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurrent:
     """The current with the smallest squared norm certified at beta(j,k) = BETA_TARGET.
 
     Solves the Neumann problem at eta(j,k) for every boundary hat current,
-    forms the certificate's quadratic form B over the omega elements, takes
-    the top eigenpair of B g = lambda M g and scales the eigenvector to
-    beta = BETA_TARGET.  The current is then certified again by its own
-    Neumann solve.
+    condensed onto omega, forms the certificate's quadratic form B over the
+    omega elements, takes the top eigenpair of B g = lambda M g and scales
+    the eigenvector to beta = BETA_TARGET.  The current is then certified
+    again by its own Neumann solve of the full system.
 
     Raises :class:`CertificateError` if lambda_max <= 0, so that no current
     has a positive certificate (a mesh or partition too coarse for the
@@ -191,12 +285,11 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     """
     mesh = setup.mesh
     part = setup.partition
-    sys = assemble(mesh, setup.sigma, eta_field(setup, j, k))
+    sys, x_i = setup.condensation.solve(eta_field(setup, j, k))
     omega = np.flatnonzero(part.omega_mask)
     # stated apart from ``_certificate``, so the re-check also catches a wrong weight
     weights = np.where(part.labels[omega] == j, 0.5, 0.5 - 1.5 * setup.b / setup.a)
-    n_b = mesh.n_boundary
-    form = _certificate_form(mesh, omega, weights, solve_neumann_many(sys, np.eye(n_b)))
+    form = _certificate_form(mesh, omega, weights, x_i)
     lam, vec = sla.eigh(form, mesh.boundary_mass)
     top = lam[-1]
     if not top > 0.0:
@@ -216,7 +309,7 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
             f"solve against {BETA_TARGET} from the eigenproblem (relative defect {defect:.3e} "
             f"> tolerance {rtol:.3e})"
         )
-    return LocalizedCurrent(j, k, g, beta, float(rtol), n_b + 1)
+    return LocalizedCurrent(j, k, g, beta, float(rtol), x_i.shape[1] + 1)
 
 
 def verify_localization(
@@ -281,10 +374,7 @@ def stability_report(
         dist = float(np.max(np.abs(q1 - q2)))
         if dist == 0.0:
             continue
-        lam1, lam2 = (
-            build_ntd(setup.mesh, setup.sigma, cell_values_to_field(part, v)).lam
-            for v in (q1, q2)
-        )
+        lam1, lam2 = (setup.condensation.ntd(cell_values_to_field(part, v)).lam for v in (q1, q2))
         opnorm = m_weighted_opnorm(lam1 - lam2, setup.mesh.boundary_mass)
         bound = factor * opnorm
         rows.append(

@@ -197,10 +197,11 @@ class AssemblyPattern:
 
     Entry (a, b) of element e's 3x3 matrix, flattened row-major, is summed into
     data slot ``slots[9 e + 3 a + b]`` of a CSC matrix with ``indptr`` and
-    ``indices`` (rows sorted within each column, no duplicates).  The interior
-    block A_II of such a matrix is a fixed subset of its data slots, found
-    once on first use.  A pattern costs about 90 B per element, and about 40 B
-    more once A_II has been cut; it lives as long as its mesh, as
+    ``indices`` (rows sorted within each column, no duplicates).  The
+    principal block of such a matrix over any node set is a fixed subset of
+    its data slots (``principal_block``); those of the interior block A_II
+    are found once on first use.  A pattern costs about 90 B per element, and
+    about 40 B more once A_II has been cut; it lives as long as its mesh, as
     ``TriMesh.assembly_pattern``.  It keeps the mesh's arrays, not the mesh,
     so that mesh and pattern form no reference cycle.
     """
@@ -219,18 +220,26 @@ class AssemblyPattern:
         self.indices = structure.indices
         self.indptr = structure.indptr
 
-    @cached_property
-    def _interior(self) -> tuple:
-        """Interior node mask, and the data slots, indices and indptr of A_II."""
+    def principal_block(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Data slots, indices and indptr of the principal block over the nodes in ``mask``.
+
+        The block is in CSC form with its nodes numbered in increasing order;
+        its entry p is data slot ``slots[p]`` of any matrix on this pattern.
+        """
         n = self.indptr.size - 1
-        interior = np.ones(n, dtype=bool)
-        interior[self.boundary_nodes] = False
         # numbered data carry each entry's slot through the slice (from 1, so
         # that no slot is a zero)
         slots = np.arange(1.0, self.indices.size + 1)
         numbered = sp.csc_array((slots, self.indices, self.indptr), shape=(n, n))
-        block = numbered[interior][:, interior]
-        return interior, block.data.astype(np.intp) - 1, block.indices, block.indptr
+        block = numbered[mask][:, mask]
+        return block.data.astype(np.intp) - 1, block.indices, block.indptr
+
+    @cached_property
+    def _interior(self) -> tuple:
+        """Interior node mask, and the data slots, indices and indptr of A_II."""
+        interior = np.ones(self.indptr.size - 1, dtype=bool)
+        interior[self.boundary_nodes] = False
+        return interior, *self.principal_block(interior)
 
     def interior_block(self, matrix: sp.csc_matrix) -> tuple[np.ndarray, sp.csc_matrix]:
         """Interior node mask and A_II of a matrix assembled on this pattern."""

@@ -33,10 +33,24 @@ MSYM_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class NtDMatrix:
-    """Dense discrete Neumann-to-Dirichlet operator; ``mesh.boundary_mass`` weights its norms."""
+    """Dense discrete Neumann-to-Dirichlet operator; ``mesh.boundary_mass`` weights its norms.
+
+    M-symmetry and M-positive-definiteness are verified on construction, so
+    every operator built, by ``build_ntd`` or otherwise, passes both checks.
+    """
 
     mesh: TriMesh
     lam: np.ndarray
+
+    def __post_init__(self):
+        ml = self.mesh.boundary_mass @ self.lam
+        defect = np.max(np.abs(ml - ml.T))
+        scale = np.max(np.abs(ml))
+        if defect > MSYM_RTOL * scale:
+            raise SolverError(f"NtD M-symmetry defect {defect / scale:.3e} exceeds {MSYM_RTOL}")
+        eigmin = float(np.min(sla.eigvalsh(0.5 * (ml + ml.T))))
+        if eigmin <= 0.0:
+            raise SolverError(f"NtD quadratic form is not positive definite (min eig {eigmin:.3e})")
 
     @property
     def n_boundary(self) -> int:
@@ -51,24 +65,10 @@ def build_ntd(
     """Build the discrete NtD matrix column by column from boundary hat currents.
 
     Column j is the boundary trace of the Neumann solution driven by the j-th
-    boundary hat function.  M-symmetry and M-positive-definiteness are
-    verified on every build.
+    boundary hat function.
     """
-    sys = assemble(mesh, sigma, q)
-    columns = np.eye(mesh.n_boundary)
-    x = solve_neumann_many(sys, columns)
-    lam = x[mesh.boundary_nodes, :]
-    m = mesh.boundary_mass
-
-    ml = m @ lam
-    defect = np.max(np.abs(ml - ml.T))
-    scale = np.max(np.abs(ml))
-    if defect > MSYM_RTOL * scale:
-        raise SolverError(f"NtD M-symmetry defect {defect / scale:.3e} exceeds {MSYM_RTOL}")
-    eigmin = float(np.min(sla.eigvalsh(0.5 * (ml + ml.T))))
-    if eigmin <= 0.0:
-        raise SolverError(f"NtD quadratic form is not positive definite (min eig {eigmin:.3e})")
-    return NtDMatrix(mesh, lam)
+    x = solve_neumann_many(assemble(mesh, sigma, q), np.eye(mesh.n_boundary))
+    return NtDMatrix(mesh, x[mesh.boundary_nodes, :])
 
 
 def boundary_inner(g: BoundaryTrace, h: BoundaryTrace, mass: np.ndarray) -> float:

@@ -39,19 +39,23 @@ def unit_coefficients(mesh_small):
 
 @pytest.fixture
 def forward_solves(monkeypatch):
-    """Column counts of the Neumann solves that ``optitomo.locpot`` makes during the test."""
+    """Column counts of the Neumann solves the certificates of ``optitomo.locpot`` make during the test.
+
+    These are the condensed columns each certificate form is built from, and
+    each single-current solve.
+    """
     columns = []
     single = optitomo.locpot.solve_neumann
-    many = optitomo.locpot.solve_neumann_many
+    form = optitomo.locpot._certificate_form
 
     def counting_single(sys, g):
         columns.append(1)
         return single(sys, g)
 
-    def counting_many(sys, g_values):
-        columns.append(g_values.shape[1])
-        return many(sys, g_values)
+    def counting_form(mesh, elements, weights, u):
+        columns.append(u.shape[1])
+        return form(mesh, elements, weights, u)
 
     monkeypatch.setattr(optitomo.locpot, "solve_neumann", counting_single)
-    monkeypatch.setattr(optitomo.locpot, "solve_neumann_many", counting_many)
+    monkeypatch.setattr(optitomo.locpot, "_certificate_form", counting_form)
     return columns

@@ -154,6 +154,14 @@ def test_nan_noise_level_exits_two(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_nan_beta_balance_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["example1", "--optimizer.beta_balance=nan", "--optimizer.balancing=true",
+                "--optimizer.max_iter=3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: beta_balance must exceed 1, got nan\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

@@ -429,6 +429,8 @@ def test_config_validation(mesh_small):
         InversionConfig(mode=JOINT, sigma0=sigma, q0=q0, q_bounds=(1, 2))
     with pytest.raises(FieldError):
         InversionConfig(mode=Q_ONLY, sigma0=sigma, q0=q0, q_bounds=(1, 2), beta_balance=1.0)
+    with pytest.raises(FieldError, match="beta_balance must exceed 1, got nan"):
+        InversionConfig(mode=Q_ONLY, sigma0=sigma, q0=q0, q_bounds=(1, 2), beta_balance=float("nan"))
 
 
 def test_balancing_one_step_closed_form(monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
+import optitomo.fem
 import optitomo.locpot
-from optitomo.errors import CertificateError, FieldError, MeshError
+from optitomo.errors import CertificateError, FieldError, MeshError, SolverError
 from optitomo.field import BoundaryTrace, PiecewiseConstantField
 from optitomo.fem import (
     assemble,
@@ -33,6 +34,7 @@ from optitomo.locpot import (
     verify_localization,
 )
 from optitomo.mesh import Partition, generate_disk_mesh, subdomain_partition
+from optitomo.ntd import build_ntd
 
 
 @pytest.fixture(scope="module")
@@ -329,9 +331,58 @@ def test_determinism_bit_for_bit(setup_small):
 
 def test_forward_applications_count_every_solve(setup_small, forward_solves):
     cur = find_localized_current(setup_small, 2, 4)
-    # one column per boundary hat current, and one for the re-check
+    # one condensed column per boundary hat current, and one for the re-check
     assert forward_solves == [setup_small.mesh.n_boundary, 1]
     assert cur.forward_applications == sum(forward_solves)
+
+
+# omega radius 0.5 keeps the boundary outside omega; at 0.9 omega reaches
+# part of the boundary, and at 0.99 it covers the whole mesh
+@pytest.mark.parametrize("target, radius", [(254, 0.5), (1016, 0.5), (254, 0.9), (254, 0.99)])
+def test_condensed_ntd_matches_build_ntd(target, radius):
+    mesh = generate_disk_mesh(target, angular_multiplier=8)
+    setup = make_probing_setup(subdomain_partition(mesh, radius, 8), 1.0, 2.0)
+    omega = setup.partition.omega_mask
+    rng = np.random.default_rng(target)
+    for _ in range(3):
+        values = np.where(omega, rng.uniform(setup.a, setup.b, mesh.n_elements), 0.0)
+        q = PiecewiseConstantField(mesh, values)
+        lam = setup.condensation.ntd(q).lam
+        ref = build_ntd(mesh, setup.sigma, q).lam
+        assert np.max(np.abs(lam - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_certificates_and_report_share_one_exterior_factorization(mesh_small_aligned, monkeypatch):
+    # one LU of A_EE per setup, and one of the full system per re-check
+    setup = make_probing_setup(subdomain_partition(mesh_small_aligned, 0.5, 4), 1.0, 1.2)
+    sizes = []
+    original = optitomo.fem._factorize
+
+    def counting(matrix):
+        sizes.append(matrix.shape[0])
+        return original(matrix)
+
+    monkeypatch.setattr(optitomo.fem, "_factorize", counting)
+    _, currents = lipschitz_constant(setup)
+    stability_report(setup, currents, 5, seed=0)
+    n_exterior = mesh_small_aligned.n_nodes - setup.condensation.c.shape[0]
+    assert sizes == [n_exterior] + [mesh_small_aligned.n_nodes] * (setup.n_cells * setup.K)
+
+
+def test_condensation_refuses_absorption_outside_omega(setup_small):
+    values = eta_field(setup_small, 1, 1).values.copy()
+    values[np.flatnonzero(~setup_small.partition.omega_mask)[0]] = 1.0
+    with pytest.raises(FieldError, match="must vanish outside the subdomain"):
+        setup_small.condensation.solve(PiecewiseConstantField(setup_small.mesh, values))
+
+
+def test_indefinite_schur_complement_is_a_solver_error(mesh_small_aligned, monkeypatch):
+    setup = make_probing_setup(subdomain_partition(mesh_small_aligned, 0.5, 4), 1.0, 2.0)
+    condensation = setup.condensation
+    shifted = condensation.c + 1e3 * np.eye(condensation.c.shape[0])
+    monkeypatch.setattr(condensation, "c", shifted)
+    with pytest.raises(SolverError, match="not positive definite"):
+        find_localized_current(setup, 1, 1)
 
 
 def test_certificate_error_names_best_beta(setup_small, monkeypatch):

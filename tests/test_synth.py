@@ -192,6 +192,16 @@ def test_measurements_reader_rejects_duplicate_node(tmp_path, mesh_small):
         read_measurements_csv(mesh_small, tmp_path / "m.csv")
 
 
+def test_measurements_reader_rejects_a_gap_in_k(tmp_path, mesh_small):
+    g = np.ones((mesh_small.n_boundary, 3))
+    path = tmp_path / "m.csv"
+    write_measurements_csv(MeasurementSet(mesh_small, g, g), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("2,")))
+    with pytest.raises(FieldError, match=r"m\.csv: pair indices k must run 1\.\.K, found \[1, 3\]"):
+        read_measurements_csv(mesh_small, path)
+
+
 def test_measurements_csv_round_trip(tmp_path):
     spec = small(example1_spec(noise_level=0.05, seed=2))
     meas = make_measurements(spec)
