@@ -134,9 +134,9 @@ def _load_config(command: str, args, overrides) -> dict:
         raise UsageError(f"config file {args.config!r} does not exist")
     try:
         if args.config is not None:
-            parser.read(args.config)
+            parser.read(args.config, encoding="utf-8")
         cfg = {section: dict(parser[section]) for section in parser.sections()}
-    except configparser.Error as exc:  # its messages may span lines
+    except (configparser.Error, UnicodeDecodeError) as exc:  # its messages may span lines
         raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
 
     if command in ("example1", "example2"):
@@ -221,7 +221,7 @@ def _get(cfg, section, key, default=None, cast=str, minimum=None):
 
 def _angular(cfg):
     raw = _get(cfg, "mesh", "angular_multiplier", default="", cast=str)
-    return int(raw) if raw else None
+    return _get(cfg, "mesh", "angular_multiplier", cast=int) if raw else None
 
 
 def _disk_mesh(cfg, default_multiplier=None):

@@ -212,8 +212,3 @@ def element_l2_products(u: NodalField, v: NodalField) -> np.ndarray:
     uv = u.values[mesh.elements]
     vv = v.values[mesh.elements]
     return mesh.areas / 12.0 * (uv.sum(axis=1) * vv.sum(axis=1) + (uv * vv).sum(axis=1))
-
-
-def energy(sys: AssembledSystem, u: NodalField) -> float:
-    """Quadratic form u^T A u = int sigma |grad u|^2 + q u^2."""
-    return float(u.values @ (sys.matrix @ u.values))

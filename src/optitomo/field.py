@@ -222,77 +222,17 @@ def write_csv(path, header: str, columns) -> None:
         fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
-def read_csv(path, header: str) -> list[list[str]]:
-    """Rows of a CSV artifact split into cells, after checking its header and row widths."""
-    # A non-ASCII byte decodes to U+FFFD and fails the header or number checks.
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        found = fh.readline().rstrip("\n")
-        if found != header:
-            raise FieldError(f"unexpected CSV header {found!r} in {path}, expected {header!r}")
-        rows = [line.rstrip("\n").split(",") for line in fh]
-    width = header.count(",") + 1
-    for n, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise FieldError(f"{path} line {n}: expected {width} fields, got {len(row)}")
-    return rows
-
-
-def _numbers(path, rows, column: int, cast) -> np.ndarray:
-    """One column of ``read_csv`` rows converted with ``cast`` (int or float)."""
-    try:
-        return np.array([cast(row[column]) for row in rows], dtype=cast)
-    except (ValueError, OverflowError) as exc:
-        raise FieldError(f"malformed value in {path}: {exc}") from None
-
-
-def _positions(source, index: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position in ``keys`` of each row index, every key exactly once; ``source`` labels errors."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    slot = np.minimum(np.searchsorted(ordered, index), keys.size - 1)
-    unknown = ordered[slot] != index
-    if np.any(unknown):
-        raise FieldError(f"{source}: unexpected index {index[unknown][0]}")
-    counts = np.bincount(slot, minlength=keys.size)
-    if np.any(counts > 1):
-        raise FieldError(f"{source}: index {ordered[np.argmax(counts)]} appears more than once")
-    if np.any(counts == 0):
-        raise FieldError(f"{source}: index {ordered[np.argmin(counts)]} is missing")
-    return order[slot]
-
-
-def _read_indexed(path, header: str, keys: np.ndarray) -> np.ndarray:
-    """Values of an ``index,value`` CSV in the order of ``keys``; ``nan`` is a value."""
-    rows = read_csv(path, header)
-    values = np.empty(keys.size)
-    values[_positions(path, _numbers(path, rows, 0, int), keys)] = _numbers(path, rows, 1, float)
-    return values
-
-
 def write_element_csv(field: PiecewiseConstantField, path) -> None:
     write_csv(path, "element_index,value", [np.arange(field.mesh.n_elements), field.values])
-
-
-def read_element_csv(mesh: TriMesh, path) -> PiecewiseConstantField:
-    values = _read_indexed(path, "element_index,value", np.arange(mesh.n_elements))
-    return PiecewiseConstantField(mesh, values)
 
 
 def write_node_csv(field: NodalField, path) -> None:
     write_csv(path, "node_index,value", [np.arange(field.mesh.n_nodes), field.values])
 
 
-def read_node_csv(mesh: TriMesh, path) -> NodalField:
-    return NodalField(mesh, _read_indexed(path, "node_index,value", np.arange(mesh.n_nodes)))
-
-
 def write_trace_csv(trace: BoundaryTrace, path) -> None:
     """Boundary trace rows keyed by global node index, in angular order."""
     write_csv(path, "node_index,value", [trace.mesh.boundary_nodes, trace.values])
-
-
-def read_trace_csv(mesh: TriMesh, path) -> BoundaryTrace:
-    return BoundaryTrace(mesh, _read_indexed(path, "node_index,value", mesh.boundary_nodes))
 
 
 def write_field_pgm(field: PiecewiseConstantField, path, resolution: int = 512) -> None:

@@ -64,7 +64,7 @@ from .fem import (
     solve_sparse_spd,
 )
 from .mesh import Partition, TriMesh
-from .ntd import NtDMatrix, boundary_inner, m_weighted_opnorm
+from .ntd import NtDMatrix, boundary_inner, opnorm_diff
 
 # Certificate level of every accepted current; the margin above 1 is far
 # wider than the re-check tolerance.
@@ -374,8 +374,8 @@ def stability_report(
         dist = float(np.max(np.abs(q1 - q2)))
         if dist == 0.0:
             continue
-        lam1, lam2 = (setup.condensation.ntd(cell_values_to_field(part, v)).lam for v in (q1, q2))
-        opnorm = m_weighted_opnorm(lam1 - lam2, setup.mesh.boundary_mass)
+        ntd1, ntd2 = (setup.condensation.ntd(cell_values_to_field(part, v)) for v in (q1, q2))
+        opnorm = opnorm_diff(ntd1, ntd2)
         bound = factor * opnorm
         rows.append(
             {

@@ -48,9 +48,14 @@ class NtDMatrix:
         scale = np.max(np.abs(ml))
         if defect > MSYM_RTOL * scale:
             raise SolverError(f"NtD M-symmetry defect {defect / scale:.3e} exceeds {MSYM_RTOL}")
-        eigmin = float(np.min(sla.eigvalsh(0.5 * (ml + ml.T))))
-        if eigmin <= 0.0:
-            raise SolverError(f"NtD quadratic form is not positive definite (min eig {eigmin:.3e})")
+        sym = 0.5 * (ml + ml.T)
+        try:
+            sla.cholesky(sym, check_finite=False)
+        except sla.LinAlgError:
+            eigmin = float(np.min(sla.eigvalsh(sym)))
+            raise SolverError(
+                f"NtD quadratic form is not positive definite (min eig {eigmin:.3e})"
+            ) from None
 
     @property
     def n_boundary(self) -> int:

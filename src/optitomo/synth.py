@@ -22,9 +22,6 @@ from .errors import FieldError
 from .field import (
     BoundaryTrace,
     PiecewiseConstantField,
-    _numbers,
-    _positions,
-    read_csv,
     restrict_to_boundary,
     sample_coefficient,
     transfer_boundary_trace,
@@ -230,18 +227,3 @@ def write_measurements_csv(meas: MeasurementSet, path) -> None:
         meas.fluxes.ravel(order="F"),
         meas.traces.ravel(order="F"),
     ])
-
-
-def read_measurements_csv(mesh: TriMesh, path) -> MeasurementSet:
-    """Pairs k = 1..K in increasing k; each k must list every boundary node exactly once."""
-    rows = read_csv(path, "k,boundary_node,g,f")
-    ks, nodes = _numbers(path, rows, 0, int), _numbers(path, rows, 1, int)
-    gf = np.column_stack([_numbers(path, rows, c, float) for c in (2, 3)])
-    k_values = np.unique(ks)
-    if not np.array_equal(k_values, np.arange(1, k_values.size + 1)):
-        raise FieldError(f"{path}: pair indices k must run 1..K, found {k_values.tolist()}")
-    fluxes, traces = np.empty((2, mesh.n_boundary, k_values.size))
-    for i, k in enumerate(k_values):
-        at = _positions(f"{path}, k={k}", nodes[ks == k], mesh.boundary_nodes)
-        fluxes[at, i], traces[at, i] = gf[ks == k].T
-    return MeasurementSet(mesh, fluxes, traces)

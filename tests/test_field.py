@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,6 @@ from optitomo.field import (
     NodalField,
     PiecewiseConstantField,
     parse_descriptor,
-    read_csv,
-    read_element_csv,
-    read_node_csv,
-    read_trace_csv,
     restrict_to_boundary,
     sample_coefficient,
     transfer_boundary_trace,
@@ -227,12 +225,14 @@ def test_csv_round_trips(tmp_path, mesh_small):
     write_element_csv(elem, tmp_path / "e.csv")
     write_node_csv(node, tmp_path / "n.csv")
     write_trace_csv(trace, tmp_path / "t.csv")
-    assert np.array_equal(_bits(read_element_csv(mesh_small, tmp_path / "e.csv").values),
-                          _bits(elem.values))
-    assert np.array_equal(_bits(read_node_csv(mesh_small, tmp_path / "n.csv").values),
-                          _bits(node.values))
-    assert np.array_equal(_bits(read_trace_csv(mesh_small, tmp_path / "t.csv").values),
-                          _bits(trace.values))
+    for name, keys, values in (
+        ("e.csv", np.arange(mesh_small.n_elements), elem.values),
+        ("n.csv", np.arange(mesh_small.n_nodes), node.values),
+        ("t.csv", mesh_small.boundary_nodes, trace.values),
+    ):
+        rows = list(csv.reader((tmp_path / name).read_text().splitlines()))[1:]
+        assert [int(r[0]) for r in rows] == keys.tolist()
+        assert np.array_equal(_bits([float(r[1]) for r in rows]), _bits(values))
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -242,81 +242,11 @@ def test_write_read_round_trip_is_exact(tmp_path_factory, values, flags):
     path = tmp_path_factory.mktemp("csv") / "x.csv"
     n = len(values)
     write_csv(path, "i,x,flag", [np.arange(n), np.array(values, dtype=float), flags[:n]])
-    rows = read_csv(path, "i,x,flag")
+    header, *rows = csv.reader(path.read_text().splitlines())
+    assert header == ["i", "x", "flag"]
     assert [int(r[0]) for r in rows] == list(range(n))
     assert np.array_equal(_bits([float(r[1]) for r in rows]), _bits(values))
     assert [r[2] == "1" for r in rows] == flags[:n]
-
-
-def _element_rows(mesh, tmp_path, rows):
-    path = tmp_path / "e.csv"
-    lines = [f"{i},{v:.17g}" for i, v in enumerate(np.arange(mesh.n_elements, dtype=float))]
-    lines += rows
-    path.write_text("element_index,value\n" + "".join(line + "\n" for line in lines))
-    return path
-
-
-def test_index_reader_rejects_negative_index(tmp_path, mesh_small):
-    path = _element_rows(mesh_small, tmp_path, ["-1,999"])
-    with pytest.raises(FieldError, match="unexpected index -1"):
-        read_element_csv(mesh_small, path)
-
-
-def test_index_reader_rejects_out_of_range_index(tmp_path, mesh_small):
-    path = _element_rows(mesh_small, tmp_path, [f"{mesh_small.n_elements},1"])
-    with pytest.raises(FieldError, match="unexpected index"):
-        read_element_csv(mesh_small, path)
-
-
-def test_index_reader_rejects_duplicate_index(tmp_path, mesh_small):
-    path = _element_rows(mesh_small, tmp_path, ["7,999"])
-    with pytest.raises(FieldError, match="index 7 appears more than once"):
-        read_element_csv(mesh_small, path)
-
-
-def test_index_reader_rejects_missing_index(tmp_path, mesh_small):
-    path = _element_rows(mesh_small, tmp_path, [])
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:4] + lines[5:]) + "\n")  # drops element 3
-    with pytest.raises(FieldError, match="index 3 is missing"):
-        read_element_csv(mesh_small, path)
-
-
-def test_index_reader_reads_nan_as_a_value(tmp_path, mesh_small):
-    path = _element_rows(mesh_small, tmp_path, [])
-    path.write_text(path.read_text().replace("\n5,5\n", "\n5,nan\n"))
-    values = read_element_csv(mesh_small, path).values
-    assert np.isnan(values[5])
-    assert np.array_equal(np.delete(values, 5), np.delete(np.arange(mesh_small.n_elements), 5))
-
-
-def test_trace_reader_rejects_interior_node(tmp_path, mesh_small):
-    trace = BoundaryTrace(mesh_small, np.zeros(mesh_small.n_boundary))
-    write_trace_csv(trace, tmp_path / "t.csv")
-    interior = np.setdiff1d(np.arange(mesh_small.n_nodes), mesh_small.boundary_nodes)[0]
-    text = (tmp_path / "t.csv").read_text()
-    (tmp_path / "t.csv").write_text(text + f"{interior},1\n")
-    with pytest.raises(FieldError, match=f"unexpected index {interior}"):
-        read_trace_csv(mesh_small, tmp_path / "t.csv")
-
-
-@pytest.mark.parametrize("body, message", [
-    ("node_index,value\n0,1\n", "unexpected CSV header"),
-    ("element_index,value\n0,1,2\n", "line 2: expected 2 fields, got 3"),
-    ("element_index,value\n0,abc\n", "malformed value"),
-    ("element_index,value\n0.5,1\n", "malformed value"),
-    ("element_index,value\n0,1\u00e9\n", "malformed value"),
-    ("element_index,valu\u00e9\n0,1\n", "unexpected CSV header"),
-])
-def test_csv_reader_rejects_malformed_files(tmp_path, mesh_small, body, message):
-    (tmp_path / "bad.csv").write_bytes(body.encode("utf-8"))
-    with pytest.raises(FieldError, match=message):
-        read_element_csv(mesh_small, tmp_path / "bad.csv")
-
-
-def test_read_csv_returns_split_rows(tmp_path):
-    write_csv(tmp_path / "a.csv", "x,name", [[1.5, -0.0], ["a", "b"]])
-    assert read_csv(tmp_path / "a.csv", "x,name") == [["1.5", "a"], ["-0", "b"]]
 
 
 def test_pgm_emitter_shape_and_background(tmp_path, mesh_small):

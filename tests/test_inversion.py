@@ -9,7 +9,6 @@ from optitomo.fem import (
     assemble,
     element_gradients,
     element_l2_products,
-    energy,
     solve_dirichlet,
     solve_neumann,
 )
@@ -123,7 +122,8 @@ def test_measurement_set_checks_its_shapes(mesh_small):
 
 def _data_energy(meas, sigma, q):
     sys = assemble(meas.mesh, sigma, q)
-    return sum(energy(sys, solve_neumann(sys, BoundaryTrace(meas.mesh, g))) for g in meas.fluxes.T)
+    us = (solve_neumann(sys, BoundaryTrace(meas.mesh, g)).values for g in meas.fluxes.T)
+    return sum(u @ (sys.matrix @ u) for u in us)
 
 
 def test_value_zero_on_consistent_data(example1_consistent):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import iv
 
-from optitomo.errors import FieldError, MeshError
+from optitomo.errors import FieldError, MeshError, SolverError
 from optitomo.field import BoundaryTrace, PiecewiseConstantField, sample_coefficient
 from optitomo.mesh import generate_disk_mesh, subdomain_partition
 from optitomo.ntd import (
+    NtDMatrix,
     boundary_inner,
     build_ntd,
     lambda_frechet_form,
@@ -64,6 +65,16 @@ def test_build_invariants(target, s_lo, q_lo, ratio, seed):
     assert defect <= 1e-10 * np.max(np.abs(ml))
     sym = 0.5 * (ml + ml.T)
     assert np.min(np.linalg.eigvalsh(sym)) > 0.0
+
+
+def test_ntd_matrix_refuses_asymmetric_or_indefinite_operators(ntd_unit, mesh_medium):
+    lam = ntd_unit.lam
+    skew = np.zeros_like(lam)
+    skew[0, 1] = 1e-6 * np.max(np.abs(lam))
+    with pytest.raises(SolverError, match="M-symmetry defect"):
+        NtDMatrix(mesh_medium, lam + skew)
+    with pytest.raises(SolverError, match="not positive definite"):
+        NtDMatrix(mesh_medium, -lam)
 
 
 def test_rayleigh_quotient_cosine(ntd_unit, mesh_medium):

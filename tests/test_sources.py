@@ -1,7 +1,9 @@
 from functools import cached_property
 from pathlib import Path
+import ast
 import importlib.util
 import inspect
+import re
 import sys
 import warnings
 
@@ -78,3 +80,52 @@ def test_benchmark_spans_name_public_functions(monkeypatch):
         assert f'"{name}"' in source, f"layer_metrics no longer reads {name}"
     missing = sorted(s for s in stems | set(UNDER_SEARCH) if not _traced_span_exists(s))
     assert not missing, f"benchmark spans without a traced function: {missing}"
+
+
+PACKAGE = Path(optitomo.__file__).parent
+PROGRAM_MODULES = ("mesh", "field", "fem", "ntd", "locpot", "inversion", "synth", "cli")
+# The paper's localization check and its bracket helper: no program runs
+# them, but they state what a certificate proves.
+UNCALLED = {"locpot.verify_localization", "locpot.bracket_index"}
+
+
+def _identifiers(tree) -> set[str]:
+    """Names a module uses in code; docstrings and comments do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _public_functions(module: str, tree):
+    """Qualified module-level public functions and public methods of public classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def test_every_public_function_has_a_caller():
+    # A public function that only tests call is code the program no longer
+    # runs; it counts as called when the library, the benchmark (which names
+    # spans as strings) or the acceptance tests use it.
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text(encoding="utf-8")) for m in PROGRAM_MODULES}
+    used = set().union(*map(_identifiers, trees.values()))
+    acceptance = Path(__file__).with_name("test_acceptance.py").read_text(encoding="utf-8")
+    used |= _identifiers(ast.parse(acceptance))
+    benchmark = "\n".join(p.read_text(encoding="utf-8") for p in RUN_PY.parent.glob("*.py"))
+    uncalled = {
+        qualified
+        for module, tree in trees.items()
+        for qualified, name in _public_functions(module, tree)
+        if name not in used and not re.search(rf"\b{name}\b", benchmark)
+    }
+    assert uncalled == UNCALLED, f"callers differ from UNCALLED for {sorted(uncalled ^ UNCALLED)}"
