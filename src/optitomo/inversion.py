@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FieldError
 from .field import PiecewiseConstantField
-from .fem import assemble, solve_dirichlet_many, solve_neumann_many
+from .fem import assemble, solve_pairs
 from .mesh import TriMesh
 
 Q_ONLY = "q_only"
@@ -138,11 +138,12 @@ def _solutions(meas: MeasurementSet, sigma, q):
     """One assembly and the two K-column solves shared by value and gradient.
 
     Returns (A, U_N, U_D) with the Neumann and Dirichlet solutions of pair k
-    in column k of the (n_nodes, K) arrays.  The factorizations are released
-    on return, before the fit and gradient allocate their temporaries.
+    in column k of the (n_nodes, K) arrays.  The band factorizations are
+    released on return, before the fit and gradient allocate their
+    temporaries.
     """
     sys = assemble(meas.mesh, sigma, q)
-    return sys.matrix, solve_neumann_many(sys, meas.fluxes), solve_dirichlet_many(sys, meas.traces)
+    return (sys.matrix, *solve_pairs(sys, meas.fluxes, meas.traces))
 
 
 def _data_fit(matrix, un, ud) -> float:

@@ -191,7 +191,10 @@ def compute_K(a: float, b: float) -> int:
     """Number of absorption brackets: floor(3(b/a - 1)) + 3."""
     if not 0.0 < a <= b:
         raise FieldError("bounds must satisfy 0 < a <= b")
-    return int(math.floor(3.0 * (b / a - 1.0))) + 3
+    brackets = 3.0 * (b / a - 1.0)
+    if not math.isfinite(brackets):
+        raise FieldError(f"bounds a = {a} and b = {b} give no finite bracket count")
+    return int(math.floor(brackets)) + 3
 
 
 def make_probing_setup(partition: Partition, a: float, b: float) -> ProbingSetup:

@@ -166,6 +166,17 @@ def test_nan_beta_balance_exits_two(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("a, b", [("1", "inf"), ("1e-300", "1e300")])
+def test_unbounded_bracket_count_exits_two(tmp_path, capsys, a, b):
+    out = tmp_path / "o"
+    assert run(["lipschitz", "--mesh.target_elements=254", "--lipschitz.n_cells=2",
+                f"--lipschitz.a={a}", f"--lipschitz.b={b}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bounds a = ") and err.endswith(" give no finite bracket count\n")
+    assert err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

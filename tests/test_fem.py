@@ -26,9 +26,9 @@ from optitomo.fem import (
     element_l2_products,
     element_means,
     solve_dirichlet,
-    solve_dirichlet_many,
     solve_neumann,
     solve_neumann_many,
+    solve_pairs,
     solve_source,
 )
 from optitomo.inversion import MeasurementSet, _solutions
@@ -159,9 +159,11 @@ def test_dirichlet_matches_neumann_on_shared_trace(mesh_small):
 
 @pytest.mark.parametrize("target, levels", [(254, 0), (1016, 0), (4064, 0), (254, 1), (254, 2)])
 def test_dirichlet_many_matches_dense_interior_solve(target, levels):
-    # dense oracle A_II x = -A_IB F from index slices, with A_IB columns in the
-    # angular order of boundary_nodes (refined meshes number their boundary
-    # nodes out of angular order, so F must be placed by node id)
+    # the many-column pair solve against dense oracles: A x = B G for the
+    # Neumann columns, and A_II x = -A_IB F from index slices for the
+    # Dirichlet ones, with A_IB columns in the angular order of
+    # boundary_nodes (refined meshes number their boundary nodes out of
+    # angular order, so F must be placed by node id)
     mesh = generate_disk_mesh(target)
     for _ in range(levels):
         mesh = refine_uniform(mesh)
@@ -170,11 +172,13 @@ def test_dirichlet_many_matches_dense_interior_solve(target, levels):
     bn = mesh.boundary_nodes
     idx = np.setdiff1d(np.arange(mesh.n_nodes), bn)
     a = sys.matrix.toarray()
-    f = _boundary_columns(mesh)
-    ref = np.linalg.solve(a[np.ix_(idx, idx)], -a[np.ix_(idx, bn)] @ f)
-    x = solve_dirichlet_many(sys, f)
-    np.testing.assert_array_equal(x[bn], f)
-    assert np.linalg.norm(x[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
+    cols = _boundary_columns(mesh)
+    un, ud = solve_pairs(sys, cols[:, ::-1], cols)
+    ref = np.linalg.solve(a, boundary_load(mesh, cols[:, ::-1]))
+    assert np.linalg.norm(un - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = np.linalg.solve(a[np.ix_(idx, idx)], -a[np.ix_(idx, bn)] @ cols)
+    np.testing.assert_array_equal(ud[bn], cols)
+    assert np.linalg.norm(ud[idx] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _coo_matrix(mesh, sigma, q):
@@ -202,12 +206,37 @@ def test_pattern_assembly_matches_the_coo_route(target, levels):
     np.testing.assert_array_equal(a.indices, ref.indices)
     assert np.max(np.abs(a.data - ref.data) / np.abs(ref.data)) <= 1e-15
 
-    interior, sub = mesh.assembly_pattern.interior_block(a)
-    assert np.array_equal(np.flatnonzero(~interior), np.sort(mesh.boundary_nodes))
-    cut = a[interior][:, interior]
-    np.testing.assert_array_equal(sub.indptr, cut.indptr)
-    np.testing.assert_array_equal(sub.indices, cut.indices)
-    np.testing.assert_array_equal(sub.data, cut.data)
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[mesh.boundary_nodes] = False
+    pattern = mesh.assembly_pattern
+    for band_map, mask in ((pattern.full_band, np.ones_like(interior)),
+                           (pattern.interior_band, interior)):
+        assert np.array_equal(np.sort(band_map.nodes), np.flatnonzero(mask))
+        # the band order is a stable sort on x
+        assert np.all(np.diff(mesh.nodes[band_map.nodes, 0]) >= 0.0)
+        _assert_band_of(band_map, a.data, a[mask][:, mask].toarray(), np.flatnonzero(mask))
+
+
+def _assert_band_of(band_map, data, cut, cut_nodes):
+    """Every entry of the band form equals its entry of the block ``cut`` over ``cut_nodes``."""
+    place = np.searchsorted(cut_nodes, band_map.nodes)
+    block = cut[np.ix_(place, place)]
+    m, w = band_map.nodes.size, band_map.width
+    ab = band_map.band(data)
+    assert ab.shape == (w + 1, m)
+    for r in range(w + 1):
+        np.testing.assert_array_equal(ab[r, :m - r], np.diagonal(block, -r))
+        assert np.all(ab[r, m - r:] == 0.0)
+    # nothing of the block lies outside the band
+    assert not np.any(np.tril(block, -w - 1)) and np.any(np.diagonal(block, -w))
+
+
+def test_band_widths_are_pinned_at_the_inversion_mesh(mesh_medium):
+    # a sort on x gives these bands at 1 014 elements; a wider band from a
+    # worse ordering costs each pair solve time and memory
+    pattern = mesh_medium.assembly_pattern
+    assert mesh_medium.n_elements == 1014
+    assert (pattern.full_band.width, pattern.interior_band.width) == (40, 36)
 
 
 def test_each_mesh_builds_one_assembly_pattern(monkeypatch):
@@ -247,7 +276,7 @@ def test_mesh_and_pattern_form_no_reference_cycle():
         mesh = generate_disk_mesh(254)
         one = sample_coefficient(mesh, "one")
         sys = assemble(mesh, one, one)
-        solve_dirichlet_many(sys, _boundary_columns(mesh))
+        solve_pairs(sys, _boundary_columns(mesh), _boundary_columns(mesh))
         alive = weakref.ref(mesh)
         del mesh, one, sys
         assert alive() is None
@@ -257,8 +286,8 @@ def test_mesh_and_pattern_form_no_reference_cycle():
 
 def test_unpivoted_factorization_meets_the_contract_at_high_contrast(mesh_medium):
     # log-uniform sigma in [1e-3, 1e3] and q in [1e-6, 1]: the symmetric-mode
-    # LU makes no row interchanges, and both solve paths still meet
-    # SOLVE_RTOL per column and agree with dense solves
+    # LU makes no row interchanges, and it and both band Cholesky solves
+    # still meet SOLVE_RTOL per column and agree with dense solves
     mesh = mesh_medium
     rng = np.random.default_rng(13)
     sigma = PiecewiseConstantField(mesh, 10.0 ** rng.uniform(-3.0, 3.0, mesh.n_elements))
@@ -266,14 +295,14 @@ def test_unpivoted_factorization_meets_the_contract_at_high_contrast(mesh_medium
     sys = assemble(mesh, sigma, q)
     a = sys.matrix.toarray()
     cols = _boundary_columns(mesh)
-    x = solve_neumann_many(sys, cols)
+    un, ud = solve_pairs(sys, cols, cols)
     ref = np.linalg.solve(a, boundary_load(mesh, cols))
-    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    for x in (solve_neumann_many(sys, cols), un):
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
     bn = mesh.boundary_nodes
     idx = np.setdiff1d(np.arange(mesh.n_nodes), bn)
-    x = solve_dirichlet_many(sys, cols)
     ref = np.linalg.solve(a[np.ix_(idx, idx)], -a[np.ix_(idx, bn)] @ cols)
-    assert np.linalg.norm(x[idx] - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(ud[idx] - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_symmetric_mode_fills_less_than_the_default_ordering(mesh_medium, monkeypatch):
@@ -290,11 +319,9 @@ def test_symmetric_mode_fills_less_than_the_default_ordering(mesh_medium, monkey
 
     monkeypatch.setattr(optitomo.fem.spla, "splu", keeping)
     solve_neumann_many(sys, _boundary_columns(mesh_medium))
-    solve_dirichlet_many(sys, _boundary_columns(mesh_medium))
-    interior, sub = mesh_medium.assembly_pattern.interior_block(sys.matrix)
-    for lu, matrix in zip(factors, (sys.matrix, sub)):
-        default = original(matrix)
-        assert lu.L.nnz + lu.U.nnz < 0.85 * (default.L.nnz + default.U.nnz)
+    (lu,) = factors
+    default = original(sys.matrix)
+    assert lu.L.nnz + lu.U.nnz < 0.85 * (default.L.nnz + default.U.nnz)
 
 
 def _boundary_columns(mesh):
@@ -304,15 +331,22 @@ def _boundary_columns(mesh):
 
 
 def test_dirichlet_many_matches_column_solves(mesh_small):
+    # the many Dirichlet columns of the pair solve against the one-column
+    # call of the same path, its Neumann columns against the SuperLU path of
+    # solve_neumann
     sys = assemble(mesh_small, sample_coefficient(mesh_small, "example1_sigma"),
                    sample_coefficient(mesh_small, "example1_q"))
     f = _boundary_columns(mesh_small)
-    x = solve_dirichlet_many(sys, f)
-    assert x.shape == (mesh_small.n_nodes, f.shape[1])
+    un, ud = solve_pairs(sys, f[:, 1:], f)
+    assert un.shape == (mesh_small.n_nodes, f.shape[1] - 1)
+    assert ud.shape == (mesh_small.n_nodes, f.shape[1])
     for k in range(f.shape[1]):
         col = solve_dirichlet(sys, BoundaryTrace(mesh_small, f[:, k])).values
-        np.testing.assert_array_equal(x[mesh_small.boundary_nodes, k], f[:, k])
-        np.testing.assert_allclose(x[:, k], col, rtol=0, atol=1e-14 * np.max(np.abs(col), initial=1.0))
+        np.testing.assert_array_equal(ud[mesh_small.boundary_nodes, k], f[:, k])
+        np.testing.assert_allclose(ud[:, k], col, rtol=0, atol=1e-14 * np.max(np.abs(col), initial=1.0))
+    for k in range(1, f.shape[1]):
+        col = solve_neumann(sys, BoundaryTrace(mesh_small, f[:, k])).values
+        np.testing.assert_allclose(un[:, k - 1], col, rtol=0, atol=1e-12 * np.max(np.abs(col), initial=1.0))
 
 
 def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficients, monkeypatch):
@@ -339,24 +373,79 @@ def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficien
     with pytest.raises(SolverError, match="source solve did not converge in column 0"):
         solve_source(sys, np.arange(mesh_small.n_elements), np.ones(mesh_small.n_elements))
 
+    # the same spoiling of the band solves of the pair solve: each half
+    # checks its own columns
     sys = assemble(mesh_small, sigma, q)
+    un, ud = solve_pairs(sys, g, g)
     interior = np.ones(mesh_small.n_nodes, dtype=bool)
     interior[mesh_small.boundary_nodes] = False
     sub = sys.matrix[interior][:, interior]
-    x0 = np.zeros((mesh_small.n_nodes, g.shape[1]))
-    x0[mesh_small.boundary_nodes] = g
-    rhs = -(sys.matrix @ x0)[interior]
-    spoiled = spla.splu(sub).solve(rhs)
+    rhs = sub @ ud[interior]
+    spoiled = ud[interior].copy()
     spoiled[:, 1] *= 1.0 + 1e-5
     assert np.linalg.norm(sub @ spoiled - rhs) <= SOLVE_RTOL * np.linalg.norm(rhs)
+    solve = optitomo.fem.sla.cho_solve_banded
+    size = []
 
-    class SpoiledLU:
-        def solve(self, rhs):
-            return spoiled
+    def spoiling(factor_and_lower, b, **options):
+        x = solve(factor_and_lower, b, **options)
+        if x.shape[0] == size[0]:
+            x[:, -1] *= 1.0 + 1e-5
+        return x
 
-    monkeypatch.setattr(optitomo.fem.spla, "splu", lambda matrix, **options: SpoiledLU())
-    with pytest.raises(SolverError, match="Dirichlet solve did not converge in column 1"):
-        solve_dirichlet_many(sys, g)
+    monkeypatch.setattr(optitomo.fem.sla, "cho_solve_banded", spoiling)
+    for what, n in (("Neumann", mesh_small.n_nodes), ("Dirichlet", int(interior.sum()))):
+        size[:] = [n]
+        with pytest.raises(SolverError, match=f"{what} solve did not converge in column 1"):
+            solve_pairs(sys, g, g)
+    with pytest.raises(SolverError, match="Dirichlet solve did not converge in column 0"):
+        solve_dirichlet(sys, BoundaryTrace(mesh_small, g[:, 1]))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_dirichlet_check_reads_the_load_not_the_solution(mesh_small, unit_coefficients, monkeypatch,
+                                                         columns):
+    # the band solve must leave its right-hand side intact: a one-column
+    # right-hand side is also Fortran-contiguous, and a solve that overwrote
+    # it would have the contract measure the residual against the solution
+    sys = assemble(mesh_small, *unit_coefficients)
+    f = _boundary_columns(mesh_small)[:, :columns]
+    loads = []
+    check = optitomo.fem._check_residual
+
+    def keeping(r, b, what):
+        loads.append((what, b.copy()))
+        check(r, b, what)
+
+    monkeypatch.setattr(optitomo.fem, "_check_residual", keeping)
+    solve_pairs(sys, f, f)
+    x = np.zeros((mesh_small.n_nodes, columns))
+    x[mesh_small.boundary_nodes] = f
+    interior = mesh_small.assembly_pattern.interior_band.nodes
+    assert loads[1][0] == "Dirichlet solve"
+    np.testing.assert_array_equal(loads[1][1], -(sys.matrix @ x)[interior])
+    np.testing.assert_array_equal(loads[0][1], boundary_load(mesh_small, f))
+
+
+def test_pair_solve_refuses_an_indefinite_band(mesh_small, unit_coefficients, monkeypatch):
+    # the band Cholesky is the positive-definiteness check of the pair solve:
+    # a negative shift of the band's diagonal must fail it, whichever half
+    sys = assemble(mesh_small, *unit_coefficients)
+    g = _boundary_columns(mesh_small)
+    factor = optitomo.fem.sla.cholesky_banded
+    size = []
+
+    def shifted(ab, **options):
+        if ab.shape[1] == size[0]:
+            ab[0] -= 2.0 * ab[0].max()
+        return factor(ab, **options)
+
+    monkeypatch.setattr(optitomo.fem.sla, "cholesky_banded", shifted)
+    n_interior = mesh_small.n_nodes - mesh_small.n_boundary
+    for what, n in (("Neumann", mesh_small.n_nodes), ("Dirichlet", n_interior)):
+        size[:] = [n]
+        with pytest.raises(SolverError, match=f"{what} solve failed: the matrix is not positive definite"):
+            solve_pairs(sys, g, g)
 
 
 def test_residual_check_refuses_nan_columns(mesh_small, unit_coefficients):
@@ -366,12 +455,12 @@ def test_residual_check_refuses_nan_columns(mesh_small, unit_coefficients):
     ang = mesh_small.boundary_angles
     x = solve_neumann_many(sys, np.column_stack((np.cos(ang), np.sin(ang))))
     b = sys.matrix @ x
-    _check_residual(sys.matrix, x, b, "clean solve")
+    _check_residual(sys.matrix @ x - b, b, "clean solve")
     for spoil in ("solution", "load"):
         xs, bs = x.copy(), b.copy()
         (xs if spoil == "solution" else bs)[3, 1] = np.nan
         with pytest.raises(SolverError, match="spoiled solve did not converge in column 1"):
-            _check_residual(sys.matrix, xs, bs, "spoiled solve")
+            _check_residual(sys.matrix @ xs - bs, bs, "spoiled solve")
 
 
 def test_source_zero(mesh_small, unit_coefficients):

@@ -321,26 +321,32 @@ def test_trace_counts_objective_evaluations(example1_consistent, monkeypatch):
 
 
 def test_one_evaluation_makes_two_factorizations(example1_consistent, monkeypatch):
-    # one LU of A for the Neumann columns and one of A_II for the Dirichlet
-    # columns, whatever the number of pairs
+    # one band Cholesky of A for the Neumann columns and one of A_II for the
+    # Dirichlet columns, whatever the number of pairs, and no SuperLU call
     import optitomo.fem
 
     sigma, q, meas = example1_consistent
     sizes = []
-    original = optitomo.fem.spla.splu
+    lu_calls = []
+    original = optitomo.fem.sla.cholesky_banded
+    splu = optitomo.fem.spla.splu
 
-    def counting(matrix, *args, **kwargs):
-        sizes.append(matrix.shape)
-        # both factorizations run in SuperLU's symmetric mode
-        assert not args and kwargs == optitomo.fem.SPLU_OPTIONS
-        return original(matrix, *args, **kwargs)
+    def counting(ab, *args, **kwargs):
+        sizes.append(ab.shape[1])
+        return original(ab, *args, **kwargs)
 
-    monkeypatch.setattr(optitomo.fem.spla, "splu", counting)
-    _solutions(meas, sigma, q)
+    def counting_splu(*args, **kwargs):
+        lu_calls.append(args)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(optitomo.fem.sla, "cholesky_banded", counting)
+    monkeypatch.setattr(optitomo.fem.spla, "splu", counting_splu)
+    kv_evaluate(meas, sigma, q, 1e-6, JOINT)
     n_nodes = meas.mesh.n_nodes
     n_interior = n_nodes - meas.mesh.boundary_nodes.size
     assert meas.fluxes.shape[1] > 1
-    assert sizes == [(n_nodes, n_nodes), (n_interior, n_interior)]
+    assert sizes == [n_nodes, n_interior]
+    assert lu_calls == []
 
 
 @pytest.mark.parametrize("n_pairs", [5, LBFGS_MEMORY + 7])

@@ -63,6 +63,10 @@ def test_compute_K_values():
         compute_K(0.0, 1.0)
     with pytest.raises(FieldError):
         compute_K(2.0, 1.0)
+    # an infinite bound, or a ratio b/a that overflows, has no bracket count
+    for a, b in ((1.0, np.inf), (1e-300, 1e300)):
+        with pytest.raises(FieldError, match="no finite bracket count"):
+            compute_K(a, b)
 
 
 def test_eta_field_values(mesh_small_aligned):
