@@ -16,6 +16,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -214,8 +215,9 @@ def _get(cfg, section, key, default=None, cast=str, minimum=None):
         value = cast(raw)
     except ValueError:
         raise UsageError(f"config key {key!r} has malformed value {raw!r}") from None
-    if minimum is not None and not value >= minimum:
-        raise UsageError(f"config key {key!r} in [{section}] must be at least {minimum}, got {raw!r}")
+    if minimum is not None and not minimum <= value < math.inf:  # NaN fails too
+        raise UsageError(f"config key {key!r} in [{section}] must be finite and at least {minimum}, "
+                         f"got {raw!r}")
     return value
 
 
@@ -447,9 +449,13 @@ def _write_manifest(args, cfg, outdir, outputs, extra, wall_time) -> None:
         "wall_time_s": wall_time,
     }
     manifest.update(extra)
+    # strict JSON: a NaN or an infinity is refused before the file is opened
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OptitomoError(f"manifest is not strict JSON: {exc}") from None
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # name -> (handler, help text)

@@ -22,20 +22,30 @@ _PGM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
-class PiecewiseConstantField:
-    """One value per element."""
+class _MeshValues:
+    """One value per mesh entity, held as a read-only float copy.
+
+    A subclass names its entity: ``_count`` is the ``TriMesh`` attribute that
+    counts it, ``_noun`` the word for its values in the shape error.
+    """
 
     mesh: TriMesh
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
-        if vals.shape != (self.mesh.n_elements,):
-            raise FieldError(
-                f"expected {self.mesh.n_elements} element values, got {vals.shape}"
-            )
+        n = getattr(self.mesh, self._count)
+        if vals.shape != (n,):
+            raise FieldError(f"expected {n} {self._noun} values, got {vals.shape}")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class PiecewiseConstantField(_MeshValues):
+    """One value per element."""
+
+    _count, _noun = "n_elements", "element"
 
     def require_positive(self) -> "PiecewiseConstantField":
         """Require every value to be finite and > 0 (NaN fails both tests)."""
@@ -49,35 +59,17 @@ class PiecewiseConstantField:
 
 
 @dataclass(frozen=True)
-class NodalField:
+class NodalField(_MeshValues):
     """One value per node (P1 finite-element function)."""
 
-    mesh: TriMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True)
-        if vals.shape != (self.mesh.n_nodes,):
-            raise FieldError(f"expected {self.mesh.n_nodes} nodal values, got {vals.shape}")
-        object.__setattr__(self, "values", vals)
-        vals.setflags(write=False)
+    _count, _noun = "n_nodes", "nodal"
 
 
 @dataclass(frozen=True)
-class BoundaryTrace:
+class BoundaryTrace(_MeshValues):
     """One value per boundary node, in the angular order of ``mesh.boundary_nodes``."""
 
-    mesh: TriMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, copy=True)
-        if vals.shape != (self.mesh.n_boundary,):
-            raise FieldError(
-                f"expected {self.mesh.n_boundary} boundary values, got {vals.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-        vals.setflags(write=False)
+    _count, _noun = "n_boundary", "boundary"
 
 
 def constant(value: float):
@@ -188,18 +180,16 @@ def restrict_to_boundary(u: NodalField) -> BoundaryTrace:
     return BoundaryTrace(u.mesh, u.values[u.mesh.boundary_nodes])
 
 
-def transfer_boundary_trace(fine: TriMesh, trace: BoundaryTrace, coarse: TriMesh) -> BoundaryTrace:
-    """Transfer a boundary trace between unit-disk meshes by angle interpolation.
+def transfer_boundary_trace(trace: BoundaryTrace, coarse: TriMesh) -> BoundaryTrace:
+    """Transfer a boundary trace onto another unit-disk mesh by angle interpolation.
 
     The coarse value at a boundary node with angle theta is the piecewise
-    linear interpolant (in theta, periodic) of the fine trace.  Exact on
-    constants and linear in the trace.
+    linear interpolant (in theta, periodic) of the trace on its own mesh.
+    Exact on constants and linear in the trace.
     """
-    if trace.mesh is not fine:
-        raise FieldError("trace is not defined on the given fine mesh")
     vals = np.interp(
         coarse.boundary_angles,
-        fine.boundary_angles,
+        trace.mesh.boundary_angles,
         trace.values,
         period=2.0 * np.pi,
     )

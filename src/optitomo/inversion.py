@@ -118,6 +118,8 @@ class InversionConfig:
                 raise FieldError("sigma bounds must be ordered and positive")
         if not self.beta_balance > 1.0:  # NaN fails too
             raise FieldError(f"beta_balance must exceed 1, got {self.beta_balance}")
+        if self.beta_balance == np.inf:
+            raise FieldError("beta_balance must be finite, got inf")
 
 
 @dataclass

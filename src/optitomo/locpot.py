@@ -184,7 +184,7 @@ class LocalizedCurrent:
     forward_applications: int
 
     def norm_sq(self) -> float:
-        return boundary_inner(self.g, self.g, self.g.mesh.boundary_mass)
+        return boundary_inner(self.g, self.g)
 
 
 def compute_K(a: float, b: float) -> int:
@@ -209,11 +209,9 @@ def eta_field(setup: ProbingSetup, j: int, k: int) -> PiecewiseConstantField:
         raise FieldError(f"cell index {j} out of range 1..{setup.n_cells}")
     if not 1 <= k <= setup.K:
         raise FieldError(f"bracket index {k} out of range 1..{setup.K}")
-    part = setup.partition
-    values = np.zeros(setup.mesh.n_elements)
-    values[part.omega_mask] = setup.a / 3.0
-    values[part.cell_mask(j)] = (k + 4) * setup.a / 3.0
-    return PiecewiseConstantField(setup.mesh, values)
+    values = np.full(setup.n_cells, setup.a / 3.0)
+    values[j - 1] = (k + 4) * setup.a / 3.0
+    return cell_values_to_field(setup.partition, values)
 
 
 def cell_values_to_field(partition: Partition, cell_values) -> PiecewiseConstantField:

@@ -55,21 +55,19 @@ class TriMesh:
     ----------
     nodes : (n_nodes, 2) float array
     elements : (n_elements, 3) int array, counterclockwise vertex order
-    boundary_nodes : (n_boundary,) int array, sorted by angle in [0, 2*pi)
-    boundary_edges : (n_boundary, 2) int array, consecutive cycle pairs
+    boundary_nodes : (n_boundary,) int array, sorted by angle in [0, 2*pi); each
+        joins the next, the last the first, by a boundary edge (``boundary_edges``)
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     boundary_nodes: np.ndarray
-    boundary_edges: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.array(self.nodes, dtype=float, copy=True))
         object.__setattr__(self, "elements", np.array(self.elements, dtype=np.int64, copy=True))
         object.__setattr__(self, "boundary_nodes", np.array(self.boundary_nodes, dtype=np.int64, copy=True))
-        object.__setattr__(self, "boundary_edges", np.array(self.boundary_edges, dtype=np.int64, copy=True))
-        for name in ("nodes", "elements", "boundary_nodes", "boundary_edges"):
+        for name in ("nodes", "elements", "boundary_nodes"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -85,14 +83,11 @@ class TriMesh:
         return self.boundary_nodes.shape[0]
 
     @cached_property
-    def signed_areas(self) -> np.ndarray:
+    def areas(self) -> np.ndarray:
+        """Signed element areas, positive for counterclockwise elements (``validate`` checks)."""
         p = self.nodes[self.elements]
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                       - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-
-    @cached_property
-    def areas(self) -> np.ndarray:
-        return self.signed_areas
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -103,7 +98,7 @@ class TriMesh:
         """Gradients of the three P1 hat functions per element, shape (n_elements, 3, 2)."""
         p = self.nodes[self.elements]
         grads = np.empty((self.n_elements, 3, 2))
-        inv2a = 1.0 / (2.0 * self.signed_areas)
+        inv2a = 1.0 / (2.0 * self.areas)
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) * inv2a
@@ -117,21 +112,25 @@ class TriMesh:
         return np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
 
     @cached_property
+    def boundary_edges(self) -> np.ndarray:
+        """(n_boundary, 2) node pairs: boundary node i and its successor i + 1 in the cycle."""
+        return np.column_stack((self.boundary_nodes, np.roll(self.boundary_nodes, -1)))
+
+    @cached_property
     def boundary_edge_lengths(self) -> np.ndarray:
-        a = self.nodes[self.boundary_edges[:, 0]]
-        b = self.nodes[self.boundary_edges[:, 1]]
+        a, b = self.nodes[self.boundary_edges].transpose(1, 0, 2)
         return np.linalg.norm(b - a, axis=1)
 
     @cached_property
     def boundary_mass(self) -> np.ndarray:
         """Boundary mass matrix M from P1 edge integration, dense cyclic tridiagonal.
 
-        Rows and columns follow the angular ordering of ``boundary_nodes``.
+        Rows and columns follow the angular ordering of ``boundary_nodes``, so
+        edge i joins rows i and i + 1 (mod n_boundary).
         """
         nb = self.n_boundary
-        pos = np.zeros(self.n_nodes, dtype=np.int64)
-        pos[self.boundary_nodes] = np.arange(nb)
-        i, j = pos[self.boundary_edges].T
+        i = np.arange(nb)
+        j = np.roll(i, -1)
         third = self.boundary_edge_lengths / 3.0
         sixth = self.boundary_edge_lengths / 6.0
         m = np.zeros((nb, nb))
@@ -164,32 +163,26 @@ class TriMesh:
         """Check all mesh invariants, raising :class:`MeshError` on violation."""
         if self.elements.min() < 0 or self.elements.max() >= self.n_nodes:
             raise MeshError("element references a nonexistent node")
-        if np.any(self.signed_areas <= 0.0):
-            bad = int(np.argmin(self.signed_areas))
+        if np.any(self.areas <= 0.0):
+            bad = int(np.argmin(self.areas))
             raise MeshError(
                 f"degenerate triangulation: element {bad} has signed area "
-                f"{self.signed_areas[bad]:.3e}"
+                f"{self.areas[bad]:.3e}"
             )
         base, keys, _, _, counts = _edge_table(self.elements, self.n_nodes + 1)
         if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
-        boundary = keys[counts == 1]
-        # Keys are distinct only for node ids in [0, n_nodes], so a declared
-        # edge beyond the node range could alias a real one: reject it first.
-        be = self.boundary_edges
-        in_range = be.min(initial=0) >= 0 and be.max(initial=0) < self.n_nodes
-        if not (in_range and np.array_equal(np.unique(_edge_keys(be, base)), boundary)):
-            raise MeshError("declared boundary edges do not match single-element edges")
-        radii = np.linalg.norm(self.nodes[self.boundary_nodes], axis=1)
+        # Keys are distinct only for node ids in [0, n_nodes], so a boundary
+        # node beyond the node range could alias a real edge: reject it first.
+        bn = self.boundary_nodes
+        if bn.min(initial=0) < 0 or bn.max(initial=0) >= self.n_nodes:
+            raise MeshError("boundary node references a nonexistent node")
+        radii = np.linalg.norm(self.nodes[bn], axis=1)
         if np.any(np.abs(radii - 1.0) > GEOM_TOL):
             raise MeshError("a boundary node is off the unit circle beyond tolerance")
-        ang = self.boundary_angles
-        if np.any(np.diff(ang) <= 0.0):
+        if np.any(np.diff(self.boundary_angles) <= 0.0):
             raise MeshError("boundary nodes are not strictly sorted by angle")
-        # The edges must link consecutive nodes of the angular ordering into one cycle.
-        bn = self.boundary_nodes
-        cycle = np.unique(_edge_keys(np.column_stack((bn, np.roll(bn, -1))), base))
-        if not np.array_equal(cycle, boundary):
+        if not np.array_equal(np.unique(_edge_keys(self.boundary_edges, base)), keys[counts == 1]):
             raise MeshError("boundary edges do not form the angular cycle")
 
 
@@ -353,8 +346,7 @@ def generate_disk_mesh(target_elements: int, angular_multiplier: int | None = No
     fan = np.column_stack((np.zeros(c, dtype=np.int64), ring_ids[1], np.roll(ring_ids[1], -1)))
     elements = np.vstack([fan] + [_sew_rings(ring_ids[i - 1], ring_ids[i])
                                   for i in range(2, rings + 1)])
-    bn = ring_ids[rings]
-    mesh = TriMesh(coords, elements, bn, np.column_stack((bn, np.roll(bn, -1))))
+    mesh = TriMesh(coords, elements, ring_ids[rings])
     mesh.validate()
     return mesh
 
@@ -400,7 +392,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     elements = np.column_stack((a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca)).reshape(-1, 3)
     bn = np.concatenate((mesh.boundary_nodes, mesh.n_nodes + np.flatnonzero(on_circle)))
     bn = bn[np.argsort(np.mod(np.arctan2(nodes[bn, 1], nodes[bn, 0]), 2.0 * np.pi))]
-    refined = TriMesh(nodes, elements, bn, np.column_stack((bn, np.roll(bn, -1))))
+    refined = TriMesh(nodes, elements, bn)
     refined.validate()
     return refined
 
@@ -530,8 +522,6 @@ def read_mesh(path) -> TriMesh:
             except ValueError:
                 raise MeshError(f"{path}, line {lineno}: malformed {section} row {line!r}, expected "
                                 f"{_ROW_FORMATS[section]!r}") from None
-    bn_arr = np.asarray(bn, dtype=np.int64)
-    bedges = np.column_stack((bn_arr, np.roll(bn_arr, -1)))
-    mesh = TriMesh(np.asarray(nodes), np.asarray(elements, dtype=np.int64), bn_arr, bedges)
+    mesh = TriMesh(np.asarray(nodes), np.asarray(elements, dtype=np.int64), bn)
     mesh.validate()
     return mesh

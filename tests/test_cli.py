@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from optitomo import cli
 from optitomo.cli import main
 from optitomo.mesh import read_mesh
 
@@ -130,6 +135,11 @@ def test_non_finite_coefficient_exits_two(tmp_path, capsys, coefficient):
     ["example1", "--optimizer.max_iter=-5"],
     ["example1", "--optimizer.rho=-1"],
     ["example1", "--optimizer.gradient_tolerance=nan"],
+    # a key with a minimum must also be finite
+    ["example1", "--mesh.coarse_elements=254", "--mesh.fine_elements=1016",
+     "--optimizer.max_iter=3", "--optimizer.rho=inf"],
+    ["example1", "--optimizer.rho=1e400"],
+    ["example1", "--optimizer.gradient_tolerance=inf"],
     ["mesh", "--mesh.target_elements=254", "--mesh.angular_multiplier=abc"],
     ["mesh", "--mesh.target_elements=254", "--mesh.angular_multiplier=1e400"],
 ])
@@ -163,6 +173,24 @@ def test_nan_beta_balance_exits_two(tmp_path, capsys):
     assert run(["example1", "--optimizer.beta_balance=nan", "--optimizer.balancing=true",
                 "--optimizer.max_iter=3", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: beta_balance must exceed 1, got nan\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_infinite_beta_balance_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["example1", "--optimizer.beta_balance=inf", "--optimizer.balancing=true",
+                "--optimizer.max_iter=3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: beta_balance must be finite, got inf\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_non_finite_manifest_value_exits_two(tmp_path, capsys, monkeypatch):
+    # no command is known to record a NaN now; the strict dump is the backstop
+    monkeypatch.setitem(cli.COMMANDS, "mesh", (lambda cfg, outdir, args: ([], {"L": float("nan")}), ""))
+    out = tmp_path / "o"
+    assert run(["mesh", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest is not strict JSON: ") and err.count("\n") == 1
     assert not (out / "manifest.json").exists()
 
 
@@ -297,3 +325,60 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert run(["mesh", "--mesh.target_elements=254", "--out", str(tmp_path / "flag_dir")]) == 0
     assert (env_out / "mesh.txt").exists()
     assert not (tmp_path / "flag_dir").exists()
+
+
+# The smallest runs that read each config section; no value below asks for a
+# larger mesh than these.
+_SMALL = ["--mesh.coarse_elements=254", "--mesh.fine_elements=1016", "--optimizer.max_iter=2"]
+_BASES = {
+    "mesh": ["mesh", "--mesh.target_elements=254"],
+    "forward": ["forward", "--mesh.target_elements=254", "--coefficients.sigma=one",
+                "--coefficients.q=one", "--forward.flux=sin:1"],
+    "lipschitz": ["lipschitz", "--mesh.target_elements=254", "--lipschitz.n_cells=2",
+                  "--lipschitz.a=1", "--lipschitz.b=1.2", "--lipschitz.stability_pairs=2"],
+    "example1": ["example1", *_SMALL],
+    "example2": ["example2", *_SMALL],
+    "balancing": ["example2", *_SMALL, "--optimizer.balancing=true"],
+}
+_SECTION_BASES = {
+    "mesh": ("mesh", "lipschitz", "example1"),
+    "coefficients": ("forward",),
+    "forward": ("forward",),
+    "fluxes": ("example1", "example2"),
+    "noise": ("example1", "example2"),
+    "truth": ("example1", "example2"),
+    "lipschitz": ("lipschitz",),
+    "optimizer": ("example1", "example2", "balancing"),
+}
+# every schema key ([fluxes] stands for its keys g1..gN) on every base that reads its section
+_OVERRIDES = [
+    (base, f"--{section}.{key}")
+    for section, keys in cli.SCHEMA.items()
+    for key in sorted(keys or {"g1"})
+    for base in _SECTION_BASES[section]
+]
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# Running all 560 cases takes about 15 s on a 2-core host; the examples are the cases that
+# wrote a non-finite manifest value before bounded keys had to be finite.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=st.sampled_from(_OVERRIDES),
+       value=st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e400", "", "\u00e9"]))
+@example(case=("example1", "--optimizer.rho"), value="inf")
+@example(case=("balancing", "--optimizer.beta_balance"), value="1e400")
+def test_hostile_config_value_fails_cleanly_or_writes_strict_json(case, value):
+    base, key = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main([*_BASES[base], f"{key}={value}", "--out", out])
+        manifest = pathlib.Path(out, "manifest.json")
+        if code == 0:
+            json.loads(manifest.read_text(), parse_constant=_strict_constant)
+        else:
+            assert code in (1, 2)
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            assert not manifest.exists()

@@ -88,20 +88,20 @@ def test_parse_descriptor_rejects_malformed_numbers(text):
 
 def test_transfer_identity_on_same_mesh(mesh_small):
     trace = BoundaryTrace(mesh_small, np.sin(3 * mesh_small.boundary_angles))
-    back = transfer_boundary_trace(mesh_small, trace, mesh_small)
+    back = transfer_boundary_trace(trace, mesh_small)
     assert np.array_equal(back.values, trace.values)
 
 
 def test_transfer_cosine_second_order(mesh_medium, mesh_small):
     fine_trace = BoundaryTrace(mesh_medium, np.cos(mesh_medium.boundary_angles))
-    coarse = transfer_boundary_trace(mesh_medium, fine_trace, mesh_small)
+    coarse = transfer_boundary_trace(fine_trace, mesh_small)
     oracle = np.cos(mesh_small.boundary_angles)
     assert np.max(np.abs(coarse.values - oracle)) <= 2e-3
 
 
 def test_transfer_preserves_constants(mesh_medium, mesh_small):
     fine_trace = BoundaryTrace(mesh_medium, np.full(mesh_medium.n_boundary, 2.5))
-    coarse = transfer_boundary_trace(mesh_medium, fine_trace, mesh_small)
+    coarse = transfer_boundary_trace(fine_trace, mesh_small)
     assert np.all(coarse.values == 2.5)
 
 
@@ -119,12 +119,12 @@ DISK_MESHES = st.builds(
 def test_transfer_is_exact_on_constants_and_linear(fine, coarse, const, alpha, beta, seed):
     # between any two disk meshes, refined ones included (their boundary
     # node ids are out of angular order)
-    flat = transfer_boundary_trace(fine, BoundaryTrace(fine, np.full(fine.n_boundary, const)), coarse)
+    flat = transfer_boundary_trace(BoundaryTrace(fine, np.full(fine.n_boundary, const)), coarse)
     assert np.max(np.abs(flat.values - const)) <= 1e-15 * abs(const)
     rng = np.random.default_rng(seed)
     f, h = rng.standard_normal((2, fine.n_boundary))
-    combined = transfer_boundary_trace(fine, BoundaryTrace(fine, alpha * f + beta * h), coarse).values
-    tf, th = (transfer_boundary_trace(fine, BoundaryTrace(fine, v), coarse).values for v in (f, h))
+    combined = transfer_boundary_trace(BoundaryTrace(fine, alpha * f + beta * h), coarse).values
+    tf, th = (transfer_boundary_trace(BoundaryTrace(fine, v), coarse).values for v in (f, h))
     scale = (abs(alpha) + abs(beta)) * max(np.max(np.abs(f)), np.max(np.abs(h)))
     assert np.max(np.abs(combined - (alpha * tf + beta * th))) <= 1e-14 * scale
 
@@ -320,7 +320,7 @@ def test_pgm_shared_edge_takes_highest_element_index(tmp_path, elements):
     # Two triangles split the square [-1, 1]^2 along y = x, so at resolution 4
     # the pixel centres (-0.75, -0.75), ..., (0.75, 0.75) lie on the shared edge.
     nodes = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
-    mesh = TriMesh(nodes, elements, [0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    mesh = TriMesh(nodes, elements, [0, 1, 2, 3])
     field = PiecewiseConstantField(mesh, [1.0, 2.0])
     path = tmp_path / "tie.pgm"
     write_field_pgm(field, path, resolution=4)

@@ -29,7 +29,7 @@ def test_generate_counts_within_band(target, lo, hi):
 @pytest.mark.parametrize("target", [254, 1016, 4064])
 def test_generate_positive_areas_and_disk_area(target):
     mesh = generate_disk_mesh(target)
-    assert np.all(mesh.signed_areas > 0.0)
+    assert np.all(mesh.areas > 0.0)
     assert abs(mesh.areas.sum() - np.pi) <= 0.02 * np.pi
 
 
@@ -60,80 +60,68 @@ def test_refine_snaps_boundary_and_stays_valid(mesh_chain):
 
 
 def _arrays(mesh):
-    """Writable copies of (nodes, elements, boundary_nodes, boundary_edges)."""
-    return (mesh.nodes.copy(), mesh.elements.copy(), mesh.boundary_nodes.copy(),
-            mesh.boundary_edges.copy())
+    """Writable copies of (nodes, elements, boundary_nodes)."""
+    return mesh.nodes.copy(), mesh.elements.copy(), mesh.boundary_nodes.copy()
 
 
 def test_validate_rejects_nonexistent_node(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
+    nodes, elements, bn = _arrays(mesh_small)
     for bad in (mesh_small.n_nodes, -1):
         elements[7, 1] = bad
         with pytest.raises(MeshError, match="^element references a nonexistent node$"):
-            TriMesh(nodes, elements, bn, be).validate()
+            TriMesh(nodes, elements, bn).validate()
 
 
 def test_validate_rejects_flipped_element(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
+    nodes, elements, bn = _arrays(mesh_small)
     elements[5, [1, 2]] = elements[5, [2, 1]]
     with pytest.raises(MeshError, match=r"^degenerate triangulation: element 5 has signed area -"):
-        TriMesh(nodes, elements, bn, be).validate()
+        TriMesh(nodes, elements, bn).validate()
 
 
 def test_validate_rejects_edge_shared_by_three_elements(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
+    nodes, elements, bn = _arrays(mesh_small)
     a, b, _ = elements[0]
     # A new node on the same side of edge (a, b) as element 0 gives a third,
     # positively oriented element on that interior edge.
     nodes = np.vstack((nodes, mesh_small.centroids[0]))
     elements = np.vstack((elements, (a, b, mesh_small.n_nodes)))
-    mesh = TriMesh(nodes, elements, bn, be)
-    assert np.all(mesh.signed_areas > 0.0)
+    mesh = TriMesh(nodes, elements, bn)
+    assert np.all(mesh.areas > 0.0)
     with pytest.raises(MeshError, match="^an edge is shared by more than two elements$"):
         mesh.validate()
 
 
-def test_validate_compares_boundary_edges_as_a_set(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
-    message = "^declared boundary edges do not match single-element edges$"
-    with pytest.raises(MeshError, match=message):
-        TriMesh(nodes, elements, bn, be[:-1]).validate()
-    interior = elements[0, :2]
-    with pytest.raises(MeshError, match=message):
-        TriMesh(nodes, elements, bn, np.vstack((be, interior))).validate()
-    # Orientation and repetition do not matter: this declares the same edge set.
-    TriMesh(nodes, elements, bn, np.vstack((be, be[3, ::-1]))).validate()
-
-
-def test_validate_rejects_boundary_edge_beyond_node_range(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
-    # With keys lo * (n + 1) + hi, the declared edge (u - 1, n + v + 1) has the
-    # key of the real boundary edge (u, v); it names a node that does not exist.
-    u, v = sorted(be[0])
-    be[0] = (u - 1, mesh_small.n_nodes + v + 1)
-    with pytest.raises(MeshError, match="^declared boundary edges do not match single-element edges$"):
-        TriMesh(nodes, elements, bn, be).validate()
+def test_validate_rejects_boundary_node_beyond_node_range(mesh_small):
+    nodes, elements, bn = _arrays(mesh_small)
+    # With keys lo * (n + 1) + hi, a boundary node id of n + 1 or above, or
+    # below 0, could give a cycle edge the key of a real boundary edge.
+    for bad in (mesh_small.n_nodes, mesh_small.n_nodes + 1, -1):
+        wrong = bn.copy()
+        wrong[5] = bad
+        with pytest.raises(MeshError, match="^boundary node references a nonexistent node$"):
+            TriMesh(nodes, elements, wrong).validate()
 
 
 def test_validate_rejects_boundary_node_off_circle(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
+    nodes, elements, bn = _arrays(mesh_small)
     nodes[bn[4]] *= 1.0 + 1e-9
     with pytest.raises(MeshError, match="^a boundary node is off the unit circle beyond tolerance$"):
-        TriMesh(nodes, elements, bn, be).validate()
+        TriMesh(nodes, elements, bn).validate()
 
 
 def test_validate_rejects_unsorted_boundary_nodes(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
+    nodes, elements, bn = _arrays(mesh_small)
     bn[[2, 3]] = bn[[3, 2]]
     with pytest.raises(MeshError, match="^boundary nodes are not strictly sorted by angle$"):
-        TriMesh(nodes, elements, bn, be).validate()
+        TriMesh(nodes, elements, bn).validate()
 
 
 def test_validate_rejects_boundary_edges_off_the_angular_cycle(mesh_small):
-    nodes, elements, bn, be = _arrays(mesh_small)
+    nodes, elements, bn = _arrays(mesh_small)
     # Still sorted and on the circle, but skipping a node breaks the cycle.
     with pytest.raises(MeshError, match="^boundary edges do not form the angular cycle$"):
-        TriMesh(nodes, elements, np.delete(bn, 3), be).validate()
+        TriMesh(nodes, elements, np.delete(bn, 3)).validate()
 
 
 def test_partition_single_cell_matches_centroid_scan(mesh_small):
@@ -215,7 +203,6 @@ def test_mesh_file_round_trip(tmp_path, mesh_small):
     assert np.array_equal(back.nodes, mesh_small.nodes)
     assert np.array_equal(back.elements, mesh_small.elements)
     assert np.array_equal(back.boundary_nodes, mesh_small.boundary_nodes)
-    assert np.array_equal(back.boundary_edges, mesh_small.boundary_edges)
 
 
 # The loops below are the mesh layer as it was written before it was
@@ -250,7 +237,7 @@ def _reference_elements(mesh):
 
 
 def _reference_refine(mesh):
-    """(nodes, elements, boundary_nodes, boundary_edges) of the refined mesh."""
+    """(nodes, elements, boundary_nodes) of the refined mesh."""
     boundary = {(min(int(a), int(b)), max(int(a), int(b))) for a, b in mesh.boundary_edges}
     new_nodes = []
     midpoint = {}
@@ -278,7 +265,7 @@ def _reference_refine(mesh):
             counts[key] = counts.get(key, 0) + 1
     bn = np.asarray(sorted({i for key, n in counts.items() if n == 1 for i in key}), dtype=np.int64)
     bn = bn[np.argsort(np.mod(np.arctan2(nodes[bn, 1], nodes[bn, 0]), 2.0 * np.pi))]
-    return nodes, elements, bn, np.column_stack((bn, np.roll(bn, -1)))
+    return nodes, elements, bn
 
 
 def _reference_neighbors(mesh):
@@ -402,15 +389,15 @@ def test_mesh_layer_properties(target, multiplier):
     assert refined.n_elements == 4 * mesh.n_elements
     refined.validate()
 
-    # Neighbors are symmetric and -1 exactly across the declared boundary edges.
+    # Neighbors are symmetric and -1 exactly across the boundary edges.
     nbrs = mesh.element_neighbors
     e, i = np.nonzero(nbrs >= 0)
     assert np.all(np.any(nbrs[nbrs[e, i]] == e[:, None], axis=1))
     e, i = np.nonzero(nbrs < 0)
     open_edges = np.sort(np.column_stack((mesh.elements[e, (i + 1) % 3], mesh.elements[e, (i + 2) % 3])), axis=1)
-    declared = np.sort(mesh.boundary_edges, axis=1)
+    cycle = np.sort(mesh.boundary_edges, axis=1)
     assert len(e) == mesh.n_boundary
-    assert set(map(tuple, open_edges.tolist())) == set(map(tuple, declared.tolist()))
+    assert set(map(tuple, open_edges.tolist())) == set(map(tuple, cycle.tolist()))
 
     xy = mesh.nodes[mesh.boundary_nodes]
     perimeter = np.hypot(*(np.roll(xy, -1, axis=0) - xy).T).sum()

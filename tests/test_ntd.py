@@ -5,7 +5,7 @@ from scipy.special import iv
 
 from optitomo.errors import FieldError, MeshError, SolverError
 from optitomo.field import BoundaryTrace, PiecewiseConstantField, sample_coefficient
-from optitomo.mesh import generate_disk_mesh, subdomain_partition
+from optitomo.mesh import TriMesh, generate_disk_mesh, subdomain_partition
 from optitomo.ntd import (
     NtDMatrix,
     boundary_inner,
@@ -50,7 +50,7 @@ def _element_field(mesh, rng, lo, hi, where=None):
 
 def _unit_current(mesh, rng):
     g = BoundaryTrace(mesh, rng.standard_normal(mesh.n_boundary))
-    return BoundaryTrace(mesh, g.values / np.sqrt(boundary_inner(g, g, mesh.boundary_mass)))
+    return BoundaryTrace(mesh, g.values / np.sqrt(boundary_inner(g, g)))
 
 
 @PROPERTY
@@ -96,22 +96,28 @@ def test_quadratic_form_monotonicity(mesh_small):
 
 def test_boundary_inner_constants(mesh_small):
     ones = BoundaryTrace(mesh_small, np.ones(mesh_small.n_boundary))
-    val = boundary_inner(ones, ones, mesh_small.boundary_mass)
+    val = boundary_inner(ones, ones)
     assert abs(val - 2 * np.pi) <= 0.01 * 2 * np.pi
 
 
 def test_boundary_inner_orthogonality(mesh_medium):
     c = BoundaryTrace(mesh_medium, np.cos(mesh_medium.boundary_angles))
     s = BoundaryTrace(mesh_medium, np.sin(mesh_medium.boundary_angles))
-    assert abs(boundary_inner(c, s, mesh_medium.boundary_mass)) <= 2e-3
+    assert abs(boundary_inner(c, s)) <= 2e-3
 
 
 def test_boundary_inner_swap_exact(mesh_small):
     rng = np.random.default_rng(0)
     g = BoundaryTrace(mesh_small, rng.standard_normal(mesh_small.n_boundary))
     h = BoundaryTrace(mesh_small, rng.standard_normal(mesh_small.n_boundary))
-    m = mesh_small.boundary_mass
-    assert boundary_inner(g, h, m) == boundary_inner(h, g, m)
+    assert boundary_inner(g, h) == boundary_inner(h, g)
+
+
+def test_boundary_inner_refuses_traces_on_different_meshes(mesh_small):
+    ones = np.ones(mesh_small.n_boundary)
+    twin = TriMesh(mesh_small.nodes, mesh_small.elements, mesh_small.boundary_nodes)
+    with pytest.raises(FieldError, match="^boundary traces live on different meshes$"):
+        boundary_inner(BoundaryTrace(mesh_small, ones), BoundaryTrace(twin, ones))
 
 
 def test_opnorm_zero_and_symmetry(ntd_unit):

@@ -91,7 +91,7 @@ def test_noise_free_equals_clean_transfer():
     sys = assemble(fine, sigma, q)
     for g, f, flux in zip(meas.fluxes.T, meas.traces.T, spec.fluxes):
         u = solve_neumann(sys, sample_flux(fine, flux))
-        expected = transfer_boundary_trace(fine, restrict_to_boundary(u), coarse)
+        expected = transfer_boundary_trace(restrict_to_boundary(u), coarse)
         assert np.array_equal(f, expected.values)
         assert np.array_equal(g, sample_flux(coarse, flux).values)
 
