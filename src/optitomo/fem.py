@@ -5,8 +5,8 @@ coefficients times P1 products, so the assembled matrix carries no quadrature
 error.  The Neumann problem needs no mean-zero gauge: q > 0 on a set of
 positive area makes the bilinear form coercive, and the system matrix is
 symmetric positive definite.  ``assemble`` sums the nine entries of every
-element matrix into the data of a CSC matrix with one ``np.bincount``,
-through the mesh's ``TriMesh.assembly_pattern``, built once per mesh.
+element matrix into the data of a CSC matrix with the ``scatter`` of the
+mesh's ``TriMesh.assembly_pattern``, built once per mesh.
 
 Two kernels factor a system.  The Kohn-Vogelius pair solve (``solve_pairs``,
 with ``solve_dirichlet`` its one-column Dirichlet call) scatters the data of
@@ -108,8 +108,8 @@ def assemble(
     local += gy[:, :, None] * gy[:, None, :]
     local *= (mesh.areas * sigma.values)[:, None, None]
     local += _MASS_PATTERN * (mesh.areas * q.values)[:, None, None]
-    data = np.bincount(pattern.slots, weights=local.ravel(), minlength=pattern.indices.size)
-    matrix = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(mesh.n_nodes, mesh.n_nodes))
+    matrix = sp.csc_matrix((pattern.scatter(local), pattern.indices, pattern.indptr),
+                           shape=(mesh.n_nodes, mesh.n_nodes))
     return AssembledSystem(mesh, matrix)
 
 
@@ -193,17 +193,17 @@ def _band_dirichlet(sys: AssembledSystem, f_values: np.ndarray) -> np.ndarray:
     return x
 
 
-def _band_solve(band_map, data: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve with the block that ``band_map`` maps from the CSC data ``data``, in band order.
-
-    The band Cholesky is the positive-definiteness check: its failure raises
-    :class:`SolverError`.
-    """
+def _cholesky(factorize, matrix: np.ndarray, what: str, **options):
+    """The lower Cholesky factor by ``factorize``; its failure raises :class:`SolverError`."""
     try:
-        factor = sla.cholesky_banded(band_map.band(data), lower=True, overwrite_ab=True,
-                                     check_finite=False)
+        return factorize(matrix, lower=True, check_finite=False, **options)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"{what} failed: the matrix is not positive definite ({exc})") from None
+
+
+def _band_solve(band_map, data: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve, in band order, with the block that ``band_map`` maps from the CSC data ``data``."""
+    factor = _cholesky(sla.cholesky_banded, band_map.band(data), what, overwrite_ab=True)
     # rhs is not overwritten: the Dirichlet check still reads it
     return sla.cho_solve_banded((factor, True), rhs, check_finite=False)
 
@@ -222,10 +222,7 @@ def solve_dense_spd(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarra
     the whole matrix, and also refuses a NaN that a non-finite input leaves.
     Raises :class:`SolverError` if the matrix is not positive definite.
     """
-    try:
-        factor = sla.cho_factor(matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"{what} failed: the matrix is not positive definite ({exc})") from None
+    factor = _cholesky(sla.cho_factor, matrix, what)
     x = sla.cho_solve(factor, rhs, check_finite=False)
     _check_residual(matrix @ x - rhs, rhs, what)
     return x

@@ -114,6 +114,8 @@ class Condensation:
     Z_B - Y_B x_I.  The residual of the full system splits into these two
     contracts: its rows I are the Schur residual S x_I + W, and its rows E
     are R_Z - R_Y x_I, with R_Z and R_Y the residuals of the A_EE columns.
+    ``block`` reads the dense I x I block of any matrix on the mesh's pattern:
+    A_II(q), and the certificate form's Q from a weighted mass matrix.
     """
 
     def __init__(self, setup: ProbingSetup):
@@ -144,8 +146,14 @@ class Condensation:
         self.y_b[on_e] = y[local[bn[on_e]]]
         self.y_b[~on_e, local[bn[~on_e]]] = -1.0
         # the data slots of A_II and their dense (row, column) places
-        self._slots, rows, indptr = mesh.assembly_pattern.principal_block(inner)
-        self._places = (rows, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)))
+        self._slots, rows, cols = mesh.assembly_pattern.principal_block(inner)
+        self._places = (local[rows], local[cols])
+
+    def block(self, data: np.ndarray) -> np.ndarray:
+        """The dense I x I block of the matrix with CSC data ``data`` on the mesh's pattern."""
+        out = np.zeros(self.c.shape)
+        out[self._places] = data[self._slots]
+        return out
 
     def solve(self, q: PiecewiseConstantField) -> tuple[AssembledSystem, np.ndarray]:
         """A(q), and the rows I of the Neumann solutions for every boundary hat current.
@@ -157,8 +165,7 @@ class Condensation:
         if np.any(q.values[~self.omega_mask] != 0.0):
             raise FieldError("absorption field must vanish outside the subdomain")
         sys = assemble(self.mesh, self.sigma, q)
-        schur = -self.c
-        schur[self._places] += sys.matrix.data[self._slots]
+        schur = self.block(sys.matrix.data) - self.c
         return sys, -solve_dense_spd(schur, self.w, "condensed Neumann solve")
 
     def ntd(self, q: PiecewiseConstantField) -> NtDMatrix:
@@ -253,20 +260,17 @@ def localization_gap(setup: ProbingSetup, q: PiecewiseConstantField, g: Boundary
     return inside - rest
 
 
-def _certificate_form(mesh: TriMesh, elements: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_e weights_e int_e u_a u_b over the listed elements, for every column pair (a, b) of u.
+def _certificate_form(condensation: Condensation, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_e weights_e int_e u_a u_b over the elements, for every column pair (a, b) of u.
 
-    Row r of u holds the values at the r-th lowest node of the listed
-    elements.  The form is u^T Q u, with Q the weighted sum of the exact P1
-    element mass matrices of ``element_l2_products``, |e|/12 (1 1^T + I) on
-    the vertices of e.
+    Row r of u holds the values at the r-th node of the condensation's rows I,
+    and the weights, one per element, vanish off omega.  The form is u^T Q u,
+    with Q the block on I of the weighted sum of the exact P1 element mass
+    matrices of ``element_l2_products``, |e|/12 (1 1^T + I) on the vertices of e.
     """
-    _, local = np.unique(mesh.elements[elements], return_inverse=True)
-    local = local.reshape(-1, 3)
-    n = u.shape[0]
-    entries = (weights * mesh.areas[elements] / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-    pairs = (local[:, :, None] * n + local[:, None, :]).ravel()
-    q = np.bincount(pairs, weights=entries.ravel(), minlength=n * n).reshape(n, n)
+    mesh = condensation.mesh
+    local = (weights * mesh.areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    q = condensation.block(mesh.assembly_pattern.scatter(local))
     return u.T @ (q @ u)
 
 
@@ -287,10 +291,9 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     mesh = setup.mesh
     part = setup.partition
     sys, x_i = setup.condensation.solve(eta_field(setup, j, k))
-    omega = np.flatnonzero(part.omega_mask)
     # stated apart from ``_certificate``, so the re-check also catches a wrong weight
-    weights = np.where(part.labels[omega] == j, 0.5, 0.5 - 1.5 * setup.b / setup.a)
-    form = _certificate_form(mesh, omega, weights, x_i)
+    rest = np.where(part.omega_mask, 0.5 - 1.5 * setup.b / setup.a, 0.0)
+    form = _certificate_form(setup.condensation, np.where(part.labels == j, 0.5, rest), x_i)
     lam, vec = sla.eigh(form, mesh.boundary_mass)
     top = lam[-1]
     if not top > 0.0:
@@ -302,7 +305,7 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     rtol = max(RECHECK_RTOL, RECHECK_ROUNDING * np.finfo(float).eps * kappa)
     g = BoundaryTrace(mesh, vec[:, -1] * math.sqrt(BETA_TARGET / top))
     u = solve_neumann(sys, g)
-    beta = _certificate(setup, j, element_l2_products(u, u)[omega])
+    beta = _certificate(setup, j, element_l2_products(u, u)[part.omega_mask])
     defect = abs(beta - BETA_TARGET) / BETA_TARGET
     if not (beta > 1.0 and defect <= rtol):
         raise CertificateError(

@@ -108,8 +108,7 @@ class TriMesh:
     @cached_property
     def boundary_angles(self) -> np.ndarray:
         """Angles of boundary nodes in [0, 2*pi), ascending."""
-        xy = self.nodes[self.boundary_nodes]
-        return np.mod(np.arctan2(xy[:, 1], xy[:, 0]), 2.0 * np.pi)
+        return _angles(self.nodes[self.boundary_nodes])
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
@@ -212,21 +211,21 @@ class BandMap:
 
 
 class AssemblyPattern:
-    """CSC structure of the P1 system matrix on one mesh.
+    """CSC structure of the P1 system matrix: the one map from element matrices and node sets to its entries.
 
-    Entry (a, b) of element e's 3x3 matrix, flattened row-major, is summed into
-    data slot ``slots[9 e + 3 a + b]`` of a CSC matrix with ``indptr`` and
-    ``indices`` (rows sorted within each column, no duplicates).  The
-    principal block of such a matrix over any node set is a fixed subset of
-    its data slots (``principal_block``).  ``full_band`` and ``interior_band``
-    map those of A over all nodes and of A_II over the interior nodes into
-    lower band forms, each with its nodes in a stable sort on x; they are
-    built once, on first use.  A sort on x gives a band 40 wide at 1 014
-    elements, where reverse Cuthill-McKee gives 27, but it needs no graph
-    module.  A pattern costs about 105 B per element, and about 70 B more once
-    both band maps are built; it lives as long as its mesh, as
-    ``TriMesh.assembly_pattern``.  It keeps the mesh's arrays, not the mesh,
-    so that mesh and pattern form no reference cycle.
+    ``scatter`` sums entry (a, b) of element e's 3x3 matrix, flattened
+    row-major, into data slot ``slots[9 e + 3 a + b]`` of a CSC matrix with
+    ``indptr`` and ``indices`` (rows sorted within each column, no
+    duplicates).  The principal block of such a matrix over a node set is a
+    fixed subset of its data slots (``principal_block``).  ``full_band`` and
+    ``interior_band`` map those of A over all nodes and of A_II over the
+    interior nodes into lower band forms, each with its nodes in a stable
+    sort on x; they are built once, on first use.  A sort on x gives a band
+    40 wide at 1 014 elements, where reverse Cuthill-McKee gives 27, but it
+    needs no graph module.  A pattern costs about 105 B per element, and
+    about 70 B more once both band maps are built; it lives as long as its
+    mesh, as ``TriMesh.assembly_pattern``.  It keeps the mesh's arrays, not
+    the mesh, so that mesh and pattern form no reference cycle.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -245,32 +244,26 @@ class AssemblyPattern:
         self.indptr = structure.indptr
 
     def principal_block(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Data slots, indices and indptr of the principal block over the nodes in ``mask``.
+        """Data slots of the principal block over ``mask``, and the node row and column of each."""
+        cols = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+        slots = np.flatnonzero(mask[self.indices] & mask[cols])
+        return slots, self.indices[slots], cols[slots]
 
-        The block is in CSC form with its nodes numbered in increasing order;
-        its entry p is data slot ``slots[p]`` of any matrix on this pattern.
-        """
-        n = self.indptr.size - 1
-        # numbered data carry each entry's slot through the slice (from 1, so
-        # that no slot is a zero)
-        slots = np.arange(1.0, self.indices.size + 1)
-        numbered = sp.csc_array((slots, self.indices, self.indptr), shape=(n, n))
-        block = numbered[mask][:, mask]
-        return block.data.astype(np.intp) - 1, block.indices, block.indptr
+    def scatter(self, local: np.ndarray) -> np.ndarray:
+        """CSC data of the matrix summed from the (n_elements, 3, 3) element matrices ``local``."""
+        return np.bincount(self.slots, weights=local.ravel(), minlength=self.indices.size)
 
     def _band_map(self, mask: np.ndarray) -> BandMap:
         """The band map of the principal block over ``mask``, its nodes in a stable sort on x."""
-        slots, indices, indptr = self.principal_block(mask)
-        nodes = np.flatnonzero(mask)
-        order = np.argsort(self.x[nodes], kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        rows = rank[indices]
-        cols = rank[np.repeat(np.arange(nodes.size), np.diff(indptr))]
+        slots, rows, cols = self.principal_block(mask)
+        nodes = np.flatnonzero(mask)[np.argsort(self.x[mask], kind="stable")]
+        rank = np.empty(mask.size, dtype=np.intp)
+        rank[nodes] = np.arange(nodes.size)
+        rows, cols = rank[rows], rank[cols]
         lower = rows >= cols
         offsets = rows[lower] - cols[lower]
         width = int(offsets.max())
-        return BandMap(nodes[order], width, slots[lower], cols[lower] * (width + 1) + offsets)
+        return BandMap(nodes, width, slots[lower], cols[lower] * (width + 1) + offsets)
 
     @cached_property
     def full_band(self) -> BandMap:
@@ -283,6 +276,11 @@ class AssemblyPattern:
         interior = np.ones(self.indptr.size - 1, dtype=bool)
         interior[self.boundary_nodes] = False
         return self._band_map(interior)
+
+
+def _angles(points: np.ndarray) -> np.ndarray:
+    """Polar angle in [0, 2*pi) of each point (row) of ``points``."""
+    return np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * np.pi)
 
 
 def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
@@ -391,7 +389,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     a, b, c = mesh.elements.T
     elements = np.column_stack((a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca)).reshape(-1, 3)
     bn = np.concatenate((mesh.boundary_nodes, mesh.n_nodes + np.flatnonzero(on_circle)))
-    bn = bn[np.argsort(np.mod(np.arctan2(nodes[bn, 1], nodes[bn, 0]), 2.0 * np.pi))]
+    bn = bn[np.argsort(_angles(nodes[bn]))]
     refined = TriMesh(nodes, elements, bn)
     refined.validate()
     return refined
@@ -460,11 +458,8 @@ def subdomain_partition(mesh: TriMesh, omega_radius: float, n_cells: int) -> Par
         raise MeshError("n_cells must be positive")
     cen = mesh.centroids
     inside = np.hypot(cen[:, 0], cen[:, 1]) < omega_radius
-    labels = np.zeros(mesh.n_elements, dtype=np.int64)
-    theta = np.mod(np.arctan2(cen[:, 1], cen[:, 0]), 2.0 * np.pi)
-    sector = np.minimum((theta / (2.0 * np.pi) * n_cells).astype(np.int64), n_cells - 1)
-    labels[inside] = sector[inside] + 1
-    return Partition(mesh, labels, n_cells)
+    sector = np.minimum((_angles(cen) / (2.0 * np.pi) * n_cells).astype(np.int64), n_cells - 1)
+    return Partition(mesh, np.where(inside, sector + 1, 0), n_cells)
 
 
 def write_mesh(mesh: TriMesh, path) -> None:

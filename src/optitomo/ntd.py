@@ -90,31 +90,34 @@ def boundary_inner(g: BoundaryTrace, h: BoundaryTrace) -> float:
     return 0.5 * (a + b)
 
 
-def _m_symmetrized(diff: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Symmetric matrix L^T diff L^{-T} (M = L L^T) with the eigenvalues of diff."""
+def _m_spectrum(diff: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of diff after M-symmetrization: of L^T diff L^{-T} (M = L L^T)."""
     chol = sla.cholesky(mass, lower=True)
     right = sla.solve_triangular(chol, diff.T, lower=True).T  # diff @ L^{-T}
     sym = chol.T @ right
-    return 0.5 * (sym + sym.T)
+    return sla.eigvalsh(0.5 * (sym + sym.T))
 
 
 def m_weighted_opnorm(diff: np.ndarray, mass: np.ndarray) -> float:
     """Largest |eigenvalue| of an M-self-adjoint operator given as a plain matrix."""
-    return float(np.max(np.abs(sla.eigvalsh(_m_symmetrized(diff, mass)))))
+    return float(np.max(np.abs(_m_spectrum(diff, mass))))
+
+
+def _difference(l1: NtDMatrix, l2: NtDMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The difference l1 - l2 of two NtD operators on one mesh, and the mass matrix M of that mesh."""
+    if l1.mesh is not l2.mesh:
+        raise FieldError("NtD operators live on different meshes")
+    return l1.lam - l2.lam, l1.mesh.boundary_mass
 
 
 def opnorm_diff(l1: NtDMatrix, l2: NtDMatrix) -> float:
     """M-weighted operator norm of the difference of two NtD operators."""
-    if l1.mesh is not l2.mesh:
-        raise FieldError("NtD operators live on different meshes")
-    return m_weighted_opnorm(l1.lam - l2.lam, l1.mesh.boundary_mass)
+    return m_weighted_opnorm(*_difference(l1, l2))
 
 
 def min_m_eigenvalue(l1: NtDMatrix, l2: NtDMatrix) -> float:
     """Smallest M-generalized eigenvalue of l1 - l2 (quadratic-form ordering test)."""
-    if l1.mesh is not l2.mesh:
-        raise FieldError("NtD operators live on different meshes")
-    return float(np.min(sla.eigvalsh(_m_symmetrized(l1.lam - l2.lam, l1.mesh.boundary_mass))))
+    return float(np.min(_m_spectrum(*_difference(l1, l2))))
 
 
 def _common_support(q1: PiecewiseConstantField, q2: PiecewiseConstantField) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 import optitomo.fem
@@ -356,6 +357,62 @@ def test_condensed_ntd_matches_build_ntd(target, radius):
         assert np.max(np.abs(lam - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.fixture(scope="module")
+def pattern_setups():
+    """Probing setups on two aligned meshes, each condensation built on first use."""
+    meshes = {target: generate_disk_mesh(target, angular_multiplier=8) for target in (254, 1016)}
+    return {target: make_probing_setup(subdomain_partition(mesh, 0.5, 4), 1.0, 2.0)
+            for target, mesh in meshes.items()}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(target=st.sampled_from([254, 1016]), density=st.floats(0.0, 1.0), seed=SEEDS)
+def test_pattern_blocks_match_the_scipy_slices(pattern_setups, target, density, seed):
+    # a matrix on the pattern with random, unsymmetric data, so that a
+    # transposed or shifted place shows; the blocks must match exactly
+    setup = pattern_setups[target]
+    mesh = setup.mesh
+    pattern = mesh.assembly_pattern
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(pattern.indices.size)
+    a = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(mesh.n_nodes,) * 2)
+    mask = rng.random(mesh.n_nodes) < density
+    slots, rows, cols = pattern.principal_block(mask)
+    assert np.all(mask[rows]) and np.all(mask[cols])
+    local = np.cumsum(mask) - 1
+    block = np.zeros((mask.sum(),) * 2)
+    block[local[rows], local[cols]] = data[slots]
+    assert np.array_equal(block, a[mask][:, mask].toarray())
+    inner = np.zeros(mesh.n_nodes, dtype=bool)
+    inner[mesh.elements[setup.partition.omega_mask]] = True
+    assert np.array_equal(setup.condensation.block(data), a[inner][:, inner].toarray())
+
+
+def _unique_route_form(mesh, elements, weights, u):
+    """The certificate form over the listed elements with the nodes numbered by ``np.unique``
+    and Q summed by a bincount of its own, |I|^2 bins."""
+    _, local = np.unique(mesh.elements[elements], return_inverse=True)
+    local = local.reshape(-1, 3)
+    n = u.shape[0]
+    entries = (weights * mesh.areas[elements] / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    pairs = (local[:, :, None] * n + local[:, None, :]).ravel()
+    q = np.bincount(pairs, weights=entries.ravel(), minlength=n * n).reshape(n, n)
+    return u.T @ (q @ u)
+
+
+@pytest.mark.parametrize("target, radius", [(254, 0.5), (1016, 0.5), (254, 0.99)])
+def test_certificate_form_matches_the_unique_route(target, radius):
+    mesh = generate_disk_mesh(target, angular_multiplier=8)
+    setup = make_probing_setup(subdomain_partition(mesh, radius, 8), 1.0, 2.0)
+    omega = setup.partition.omega_mask
+    rng = np.random.default_rng(target)
+    weights = np.where(omega, rng.uniform(-2.0, 1.0, mesh.n_elements), 0.0)
+    x_i = setup.condensation.solve(eta_field(setup, 1, 1))[1]
+    form = optitomo.locpot._certificate_form(setup.condensation, weights, x_i)
+    ref = _unique_route_form(mesh, np.flatnonzero(omega), weights[omega], x_i)
+    assert np.max(np.abs(form - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_certificates_and_report_share_one_exterior_factorization(mesh_small_aligned, monkeypatch):
     # one LU of A_EE per setup, and one of the full system per re-check
     setup = make_probing_setup(subdomain_partition(mesh_small_aligned, 0.5, 4), 1.0, 1.2)
@@ -392,7 +449,8 @@ def test_indefinite_schur_complement_is_a_solver_error(mesh_small_aligned, monke
 def test_certificate_error_names_best_beta(setup_small, monkeypatch):
     # with B = -M every current has beta = -<g, g>_M: the best beta per unit
     # squared current norm is lambda_max = -1
-    monkeypatch.setattr(optitomo.locpot, "_certificate_form", lambda mesh, *_: -mesh.boundary_mass)
+    monkeypatch.setattr(optitomo.locpot, "_certificate_form",
+                        lambda condensation, *_: -condensation.mesh.boundary_mass)
     with pytest.raises(CertificateError) as info:
         find_localized_current(setup_small, 1, 1)
     message = str(info.value)
@@ -406,7 +464,7 @@ def _scaled_rest_weight(monkeypatch, factor):
     original = optitomo.locpot._certificate_form
     monkeypatch.setattr(
         optitomo.locpot, "_certificate_form",
-        lambda mesh, elements, w, u: original(mesh, elements, np.where(w < 0.0, factor * w, w), u),
+        lambda condensation, w, u: original(condensation, np.where(w < 0.0, factor * w, w), u),
     )
 
 
