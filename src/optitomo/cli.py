@@ -205,12 +205,10 @@ def _get(cfg, section, key, default=None, cast=str, minimum=None):
             raise UsageError(f"missing config key {key!r} in [{section}]") from None
         return default
     if cast is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {key!r} must be boolean, got {raw!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise UsageError(f"config key {key!r} must be boolean, got {raw!r}") from None
     try:
         value = cast(raw)
     except ValueError:

@@ -8,30 +8,29 @@ symmetric positive definite.  ``assemble`` sums the nine entries of every
 element matrix into the data of a CSC matrix with the ``scatter`` of the
 mesh's ``TriMesh.assembly_pattern``, built once per mesh.
 
-Two kernels factor a system.  The Kohn-Vogelius pair solve (``solve_pairs``,
-with ``solve_dirichlet`` its one-column Dirichlet call) scatters the data of
-A into the band forms of A and of A_II that the pattern maps, and factors
-each by LAPACK's band Cholesky for all its columns (George & Liu, "Computer
-Solution of Large Sparse Positive Definite Systems", 1981): at 1 014
-elements that takes 0.2-0.3 ms where a SuperLU call takes over 1 ms,
-nearly all of it per-call overhead.  The one-shot full-system path, for
-boundary-flux loads (``solve_neumann_many``, with ``solve_neumann`` its
-one-column call) and interior loads (``solve_source``) alike, caches one
-SuperLU factorization of A per system in symmetric mode (``SPLU_OPTIONS``),
-which needs no row interchanges on SPD matrices and fills less than the
-default ordering.  On large meshes SuperLU is the better kernel: at 65 536
-elements the band sorted on x factors more slowly with four times SuperLU's
-fill memory, and even a reverse Cuthill-McKee band needs twice that
-memory.  ``solve_sparse_spd`` and ``solve_dense_spd`` solve with a block of
-a system on a factorization made for the call.  Every column of a solve must
-meet the SOLVE_RTOL residual contract on its own, which also catches a
-breakdown of the unpivoted LU; a Cholesky that fails reports that the matrix
-is not positive definite.
+Each kernel factors per call and keeps no factor after it returns.  The
+Kohn-Vogelius pair solve (``solve_pairs``, with ``solve_dirichlet`` its
+one-column Dirichlet call) scatters the data of A into the band forms of A
+and of A_II that the pattern maps, and factors each by LAPACK's band
+Cholesky for all its columns (George & Liu, "Computer Solution of Large
+Sparse Positive Definite Systems", 1981): at 1 014 elements that takes
+0.2-0.3 ms where a SuperLU call takes over 1 ms, nearly all of it per-call
+overhead.  ``solve_sparse_spd`` makes one SuperLU factorization in
+symmetric mode (``SPLU_OPTIONS``) for all the columns of its call; the
+boundary-flux loads of ``solve_neumann_many`` (``solve_neumann`` is its
+one-column call) and the interior loads of ``solve_source`` go through it.
+On large meshes SuperLU is the better kernel: at 65 536 elements the band
+sorted on x factors more slowly with four times SuperLU's fill memory, and
+even a reverse Cuthill-McKee band needs twice that memory.
+``solve_dense_spd`` solves with a dense block by Cholesky.  Every column of
+a solve must meet the SOLVE_RTOL residual contract on its own, which also
+catches a breakdown of the unpivoted LU; a Cholesky that fails reports that
+the matrix is not positive definite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,37 +46,22 @@ SOLVE_RTOL = 1e-8
 
 # SuperLU settings of every factorization: minimum degree on A^T + A, diagonal
 # pivots only, and a symmetric ordering of rows and columns (Li, "An overview
-# of SuperLU", ACM TOMS 31, 2005).  Safe without pivoting because A and A_II
-# are symmetric positive definite for every input ``assemble`` accepts.
+# of SuperLU", ACM TOMS 31, 2005), which needs no row interchanges and fills
+# less than the default ordering.  Safe without pivoting because A and its
+# principal blocks are symmetric positive definite for every input
+# ``assemble`` accepts.
 SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                 "options": {"SymmetricMode": True}}
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def _factorize(matrix):
-    """LU of an SPD matrix under SPLU_OPTIONS."""
-    return spla.splu(matrix, **SPLU_OPTIONS)
-
-
-@dataclass
+@dataclass(frozen=True)
 class AssembledSystem:
-    """Stiffness+mass matrix A(sigma, q) with one cached SuperLU factorization, of A.
-
-    The factorization serves the full-system path and is created lazily on
-    first use; warm it up before sharing a system across threads.  The pair
-    solve of ``solve_pairs`` factors band forms of A and A_II per call and
-    leaves no factorization behind.
-    """
+    """Stiffness+mass matrix A(sigma, q) on its mesh; it holds no factorization."""
 
     mesh: TriMesh
     matrix: sp.csc_matrix
-    _full_lu: object = dc_field(default=None, repr=False)
-
-    def full_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._full_lu is None:
-            self._full_lu = _factorize(self.matrix)
-        return self._full_lu.solve(rhs)
 
 
 def assemble(
@@ -139,15 +123,8 @@ def solve_neumann(sys: AssembledSystem, g: BoundaryTrace) -> NodalField:
 
 
 def solve_neumann_many(sys: AssembledSystem, g_values: np.ndarray) -> np.ndarray:
-    """Solve for many boundary-flux columns at once; returns (n_nodes, k) array."""
-    return _full_system_solve(sys, boundary_load(sys.mesh, g_values), "Neumann solve")
-
-
-def _full_system_solve(sys: AssembledSystem, b: np.ndarray, what: str) -> np.ndarray:
-    """Solve A x = b on the full LU under the residual contract."""
-    x = sys.full_solve(b)
-    _check_residual(sys.matrix @ x - b, b, what)
-    return x
+    """Solve for many boundary-flux columns on one factorization; returns (n_nodes, k) array."""
+    return solve_sparse_spd(sys.matrix, boundary_load(sys.mesh, g_values), "Neumann solve")
 
 
 def solve_dirichlet(sys: AssembledSystem, f: BoundaryTrace) -> NodalField:
@@ -210,7 +187,7 @@ def _band_solve(band_map, data: np.ndarray, rhs: np.ndarray, what: str) -> np.nd
 
 def solve_sparse_spd(matrix, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve with a sparse SPD matrix on an LU made for this call, each column under the contract."""
-    x = _factorize(matrix).solve(rhs)
+    x = spla.splu(matrix, **SPLU_OPTIONS).solve(rhs)
     _check_residual(matrix @ x - rhs, rhs, what)
     return x
 
@@ -233,7 +210,7 @@ def solve_source(sys: AssembledSystem, elements: np.ndarray, values: np.ndarray)
     mesh = sys.mesh
     b = np.zeros((mesh.n_nodes, 1))
     np.add.at(b[:, 0], mesh.elements[elements].ravel(), np.repeat(values * mesh.areas[elements] / 3.0, 3))
-    return NodalField(mesh, _full_system_solve(sys, b, "source solve")[:, 0])
+    return NodalField(mesh, solve_sparse_spd(sys.matrix, b, "source solve")[:, 0])
 
 
 def element_gradients(u: NodalField) -> np.ndarray:

@@ -61,7 +61,7 @@ class MeasurementSet:
     """Flux/trace pairs (g_k, f_k) on the inversion mesh.
 
     ``fluxes`` and ``traces`` hold the g_k and f_k as the columns of two
-    read-only (n_boundary, K) arrays, K >= 1.
+    read-only (n_boundary, K) float copies of the arrays given, K >= 1.
     """
 
     mesh: TriMesh
@@ -69,13 +69,15 @@ class MeasurementSet:
     traces: np.ndarray
 
     def __post_init__(self):
+        for name in ("fluxes", "traces"):
+            values = np.array(getattr(self, name), dtype=float, copy=True)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         shape, n = self.fluxes.shape, self.mesh.n_boundary
         if len(shape) != 2 or shape[0] != n or shape[1] < 1:
             raise FieldError(f"fluxes must be (n_boundary={n}, K >= 1), got {shape}")
         if self.traces.shape != shape:
             raise FieldError(f"traces {self.traces.shape} do not match fluxes {shape}")
-        self.fluxes.setflags(write=False)
-        self.traces.setflags(write=False)
 
     def __len__(self) -> int:
         return self.fluxes.shape[1]

@@ -127,16 +127,14 @@ class TriMesh:
         Rows and columns follow the angular ordering of ``boundary_nodes``, so
         edge i joins rows i and i + 1 (mod n_boundary).
         """
-        nb = self.n_boundary
-        i = np.arange(nb)
+        i = np.arange(self.n_boundary)
         j = np.roll(i, -1)
         third = self.boundary_edge_lengths / 3.0
         sixth = self.boundary_edge_lengths / 6.0
-        m = np.zeros((nb, nb))
-        # Edge by edge, entries (i, i), (j, j), (i, j), (j, i): the addends
-        # reach each entry in the order of a plain loop over the edges.
-        np.add.at(m, (np.column_stack((i, j, i, j)), np.column_stack((i, j, j, i))),
-                  np.column_stack((third, third, sixth, sixth)))
+        m = np.zeros((i.size, i.size))
+        m[i, i] = third + np.roll(third, 1)  # edges i and i - 1 meet at node i
+        m[i, j] = sixth
+        m[j, i] = sixth
         m.setflags(write=False)
         return m
 

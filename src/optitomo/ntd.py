@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import FieldError, SolverError
-from .field import BoundaryTrace, PiecewiseConstantField, restrict_to_boundary
+from .field import BoundaryTrace, NodalField, PiecewiseConstantField, restrict_to_boundary
 from .fem import (
     assemble,
     element_gradients,
@@ -209,9 +209,10 @@ def lambda_frechet_form(
     solve the Neumann problem for currents g and h at coefficients (sigma, q).
     """
     mesh = sigma.mesh
-    sys = assemble(mesh, sigma, q)
-    ug = solve_neumann(sys, g)
-    uh = solve_neumann(sys, h)
+    if g.mesh is not mesh or h.mesh is not mesh:
+        raise FieldError("boundary trace lives on a different mesh")
+    u = solve_neumann_many(assemble(mesh, sigma, q), np.column_stack((g.values, h.values)))
+    ug, uh = NodalField(mesh, u[:, 0]), NodalField(mesh, u[:, 1])
     gg = element_gradients(ug)
     gh = element_gradients(uh)
     grad_term = float(np.sum(d1.values * mesh.areas * np.sum(gg * gh, axis=1)))

@@ -22,13 +22,12 @@ from .errors import FieldError
 from .field import (
     BoundaryTrace,
     PiecewiseConstantField,
-    restrict_to_boundary,
     sample_coefficient,
     transfer_boundary_trace,
     write_csv,
     EX2_DISKS,
 )
-from .fem import assemble, solve_neumann
+from .fem import assemble, solve_neumann_many
 from .inversion import MeasurementSet
 from .mesh import TriMesh, generate_disk_mesh
 
@@ -139,23 +138,18 @@ def apply_trace_noise(trace: BoundaryTrace, epsilon: float, rng: np.random.Gener
 
 
 def make_measurements(spec: ExperimentSpec) -> MeasurementSet:
-    """Generate measurement pairs on the coarse mesh from fine-mesh truth solves.
-
-    The fine solves go one flux at a time: a K-column solve can differ from
-    K one-column solves in the last bits.
-    """
+    """Generate measurement pairs on the coarse mesh from one K-column truth solve on the fine mesh."""
     fine = generate_disk_mesh(spec.fine_elements, spec.angular_multiplier)
     coarse = generate_disk_mesh(spec.coarse_elements, spec.angular_multiplier)
-    sigma_f = sample_coefficient(fine, spec.truth_sigma)
-    q_f = sample_coefficient(fine, spec.truth_q)
-    sys = assemble(fine, sigma_f, q_f)
-    fluxes, traces = [], []
-    for k, flux in enumerate(spec.fluxes, start=1):
-        f_fine = restrict_to_boundary(solve_neumann(sys, sample_flux(fine, flux)))
+    sys = assemble(fine, sample_coefficient(fine, spec.truth_sigma), sample_coefficient(fine, spec.truth_q))
+    g_fine = np.column_stack([sample_flux(fine, flux).values for flux in spec.fluxes])
+    f_fine = solve_neumann_many(sys, g_fine)[fine.boundary_nodes]
+    traces = []
+    for k, f in enumerate(f_fine.T, start=1):
         rng = np.random.default_rng([spec.seed, k])
-        f_noisy = apply_trace_noise(f_fine, spec.noise_level, rng)
+        f_noisy = apply_trace_noise(BoundaryTrace(fine, f), spec.noise_level, rng)
         traces.append(transfer_boundary_trace(f_noisy, coarse).values)
-        fluxes.append(sample_flux(coarse, flux).values)
+    fluxes = [sample_flux(coarse, flux).values for flux in spec.fluxes]
     return MeasurementSet(coarse, np.column_stack(fluxes), np.column_stack(traces))
 
 
@@ -165,10 +159,8 @@ def consistent_measurements(mesh: TriMesh, sigma, q, fluxes) -> MeasurementSet:
     With these, the data-generating coefficients drive the functional to an
     exact zero; used for optimizer and gradient consistency checks.
     """
-    sys = assemble(mesh, sigma, q)
-    gs = [sample_flux(mesh, flux) for flux in fluxes]
-    fs = [restrict_to_boundary(solve_neumann(sys, g)).values for g in gs]
-    return MeasurementSet(mesh, np.column_stack([g.values for g in gs]), np.column_stack(fs))
+    g = np.column_stack([sample_flux(mesh, flux).values for flux in fluxes])
+    return MeasurementSet(mesh, g, solve_neumann_many(assemble(mesh, sigma, q), g)[mesh.boundary_nodes])
 
 
 def example2_regions(mesh: TriMesh) -> dict[str, np.ndarray]:

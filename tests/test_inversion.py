@@ -120,6 +120,17 @@ def test_measurement_set_checks_its_shapes(mesh_small):
     assert not meas.fluxes.flags.writeable and not meas.traces.flags.writeable
 
 
+
+def test_measurement_set_keeps_copies_of_the_arrays_it_is_given(mesh_small):
+    # the caller's arrays stay writable and later writes do not reach the set
+    n = mesh_small.n_boundary
+    fluxes, traces = np.ones((n, 2)), np.zeros((n, 2), dtype=np.float32)
+    meas = MeasurementSet(mesh_small, fluxes, traces)
+    fluxes[0, 0] = 2.0
+    traces[0, 0] = 3.0
+    assert meas.fluxes[0, 0] == 1.0 and meas.traces[0, 0] == 0.0
+    assert meas.traces.dtype == np.float64
+
 def _data_energy(meas, sigma, q):
     sys = assemble(meas.mesh, sigma, q)
     us = (solve_neumann(sys, BoundaryTrace(meas.mesh, g)).values for g in meas.fluxes.T)

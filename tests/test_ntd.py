@@ -229,6 +229,9 @@ def test_frechet_form_zero_direction(mesh_small):
     zero = PiecewiseConstantField(mesh, np.zeros(mesh.n_elements))
     g = BoundaryTrace(mesh, np.sin(mesh.boundary_angles))
     assert lambda_frechet_form(sigma, q, zero, zero, g, g) == 0.0
+    twin = TriMesh(mesh.nodes, mesh.elements, mesh.boundary_nodes)
+    with pytest.raises(FieldError, match="^boundary trace lives on a different mesh$"):
+        lambda_frechet_form(sigma, q, zero, zero, g, BoundaryTrace(twin, g.values))
 
 
 def test_frechet_form_sign(mesh_small):

@@ -129,3 +129,31 @@ def test_every_public_function_has_a_caller():
         if name not in used and not re.search(rf"\b{name}\b", benchmark)
     }
     assert uncalled == UNCALLED, f"callers differ from UNCALLED for {sorted(uncalled ^ UNCALLED)}"
+
+
+# LU and Cholesky factorizations of scipy that the package may call.
+FACTORIZATIONS = ("splu", "cholesky_banded", "cho_factor")
+
+
+def test_each_factorization_kernel_has_one_call_site():
+    # Every factor lives only inside the fem call that made it: each kernel
+    # is named at exactly one place in the package (a call or the argument
+    # of one), so no second path can make a factor and keep it.
+    sites = {name: [] for name in FACTORIZATIONS}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias)) and name in sites:
+                sites[name].append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert all(len(found) == 1 and found[0].startswith("fem.py:") for found in sites.values()), sites
+
+
+def test_assembled_system_is_a_frozen_matrix_value():
+    # no solver state on the system: a frozen dataclass of (mesh, matrix)
+    # and nothing else in its body but the docstring
+    tree = ast.parse((PACKAGE / "fem.py").read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "AssembledSystem"]
+    assert [ast.unparse(d) for d in cls.decorator_list] == ["dataclass(frozen=True)"]
+    body = cls.body[1:] if isinstance(cls.body[0], ast.Expr) else cls.body
+    fields = [(type(n), getattr(getattr(n, "target", None), "id", None)) for n in body]
+    assert fields == [(ast.AnnAssign, "mesh"), (ast.AnnAssign, "matrix")]
