@@ -5,10 +5,15 @@ centroids); solutions are nodal P1 fields; boundary traces hold one value per
 boundary node in angular order.  Boundary transfer between meshes uses the
 angle parameterization of the circle, which is exact for the disk geometry
 and reproduces constants.
+
+Coefficients and boundary currents are text descriptors of one grammar,
+``NAME`` or ``NAME:V1,...,Vn`` with every number finite (``parse_descriptor``).
 """
 
 from __future__ import annotations
 
+import inspect
+import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -79,11 +84,15 @@ def constant(value: float):
     return fn
 
 
+def in_disk(x, y, cx: float, cy: float, radius: float) -> np.ndarray:
+    """Whether each point (x, y) lies in the open disk of ``radius`` around (cx, cy)."""
+    return (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2 < radius ** 2
+
+
 def disk_indicator(cx: float, cy: float, radius: float, inside: float, outside: float):
     """Descriptor: ``inside`` on the open disk around (cx, cy), ``outside`` elsewhere."""
     def fn(x, y):
-        hit = (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2 < radius ** 2
-        return np.where(hit, inside, outside).astype(float)
+        return np.where(in_disk(x, y, cx, cy, radius), inside, outside).astype(float)
     return fn
 
 
@@ -118,54 +127,52 @@ def _two_disk(values_by_disk, background: float):
         y = np.asarray(y, dtype=float)
         out = np.full(np.broadcast(x, y).shape, background, dtype=float)
         for name, value in values_by_disk:
-            cx, cy, r = EX2_DISKS[name]
-            out = np.where((x - cx) ** 2 + (y - cy) ** 2 < r ** 2, value, out)
+            out = np.where(in_disk(x, y, *EX2_DISKS[name]), value, out)
         return out
     return fn
 
 
-CATALOGUE = {
-    "one": constant(1.0),
-    "example1_sigma": disk_indicator(0.0, 0.0, 0.5, 2.0, 1.0),
-    "example1_q": _example1_q,
-    "example2_sigma": _two_disk((("d1", 2.0), ("d2", 3.0)), 1.0),
-    "example2_q": _two_disk((("d3", 3.0), ("d4", 4.0)), 1.0),
-    "example2_sigma_init": _two_disk((("d1", 1.1), ("d2", 1.2)), 1.0),
-    "example2_q_init": _two_disk((("d3", 1.1), ("d4", 1.2)), 1.0),
+# Coefficient forms of parse_descriptor; a catalogue name takes no numbers.
+COEFFICIENTS = {
+    "constant": constant,
+    "disk": disk_indicator,
+    "square": square_indicator,
+    "one": lambda: constant(1.0),
+    "example1_sigma": lambda: disk_indicator(0.0, 0.0, 0.5, 2.0, 1.0),
+    "example1_q": lambda: _example1_q,
+    "example2_sigma": lambda: _two_disk((("d1", 2.0), ("d2", 3.0)), 1.0),
+    "example2_q": lambda: _two_disk((("d3", 3.0), ("d4", 4.0)), 1.0),
+    "example2_sigma_init": lambda: _two_disk((("d1", 1.1), ("d2", 1.2)), 1.0),
+    "example2_q_init": lambda: _two_disk((("d3", 1.1), ("d4", 1.2)), 1.0),
 }
 
 
-def parse_descriptor(text: str):
-    """Parse a coefficient descriptor string into a callable of (x, y).
+def parse_descriptor(text: str, forms: dict = COEFFICIENTS, noun: str = "coefficient"):
+    """Parse ``NAME`` or ``NAME:V1,...,Vn`` into the callable its form makes.
 
-    Accepted forms: a catalogue name, ``constant:VALUE``,
-    ``disk:CX,CY,R,INSIDE,OUTSIDE``, and ``square:HALF,INSIDE,OUTSIDE``.
+    ``forms`` maps each name to a factory whose parameters are the numbers.
+    A name not in ``forms`` is an unknown descriptor; a count other than the
+    factory's, or a number that is missing or not finite, a malformed one.
     """
     name, _, arg = text.partition(":")
-    name = name.strip()
-    if not arg:
-        if name in CATALOGUE:
-            return CATALOGUE[name]
-        raise FieldError(f"unknown coefficient descriptor {text!r}")
+    factory = forms.get(name.strip())
+    if factory is None:
+        raise FieldError(f"unknown {noun} descriptor {text!r}")
+    malformed = FieldError(f"malformed {noun} descriptor {text!r}")
     try:
-        parts = [float(p) for p in arg.split(",")]
-    except ValueError:  # no form matches: malformed descriptor below
-        parts = []
-    if name == "constant" and len(parts) == 1:
-        return constant(parts[0])
-    if name == "disk" and len(parts) == 5:
-        return disk_indicator(*parts)
-    if name == "square" and len(parts) == 3:
-        return square_indicator(*parts)
-    raise FieldError(f"malformed coefficient descriptor {text!r}")
+        values = [float(v) for v in arg.split(",")] if arg else []
+    except ValueError:
+        raise malformed from None
+    if len(values) != len(inspect.signature(factory).parameters) or not all(map(math.isfinite, values)):
+        raise malformed  # float() accepts nan and inf
+    return factory(*values)
 
 
 def sample_coefficient(mesh: TriMesh, expr) -> PiecewiseConstantField:
     """Sample a descriptor at element centroids.
 
-    ``expr`` is a catalogue name, a descriptor string, or a callable of
-    vectorized (x, y).  A coefficient must be positive: any non-positive
-    sampled value is an error.
+    ``expr`` is a coefficient descriptor or a callable of vectorized (x, y).
+    A coefficient must be positive: any non-positive sampled value is an error.
     """
     fn = parse_descriptor(expr) if isinstance(expr, str) else expr
     cen = mesh.centroids

@@ -160,7 +160,7 @@ class TriMesh:
         """Check all mesh invariants, raising :class:`MeshError` on violation."""
         if self.elements.min() < 0 or self.elements.max() >= self.n_nodes:
             raise MeshError("element references a nonexistent node")
-        if np.any(self.areas <= 0.0):
+        if not np.all(self.areas > 0.0):  # NaN fails too
             bad = int(np.argmin(self.areas))
             raise MeshError(
                 f"degenerate triangulation: element {bad} has signed area "
@@ -175,9 +175,9 @@ class TriMesh:
         if bn.min(initial=0) < 0 or bn.max(initial=0) >= self.n_nodes:
             raise MeshError("boundary node references a nonexistent node")
         radii = np.linalg.norm(self.nodes[bn], axis=1)
-        if np.any(np.abs(radii - 1.0) > GEOM_TOL):
+        if not np.all(np.abs(radii - 1.0) <= GEOM_TOL):
             raise MeshError("a boundary node is off the unit circle beyond tolerance")
-        if np.any(np.diff(self.boundary_angles) <= 0.0):
+        if not np.all(np.diff(self.boundary_angles) > 0.0):
             raise MeshError("boundary nodes are not strictly sorted by angle")
         if not np.array_equal(np.unique(_edge_keys(self.boundary_edges, base)), keys[counts == 1]):
             raise MeshError("boundary edges do not form the angular cycle")

@@ -209,6 +209,8 @@ def lambda_frechet_form(
     solve the Neumann problem for currents g and h at coefficients (sigma, q).
     """
     mesh = sigma.mesh
+    if d1.mesh is not mesh or d2.mesh is not mesh:
+        raise FieldError("direction fields live on a different mesh")
     if g.mesh is not mesh or h.mesh is not mesh:
         raise FieldError("boundary trace lives on a different mesh")
     u = solve_neumann_many(assemble(mesh, sigma, q), np.column_stack((g.values, h.values)))

@@ -1,5 +1,8 @@
 """Synthetic experiment construction: benchmark targets, fluxes, data, metrics.
 
+Boundary currents are flux descriptors: the ``FLUXES`` forms ``const:C``,
+``sin:K``, ``cos:K`` and ``offset_sin:C,K`` of ``field.parse_descriptor``.
+
 Measurements are produced on a fine mesh, optionally corrupted with Gaussian
 noise of standard deviation epsilon * ||f_k||_inf per boundary node, and then
 transferred to the coarser inversion mesh.  Generating data on a finer mesh
@@ -20,46 +23,33 @@ import numpy as np
 
 from .errors import FieldError
 from .field import (
+    EX2_DISKS,
     BoundaryTrace,
     PiecewiseConstantField,
+    in_disk,
+    parse_descriptor,
     sample_coefficient,
     transfer_boundary_trace,
     write_csv,
-    EX2_DISKS,
 )
 from .fem import assemble, solve_neumann_many
 from .inversion import MeasurementSet
 from .mesh import TriMesh, generate_disk_mesh
 
 
-def parse_flux(text: str):
-    """Parse a flux descriptor into a callable of the boundary angle.
-
-    Accepted forms: ``const:C``, ``sin:K``, ``cos:K``, ``offset_sin:C,K``
-    (meaning C + sin(K*theta)).
-    """
-    name, _, arg = text.partition(":")
-    name = name.strip()
-    try:
-        parts = [float(p) for p in arg.split(",")] if arg else []
-    except ValueError:  # no form matches: malformed descriptor below
-        parts = []
-    if not all(map(math.isfinite, parts)):  # float() accepts nan and inf
-        parts = []
-    if name == "const" and len(parts) == 1:
-        return lambda theta: np.full_like(np.asarray(theta, dtype=float), parts[0])
-    if name == "sin" and len(parts) == 1:
-        return lambda theta: np.sin(parts[0] * np.asarray(theta, dtype=float))
-    if name == "cos" and len(parts) == 1:
-        return lambda theta: np.cos(parts[0] * np.asarray(theta, dtype=float))
-    if name == "offset_sin" and len(parts) == 2:
-        return lambda theta: parts[0] + np.sin(parts[1] * np.asarray(theta, dtype=float))
-    raise FieldError(f"malformed flux descriptor {text!r}")
+# Flux forms of parse_descriptor, callables of the boundary angle theta;
+# offset_sin:C,K is C + sin(K*theta).
+FLUXES = {
+    "const": lambda c: lambda theta: np.full_like(np.asarray(theta, dtype=float), c),
+    "sin": lambda k: lambda theta: np.sin(k * np.asarray(theta, dtype=float)),
+    "cos": lambda k: lambda theta: np.cos(k * np.asarray(theta, dtype=float)),
+    "offset_sin": lambda c, k: lambda theta: c + np.sin(k * np.asarray(theta, dtype=float)),
+}
 
 
 def sample_flux(mesh: TriMesh, flux) -> BoundaryTrace:
     """Sample a flux descriptor (string or callable of theta) at boundary nodes."""
-    fn = parse_flux(flux) if isinstance(flux, str) else flux
+    fn = parse_descriptor(flux, FLUXES, "flux") if isinstance(flux, str) else flux
     values = np.asarray(fn(mesh.boundary_angles), dtype=float)
     if not np.all(np.isfinite(values)):
         raise FieldError("flux samples must be finite")
@@ -166,13 +156,8 @@ def consistent_measurements(mesh: TriMesh, sigma, q, fluxes) -> MeasurementSet:
 def example2_regions(mesh: TriMesh) -> dict[str, np.ndarray]:
     """Element masks of the four inclusions and the background."""
     cen = mesh.centroids
-    masks = {}
-    covered = np.zeros(mesh.n_elements, dtype=bool)
-    for name, (cx, cy, r) in EX2_DISKS.items():
-        hit = (cen[:, 0] - cx) ** 2 + (cen[:, 1] - cy) ** 2 < r ** 2
-        masks[name] = hit
-        covered |= hit
-    masks["background"] = ~covered
+    masks = {name: in_disk(cen[:, 0], cen[:, 1], *disk) for name, disk in EX2_DISKS.items()}
+    masks["background"] = ~np.any(list(masks.values()), axis=0)
     return masks
 
 

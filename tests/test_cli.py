@@ -95,6 +95,9 @@ def test_unknown_config_key_exits_one(tmp_path):
     ("--forward.flux=sin:x", "error: malformed flux descriptor 'sin:x'"),
     ("--forward.flux=const:nan", "error: malformed flux descriptor 'const:nan'"),
     ("--forward.flux=sin:inf", "error: malformed flux descriptor 'sin:inf'"),
+    ("--forward.flux=offset_sin:10,nan", "error: malformed flux descriptor 'offset_sin:10,nan'"),
+    ("--coefficients.q=disk:0,0,nan,2,1", "error: malformed coefficient descriptor 'disk:0,0,nan,2,1'"),
+    ("--coefficients.sigma=square:inf,2,1", "error: malformed coefficient descriptor 'square:inf,2,1'"),
 ])
 def test_malformed_descriptor_number_exits_two(tmp_path, capsys, override, message):
     args = [
@@ -105,12 +108,19 @@ def test_malformed_descriptor_number_exits_two(tmp_path, capsys, override, messa
     assert capsys.readouterr().err == message + "\n"
 
 
-@pytest.mark.parametrize("coefficient", [
-    "--coefficients.sigma=constant:nan",
-    "--coefficients.sigma=constant:inf",
-    "--coefficients.q=constant:nan",
-    "--coefficients.q=constant:inf",
-])
+# A non-finite number is refused when the descriptor is read, a finite
+# non-positive value when the coefficient is sampled.
+COEFFICIENT_ERRORS = {
+    "--coefficients.sigma=constant:nan": "error: malformed coefficient descriptor 'constant:nan'",
+    "--coefficients.sigma=constant:inf": "error: malformed coefficient descriptor 'constant:inf'",
+    "--coefficients.q=constant:nan": "error: malformed coefficient descriptor 'constant:nan'",
+    "--coefficients.q=constant:inf": "error: malformed coefficient descriptor 'constant:inf'",
+    "--coefficients.sigma=constant:0": "error: coefficient must be finite and strictly positive",
+    "--coefficients.q=constant:-1": "error: coefficient must be finite and strictly positive",
+}
+
+
+@pytest.mark.parametrize("coefficient", list(COEFFICIENT_ERRORS))
 def test_non_finite_coefficient_exits_two(tmp_path, capsys, coefficient):
     args = [
         "forward", "--mesh.target_elements=254", "--coefficients.sigma=one",
@@ -118,7 +128,7 @@ def test_non_finite_coefficient_exits_two(tmp_path, capsys, coefficient):
     ]
     assert run(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: coefficient must be finite and strictly positive")
+    assert err.startswith(COEFFICIENT_ERRORS[coefficient])
     assert err.count("\n") == 1
     assert not (tmp_path / "manifest.json").exists()
 

@@ -1,4 +1,6 @@
 import csv
+import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from optitomo.errors import FieldError
 from optitomo.field import (
+    COEFFICIENTS,
     BoundaryTrace,
     NodalField,
     PiecewiseConstantField,
@@ -21,6 +24,7 @@ from optitomo.field import (
 )
 from optitomo.fem import assemble, solve_dirichlet
 from optitomo.mesh import TriMesh, generate_disk_mesh, refine_uniform
+from optitomo.synth import FLUXES
 
 
 def test_containers_validate_lengths(mesh_small):
@@ -74,16 +78,41 @@ def test_constant_descriptor(mesh_small):
 
 
 def test_parse_descriptor_rejects_garbage():
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="^unknown coefficient descriptor 'no_such_thing'$"):
         parse_descriptor("no_such_thing")
-    with pytest.raises(FieldError):
-        parse_descriptor("disk:1,2")
+    with pytest.raises(FieldError, match="^unknown flux descriptor 'constant:1'$"):
+        parse_descriptor("constant:1", FLUXES, "flux")
+    for text in ("disk:1,2", "constant", "one:1"):
+        with pytest.raises(FieldError, match=f"^malformed coefficient descriptor '{text}'$"):
+            parse_descriptor(text)
 
 
-@pytest.mark.parametrize("text", ["constant:abc", "disk:0,0,0.5,x,1", "square:0.5,1,", "constant:nan1"])
+def _non_finite_cases():
+    """Each form with nan, inf or -inf in one numeric position and 1 in the others."""
+    for forms, noun in ((COEFFICIENTS, "coefficient"), (FLUXES, "flux")):
+        for name, factory in forms.items():
+            count = len(inspect.signature(factory).parameters)
+            for i, bad in itertools.product(range(count), ("nan", "inf", "-inf")):
+                numbers = ["1"] * count
+                numbers[i] = bad
+                yield forms, noun, f"{name}:{','.join(numbers)}"
+
+
+MALFORMED = {
+    **dict.fromkeys(["constant:abc", "disk:0,0,0.5,x,1", "square:0.5,1,", "constant:nan1"],
+                    (COEFFICIENTS, "coefficient")),
+    **dict.fromkeys(["sin:x", "offset_sin:10,", "const:", "cos:1,y", "const:nan", "sin:inf",
+                     "offset_sin:-inf,1"], (FLUXES, "flux")),
+    **{text: (forms, noun) for forms, noun, text in _non_finite_cases()},
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_descriptor_rejects_malformed_numbers(text):
-    with pytest.raises(FieldError, match="malformed coefficient descriptor"):
-        parse_descriptor(text)
+    forms, noun = MALFORMED[text]
+    with pytest.raises(FieldError) as caught:
+        parse_descriptor(text, forms, noun)
+    assert str(caught.value) == f"malformed {noun} descriptor {text!r}"
 
 
 def test_transfer_identity_on_same_mesh(mesh_small):

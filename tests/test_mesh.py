@@ -117,6 +117,23 @@ def test_validate_rejects_unsorted_boundary_nodes(mesh_small):
         TriMesh(nodes, elements, bn).validate()
 
 
+def test_validate_rejects_nan_node(tmp_path, mesh_small):
+    # NaN fails every comparison, so a check of the form "any bad" passes it
+    interior = int(np.setdiff1d(np.arange(mesh_small.n_nodes), mesh_small.boundary_nodes)[0])
+    for node in (interior, int(mesh_small.boundary_nodes[4])):
+        nodes, elements, bn = _arrays(mesh_small)
+        nodes[node, 1] = np.nan
+        with pytest.raises(MeshError, match=r"^degenerate triangulation: element \d+ has signed area nan$"):
+            TriMesh(nodes, elements, bn).validate()
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh_small, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[lines.index("# nodes\n") + 1 + interior] = f"{interior} nan 0.0\n"
+    path.write_text("".join(lines))
+    with pytest.raises(MeshError, match="^degenerate triangulation: "):
+        read_mesh(path)
+
+
 def test_validate_rejects_boundary_edges_off_the_angular_cycle(mesh_small):
     nodes, elements, bn = _arrays(mesh_small)
     # Still sorted and on the circle, but skipping a node breaks the cycle.

@@ -232,6 +232,10 @@ def test_frechet_form_zero_direction(mesh_small):
     twin = TriMesh(mesh.nodes, mesh.elements, mesh.boundary_nodes)
     with pytest.raises(FieldError, match="^boundary trace lives on a different mesh$"):
         lambda_frechet_form(sigma, q, zero, zero, g, BoundaryTrace(twin, g.values))
+    elsewhere = PiecewiseConstantField(twin, np.ones(mesh.n_elements))
+    for d1, d2 in ((elsewhere, zero), (zero, elsewhere)):
+        with pytest.raises(FieldError, match="^direction fields live on a different mesh$"):
+            lambda_frechet_form(sigma, q, d1, d2, g, g)
 
 
 def test_frechet_form_sign(mesh_small):

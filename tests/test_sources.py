@@ -148,6 +148,20 @@ def test_each_factorization_kernel_has_one_call_site():
     assert all(len(found) == 1 and found[0].startswith("fem.py:") for found in sites.values()), sites
 
 
+def test_descriptor_text_is_split_in_one_place():
+    # Coefficient and flux descriptors share one grammar: the split of a
+    # descriptor into its name and numbers, .partition(":"), happens once,
+    # in field.parse_descriptor.
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "partition" and [ast.unparse(a) for a in node.args] == ["':'"]
+    ]
+    assert len(sites) == 1 and sites[0].startswith("field.py:"), sites
+
+
 def test_assembled_system_is_a_frozen_matrix_value():
     # no solver state on the system: a frozen dataclass of (mesh, matrix)
     # and nothing else in its body but the docstring

@@ -18,13 +18,13 @@ from optitomo.fem import assemble, solve_neumann_many
 from optitomo.inversion import MeasurementSet
 from optitomo.mesh import generate_disk_mesh
 from optitomo.synth import (
+    FLUXES,
     apply_trace_noise,
     error_metrics,
     example1_spec,
     example2_regions,
     example2_spec,
     make_measurements,
-    parse_flux,
     sample_flux,
     write_measurements_csv,
 )
@@ -41,7 +41,7 @@ def test_example1_formulas():
     q = parse_descriptor(spec.truth_q)
     assert q(np.array([0.0]), np.array([0.0]))[0] == 2.0
     assert q(np.array([0.7]), np.array([0.0]))[0] == 1.0
-    g3 = parse_flux(spec.fluxes[2])
+    g3 = parse_descriptor(spec.fluxes[2], FLUXES, "flux")
     assert g3(np.pi / 2) == pytest.approx(10.0 + np.sin(3 * np.pi / 2))
     sigma = parse_descriptor(spec.truth_sigma)
     assert sigma(np.array([0.0]), np.array([0.0]))[0] == 2.0
@@ -55,7 +55,7 @@ def test_example2_formulas():
     assert sigma(np.array([0.5]), np.array([0.0]))[0] == 2.0
     assert q(np.array([0.0]), np.array([-0.5]))[0] == 4.0
     assert init_sigma(np.array([0.5]), np.array([0.0]))[0] == 1.1
-    g = parse_flux(spec.fluxes[0])
+    g = parse_descriptor(spec.fluxes[0], FLUXES, "flux")
     assert g(np.pi / 2) == pytest.approx(1.0)
 
 
@@ -152,13 +152,6 @@ def test_example2_regions_partition(mesh_small):
     for mask in masks.values():
         total += mask.astype(int)
     assert np.all(total == 1)
-
-
-@pytest.mark.parametrize("text", ["sin:x", "offset_sin:10,", "const:", "cos:1,y",
-                                  "const:nan", "sin:inf", "offset_sin:-inf,1"])
-def test_parse_flux_rejects_malformed_numbers(text):
-    with pytest.raises(FieldError, match="malformed flux descriptor"):
-        parse_flux(text)
 
 
 def test_sample_flux_rejects_non_finite_samples(mesh_small):
