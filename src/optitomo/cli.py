@@ -108,8 +108,6 @@ def _run(argv) -> int:
     cfg = _load_config(args.command, args, overrides)
 
     outdir = os.environ.get("OPTITOMO_OUT", args.out)
-    os.makedirs(outdir, exist_ok=True)
-
     start = time.time()
     outputs, extra_manifest = COMMANDS[args.command][0](cfg, outdir, args)
     _write_manifest(args, cfg, outdir, outputs, extra_manifest, time.time() - start)
@@ -233,7 +231,7 @@ def _disk_mesh(cfg, default_multiplier=None):
 
 def cmd_mesh(cfg, outdir, args):
     mesh = _disk_mesh(cfg)
-    path = os.path.join(outdir, "mesh.txt")
+    path = _artifact(outdir, "mesh.txt")
     write_mesh(mesh, path)
     return [path], {"elements": mesh.n_elements, "nodes": mesh.n_nodes}
 
@@ -246,9 +244,9 @@ def cmd_forward(cfg, outdir, args):
     sys_ = assemble(mesh, sigma, q)
     u = solve_neumann(sys_, g)
 
-    sol_csv = os.path.join(outdir, "solution.csv")
-    trace_csv = os.path.join(outdir, "trace.csv")
-    pgm = os.path.join(outdir, "solution.pgm")
+    sol_csv = _artifact(outdir, "solution.csv")
+    trace_csv = _artifact(outdir, "trace.csv")
+    pgm = _artifact(outdir, "solution.pgm")
     write_node_csv(u, sol_csv)
     write_trace_csv(restrict_to_boundary(u), trace_csv)
     write_field_pgm(PiecewiseConstantField(mesh, element_means(u)), pgm)
@@ -260,7 +258,7 @@ def cmd_ntd(cfg, outdir, args):
     sigma = sample_coefficient(mesh, _get(cfg, "coefficients", "sigma"))
     q = sample_coefficient(mesh, _get(cfg, "coefficients", "q"))
     op = build_ntd(mesh, sigma, q)
-    path = os.path.join(outdir, "ntd.csv")
+    path = _artifact(outdir, "ntd.csv")
     write_csv(path, f"n_b,{op.n_boundary}", op.lam.T)
     return [path], {"n_boundary": op.n_boundary}
 
@@ -281,18 +279,18 @@ def cmd_lipschitz(cfg, outdir, args):
 
     # cg_iterations keeps its name for the benchmark reader; it counts the
     # single-current Neumann solves of each certificate, the one re-check.
-    cert_csv = os.path.join(outdir, "certificates.csv")
+    cert_csv = _artifact(outdir, "certificates.csv")
     write_csv(cert_csv, "j,k,beta,cg_iterations,g_norm_sq,forward_applications", zip(*(
         (c.j, c.k, c.beta, 1, c.norm_sq(), c.forward_applications)
         for c in currents
     )))
 
     rows = stability_report(setup, currents, n_pairs, seed)
-    stab_csv = os.path.join(outdir, "stability.csv")
+    stab_csv = _artifact(outdir, "stability.csv")
     header = "pair,coeff_distance,ntd_opnorm,certified_bound,holds"
     write_csv(stab_csv, header, _columns(rows, header))
 
-    summary_csv = os.path.join(outdir, "lipschitz.csv")
+    summary_csv = _artifact(outdir, "lipschitz.csv")
     violations = sum(1 for r in rows if not r["holds"])
     write_csv(summary_csv, "L,stability_factor,n_currents,stability_pairs,violations", [
         [lip], [stability_factor(currents)], [len(currents)], [len(rows)], [violations],
@@ -354,18 +352,19 @@ def cmd_reconstruct(cfg, outdir, args):
                                 minimum=0),
     )
 
+    balancing = _get(cfg, "optimizer", "balancing", default=False, cast=bool)
     outputs = []
     extra = {"mode": mode, "epsilon": spec.noise_level, "seed": spec.seed}
 
-    meas_csv = os.path.join(outdir, "measurements.csv")
+    meas_csv = _artifact(outdir, "measurements.csv")
     write_measurements_csv(meas, meas_csv)
     outputs.append(meas_csv)
 
     rho = inv_cfg.rho
-    if _get(cfg, "optimizer", "balancing", default=False, cast=bool):
+    if balancing:
         rho_star, history = balancing_rho(meas, inv_cfg)
         rho = rho_star
-        bal_csv = os.path.join(outdir, "balancing.csv")
+        bal_csv = _artifact(outdir, "balancing.csv")
         header = "outer,rho,data_fit,penalty_integral,residual,degenerate"
         write_csv(bal_csv, header, _columns(history, header))
         outputs.append(bal_csv)
@@ -388,7 +387,7 @@ def cmd_reconstruct(cfg, outdir, args):
     extra["optimizer_message"] = trace.message
     extra["objective_evaluations"] = trace.evaluations
 
-    iter_csv = os.path.join(outdir, "iterations.csv")
+    iter_csv = _artifact(outdir, "iterations.csv")
     header = "iteration,J,data_fit,penalty,grad_norm,step"
     write_csv(iter_csv, header, _columns(trace.rows, header))
     outputs.append(iter_csv)
@@ -401,13 +400,13 @@ def cmd_reconstruct(cfg, outdir, args):
     ):
         if name == "sigma" and mode == Q_ONLY:
             continue
-        csv_path = os.path.join(outdir, f"{name}_rec.csv")
-        pgm_path = os.path.join(outdir, f"{name}_rec.pgm")
+        csv_path = _artifact(outdir, f"{name}_rec.csv")
+        pgm_path = _artifact(outdir, f"{name}_rec.pgm")
         write_element_csv(rec, csv_path)
         write_field_pgm(rec, pgm_path)
         outputs.extend([csv_path, pgm_path])
         rel_l2, rel_linf, table = error_metrics(rec, truth, regions)
-        err_path = os.path.join(outdir, f"{name}_errors.csv")
+        err_path = _artifact(outdir, f"{name}_errors.csv")
         write_csv(err_path, "metric,value", [
             ["rel_l2", "rel_linf", *(f"region_{r['region']}_mean_abs_error" for r in table)],
             [rel_l2, rel_linf, *(r["mean_abs_error"] for r in table)],
@@ -416,6 +415,12 @@ def cmd_reconstruct(cfg, outdir, args):
         extra[f"rel_l2_{name}"] = rel_l2
 
     return outputs, extra
+
+
+def _artifact(outdir: str, name: str) -> str:
+    """Path of an artifact; the first one makes the output directory, so a refused run makes none."""
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
 
 
 def _columns(rows: list[dict], header: str) -> list[list]:
@@ -452,7 +457,7 @@ def _write_manifest(args, cfg, outdir, outputs, extra, wall_time) -> None:
         text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise OptitomoError(f"manifest is not strict JSON: {exc}") from None
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="ascii") as fh:
+    with open(_artifact(outdir, "manifest.json"), "w", encoding="ascii") as fh:
         fh.write(text + "\n")
 
 

@@ -7,7 +7,8 @@ angle parameterization of the circle, which is exact for the disk geometry
 and reproduces constants.
 
 Coefficients and boundary currents are text descriptors of one grammar,
-``NAME`` or ``NAME:V1,...,Vn`` with every number finite (``parse_descriptor``).
+``NAME`` or ``NAME:V1,...,Vn`` with every number finite and every disk radius
+or square half width positive (``parse_descriptor``).
 """
 
 from __future__ import annotations
@@ -91,6 +92,9 @@ def in_disk(x, y, cx: float, cy: float, radius: float) -> np.ndarray:
 
 def disk_indicator(cx: float, cy: float, radius: float, inside: float, outside: float):
     """Descriptor: ``inside`` on the open disk around (cx, cy), ``outside`` elsewhere."""
+    if radius <= 0.0:
+        raise ValueError(f"disk radius must be positive, got {radius}")
+
     def fn(x, y):
         return np.where(in_disk(x, y, cx, cy, radius), inside, outside).astype(float)
     return fn
@@ -98,6 +102,9 @@ def disk_indicator(cx: float, cy: float, radius: float, inside: float, outside: 
 
 def square_indicator(half_width: float, inside: float, outside: float):
     """Descriptor: sup-norm square of given half width centered at the origin."""
+    if half_width <= 0.0:
+        raise ValueError(f"square half width must be positive, got {half_width}")
+
     def fn(x, y):
         hit = np.maximum(np.abs(np.asarray(x)), np.abs(np.asarray(y))) < half_width
         return np.where(hit, inside, outside).astype(float)
@@ -152,20 +159,21 @@ def parse_descriptor(text: str, forms: dict = COEFFICIENTS, noun: str = "coeffic
 
     ``forms`` maps each name to a factory whose parameters are the numbers.
     A name not in ``forms`` is an unknown descriptor; a count other than the
-    factory's, or a number that is missing or not finite, a malformed one.
+    factory's, a number that is missing or not finite, or one the factory
+    refuses with ``ValueError`` (a disk radius or square half width <= 0), a
+    malformed one.
     """
     name, _, arg = text.partition(":")
     factory = forms.get(name.strip())
     if factory is None:
         raise FieldError(f"unknown {noun} descriptor {text!r}")
-    malformed = FieldError(f"malformed {noun} descriptor {text!r}")
     try:
         values = [float(v) for v in arg.split(",")] if arg else []
+        if len(values) != len(inspect.signature(factory).parameters) or not all(map(math.isfinite, values)):
+            raise ValueError  # float() accepts nan and inf
+        return factory(*values)
     except ValueError:
-        raise malformed from None
-    if len(values) != len(inspect.signature(factory).parameters) or not all(map(math.isfinite, values)):
-        raise malformed  # float() accepts nan and inf
-    return factory(*values)
+        raise FieldError(f"malformed {noun} descriptor {text!r}") from None
 
 
 def sample_coefficient(mesh: TriMesh, expr) -> PiecewiseConstantField:

@@ -120,54 +120,14 @@ def min_m_eigenvalue(l1: NtDMatrix, l2: NtDMatrix) -> float:
     return float(np.min(_m_spectrum(*_difference(l1, l2))))
 
 
-def _common_support(q1: PiecewiseConstantField, q2: PiecewiseConstantField) -> np.ndarray:
-    s1 = q1.values > 0.0
-    s2 = q2.values > 0.0
-    if not np.array_equal(s1, s2):
-        raise FieldError("absorption fields must be positive on the same element set")
-    return s1
-
-
-def monotonicity_gap_q(
-    q1: PiecewiseConstantField,
-    q2: PiecewiseConstantField,
-    sigma: PiecewiseConstantField,
-    g: BoundaryTrace,
-) -> tuple[float, float, float]:
-    """Evaluate the three terms of the absorption monotonicity sandwich.
-
-    Returns (upper, middle, lower) where, with u2 the solution for q2,
-
-        upper  = int (q1 - q2) u2^2
-        middle = <g, (Lambda(q2) - Lambda(q1)) g>_M
-        lower  = int (q2 - q2^2 / q1) u2^2
-
-    and upper >= middle >= lower holds exactly for the Galerkin solutions.
-    Integrals run over the common support of q1 and q2.
-    """
-    mesh = sigma.mesh
-    supp = _common_support(q1, q2)
-    sys1 = assemble(mesh, sigma, q1)
-    sys2 = assemble(mesh, sigma, q2)
-    u1 = solve_neumann(sys1, g)
-    u2 = solve_neumann(sys2, g)
-    middle = (boundary_inner(g, restrict_to_boundary(u2))
-              - boundary_inner(g, restrict_to_boundary(u1)))
-    u2sq = element_l2_products(u2, u2)
-    upper = float(np.sum((q1.values[supp] - q2.values[supp]) * u2sq[supp]))
-    ratio = q2.values[supp] - q2.values[supp] ** 2 / q1.values[supp]
-    lower = float(np.sum(ratio * u2sq[supp]))
-    return upper, middle, lower
-
-
-def monotonicity_gap_joint(
+def monotonicity_gap(
     s1: PiecewiseConstantField,
     q1: PiecewiseConstantField,
     s2: PiecewiseConstantField,
     q2: PiecewiseConstantField,
     g: BoundaryTrace,
 ) -> tuple[float, float, float]:
-    """Evaluate the simultaneous diffusion-absorption monotonicity terms.
+    """Evaluate the three terms of the diffusion-absorption monotonicity sandwich.
 
     Returns (upper, middle, lower) where, with u1 the solution for (s1, q1),
 
@@ -176,22 +136,26 @@ def monotonicity_gap_joint(
         lower  = int (s1/s2)(s2 - s1)|grad u1|^2 + (q1/q2)(q2 - q1) u1^2
 
     and upper >= middle >= lower holds exactly for the Galerkin solutions.
+    The q terms run over the support of q2, where q1 must vanish too (the
+    lower bound has no finite value elsewhere).  The absorption-only
+    sandwich is the case s1 = s2.
     """
     mesh = s1.mesh
-    sys1 = assemble(mesh, s1, q1)
-    sys2 = assemble(mesh, s2, q2)
-    u1 = solve_neumann(sys1, g)
-    u2 = solve_neumann(sys2, g)
+    supp = q2.values > 0.0
+    if np.any(q1.values[~supp] > 0.0):
+        raise FieldError("q1 must vanish wherever q2 does")
+    u1 = solve_neumann(assemble(mesh, s1, q1), g)
+    u2 = solve_neumann(assemble(mesh, s2, q2), g)
     middle = (boundary_inner(g, restrict_to_boundary(u1))
               - boundary_inner(g, restrict_to_boundary(u2)))
     grad1 = element_gradients(u1)
     gradsq1 = mesh.areas * np.sum(grad1 * grad1, axis=1)
-    u1sq = element_l2_products(u1, u1)
+    u1sq = element_l2_products(u1, u1)[supp]
     ds = s2.values - s1.values
-    dq = q2.values - q1.values
+    dq = q2.values[supp] - q1.values[supp]
     upper = float(np.sum(ds * gradsq1) + np.sum(dq * u1sq))
     lower = float(np.sum(s1.values / s2.values * ds * gradsq1)
-                  + np.sum(q1.values / q2.values * dq * u1sq))
+                  + np.sum(q1.values[supp] / q2.values[supp] * dq * u1sq))
     return upper, middle, lower
 
 

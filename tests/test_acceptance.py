@@ -34,8 +34,7 @@ from optitomo.ntd import (
     build_ntd,
     lambda_frechet_form,
     min_m_eigenvalue,
-    monotonicity_gap_joint,
-    monotonicity_gap_q,
+    monotonicity_gap,
 )
 from optitomo.synth import (
     consistent_measurements,
@@ -110,7 +109,7 @@ def test_criterion_3_monotonicity_suites(paper_mesh):
         q2 = PiecewiseConstantField(mesh, np.where(inside, rng.uniform(1, 2, mesh.n_elements), 0.0))
         g = rng.standard_normal(mesh.n_boundary)
         g = BoundaryTrace(mesh, g / np.sqrt(g @ (m @ g)))
-        upper, middle, lower = monotonicity_gap_q(q1, q2, sigma_bg, g)
+        upper, middle, lower = monotonicity_gap(sigma_bg, q2, sigma_bg, q1, g)
         if upper < middle - 1e-10 or middle < lower - 1e-10:
             violations += 1
 
@@ -121,7 +120,7 @@ def test_criterion_3_monotonicity_suites(paper_mesh):
         q2 = PiecewiseConstantField(mesh, rng.uniform(1, 3, mesh.n_elements))
         g = rng.standard_normal(mesh.n_boundary)
         g = BoundaryTrace(mesh, g / np.sqrt(g @ (m @ g)))
-        upper, middle, lower = monotonicity_gap_joint(s1, q1, s2, q2, g)
+        upper, middle, lower = monotonicity_gap(s1, q1, s2, q2, g)
         if upper < middle - 1e-10 or middle < lower - 1e-10:
             violations += 1
 

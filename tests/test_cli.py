@@ -98,14 +98,25 @@ def test_unknown_config_key_exits_one(tmp_path):
     ("--forward.flux=offset_sin:10,nan", "error: malformed flux descriptor 'offset_sin:10,nan'"),
     ("--coefficients.q=disk:0,0,nan,2,1", "error: malformed coefficient descriptor 'disk:0,0,nan,2,1'"),
     ("--coefficients.sigma=square:inf,2,1", "error: malformed coefficient descriptor 'square:inf,2,1'"),
+    ("--coefficients.q=disk:0,0,-0.5,2,1", "error: malformed coefficient descriptor 'disk:0,0,-0.5,2,1'"),
+    ("--coefficients.sigma=square:0,2,1", "error: malformed coefficient descriptor 'square:0,2,1'"),
 ])
 def test_malformed_descriptor_number_exits_two(tmp_path, capsys, override, message):
+    out = tmp_path / "o"
     args = [
         "forward", "--mesh.target_elements=254", "--coefficients.sigma=one",
-        "--coefficients.q=one", "--forward.flux=sin:1", override, "--out", str(tmp_path),
+        "--coefficients.q=one", "--forward.flux=sin:1", override, "--out", str(out),
     ]
     assert run(args) == 2
     assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_example_refused_at_its_input_makes_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["example1", *_SMALL, "--truth.q=square:nan,2,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: malformed coefficient descriptor 'square:nan,2,1'\n"
+    assert not out.exists()
 
 
 # A non-finite number is refused when the descriptor is read, a finite

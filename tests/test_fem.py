@@ -36,7 +36,7 @@ from optitomo.fem import (
 from optitomo.inversion import MeasurementSet, _solutions
 from optitomo.locpot import lipschitz_constant, make_probing_setup, stability_report
 from optitomo.mesh import AssemblyPattern, generate_disk_mesh, refine_uniform, subdomain_partition
-from optitomo.ntd import boundary_inner, build_ntd, monotonicity_gap_q
+from optitomo.ntd import boundary_inner, build_ntd, monotonicity_gap
 
 
 def bessel_dn(n, x=1.0):
@@ -266,7 +266,7 @@ def test_each_mesh_builds_one_assembly_pattern(monkeypatch):
     _solutions(meas, sigma, q)
     _solutions(meas, sigma, q)
     build_ntd(mesh, sigma, q)
-    monotonicity_gap_q(q, sample_coefficient(mesh, "one"), sigma, g)
+    monotonicity_gap(sigma, sample_coefficient(mesh, "one"), sigma, q, g)
     assert len(built) == 2 and built[0] is probed and built[1] is mesh
 
 

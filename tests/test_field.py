@@ -99,7 +99,8 @@ def _non_finite_cases():
 
 
 MALFORMED = {
-    **dict.fromkeys(["constant:abc", "disk:0,0,0.5,x,1", "square:0.5,1,", "constant:nan1"],
+    **dict.fromkeys(["constant:abc", "disk:0,0,0.5,x,1", "square:0.5,1,", "constant:nan1",
+                     "disk:0,0,-0.5,2,1", "disk:0,0,0,2,1", "square:-0.5,2,1", "square:0,2,1"],
                     (COEFFICIENTS, "coefficient")),
     **dict.fromkeys(["sin:x", "offset_sin:10,", "const:", "cos:1,y", "const:nan", "sin:inf",
                      "offset_sin:-inf,1"], (FLUXES, "flux")),

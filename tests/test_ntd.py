@@ -13,8 +13,7 @@ from optitomo.ntd import (
     lambda_frechet_form,
     m_weighted_opnorm,
     min_m_eigenvalue,
-    monotonicity_gap_joint,
-    monotonicity_gap_q,
+    monotonicity_gap,
     opnorm_diff,
 )
 
@@ -144,82 +143,103 @@ def test_opnorm_rejects_mesh_mismatch(mesh_small, mesh_medium):
         opnorm_diff(build_ntd(mesh_small, one_s, one_s), build_ntd(mesh_medium, one_m, one_m))
 
 
-def test_gap_q_identical_coefficients(mesh_small_aligned):
-    mesh = mesh_small_aligned
-    part = subdomain_partition(mesh, 0.5, 4)
-    sigma = sample_coefficient(mesh, "example1_sigma")
-    rng = np.random.default_rng(1)
-    q = _element_field(mesh, rng, 1.0, 2.0, part.omega_mask)
-    g = BoundaryTrace(mesh, np.sin(mesh.boundary_angles))
-    upper, middle, lower = monotonicity_gap_q(q, q, sigma, g)
-    assert abs(upper) <= 1e-12 and abs(middle) <= 1e-12 and abs(lower) <= 1e-12
+# The two sandwich cases: the absorption-only one shares sigma and lets q
+# vanish off omega, the joint one draws all four coefficients positive.
+GAP_CASES = ("absorption", "joint")
 
 
-@PROPERTY
-@given(target=TARGETS, a=LOWER, ratio=RATIO, seed=SEEDS)
-def test_gap_q_sandwich_random(target, a, ratio, seed):
-    mesh = _aligned_mesh(target)
-    omega = subdomain_partition(mesh, 0.5, 4).omega_mask
-    sigma = sample_coefficient(mesh, "example1_sigma")
-    rng = np.random.default_rng(seed)
-    q1 = _element_field(mesh, rng, a, a * ratio, omega)
-    q2 = _element_field(mesh, rng, a, a * ratio, omega)
-    upper, middle, lower = monotonicity_gap_q(q1, q2, sigma, _unit_current(mesh, rng))
-    assert upper >= middle - 1e-10
-    assert middle >= lower - 1e-10
-
-
-def test_gap_q_ordered_sign(mesh_small_aligned):
-    mesh = mesh_small_aligned
-    part = subdomain_partition(mesh, 0.5, 4)
-    sigma = sample_coefficient(mesh, "example1_sigma")
-    q1 = PiecewiseConstantField(mesh, np.where(part.omega_mask, 2.0, 0.0))
-    q2 = PiecewiseConstantField(mesh, np.where(part.omega_mask, 1.0, 0.0))
-    g = BoundaryTrace(mesh, 1.0 + np.sin(mesh.boundary_angles))
-    _, middle, _ = monotonicity_gap_q(q1, q2, sigma, g)
-    assert middle >= -1e-12
-
-
-def test_gap_q_rejects_mismatched_support(mesh_small_aligned):
-    mesh = mesh_small_aligned
-    part = subdomain_partition(mesh, 0.5, 4)
-    sigma = sample_coefficient(mesh, "example1_sigma")
-    q1 = PiecewiseConstantField(mesh, np.where(part.omega_mask, 1.0, 0.0))
-    q2 = sample_coefficient(mesh, "one")
-    g = BoundaryTrace(mesh, np.sin(mesh.boundary_angles))
-    with pytest.raises(FieldError):
-        monotonicity_gap_q(q1, q2, sigma, g)
-
-
-def test_gap_joint_identical(mesh_small):
-    sigma = sample_coefficient(mesh_small, "example1_sigma")
-    q = sample_coefficient(mesh_small, "example1_q")
-    g = BoundaryTrace(mesh_small, np.sin(mesh_small.boundary_angles))
-    upper, middle, lower = monotonicity_gap_joint(sigma, q, sigma, q, g)
-    assert abs(upper) <= 1e-12 and abs(middle) <= 1e-12 and abs(lower) <= 1e-12
-
-
-@PROPERTY
-@given(target=TARGETS, s_lo=LOWER, q_lo=LOWER, ratio=RATIO, seed=SEEDS)
-def test_gap_joint_sandwich_random(target, s_lo, q_lo, ratio, seed):
-    mesh = _aligned_mesh(target)
-    rng = np.random.default_rng(seed)
+def _gap_pair(case, mesh, rng, s_lo, q_lo, ratio):
+    """(s1, q1, s2, q2) drawn in [lo, lo * ratio] for one sandwich case."""
+    if case == "absorption":
+        sigma = sample_coefficient(mesh, "example1_sigma")
+        omega = subdomain_partition(mesh, 0.5, 4).omega_mask
+        q1, q2 = (_element_field(mesh, rng, q_lo, q_lo * ratio, omega) for _ in range(2))
+        return sigma, q1, sigma, q2
     s1, s2 = (_element_field(mesh, rng, s_lo, s_lo * ratio) for _ in range(2))
     q1, q2 = (_element_field(mesh, rng, q_lo, q_lo * ratio) for _ in range(2))
-    upper, middle, lower = monotonicity_gap_joint(s1, q1, s2, q2, _unit_current(mesh, rng))
+    return s1, q1, s2, q2
+
+
+def _assert_sandwich(upper, middle, lower):
+    assert np.all(np.isfinite([upper, middle, lower]))
     assert upper >= middle - 1e-10
     assert middle >= lower - 1e-10
 
 
-def test_gap_joint_ordered_sign(mesh_small):
-    mesh = mesh_small
-    s1 = sample_coefficient(mesh, "one")
-    s2 = sample_coefficient(mesh, "constant:1.5")
-    q1 = sample_coefficient(mesh, "one")
-    q2 = sample_coefficient(mesh, "constant:2.5")
-    g = BoundaryTrace(mesh, np.cos(2 * mesh.boundary_angles))
-    _, middle, _ = monotonicity_gap_joint(s1, q1, s2, q2, g)
-    assert middle >= -1e-12
+@pytest.mark.parametrize("case", GAP_CASES)
+def test_gap_identical_coefficients(mesh_small_aligned, case):
+    mesh = mesh_small_aligned
+    s1, q1, _, _ = _gap_pair(case, mesh, np.random.default_rng(1), 1.0, 1.0, 2.0)
+    g = BoundaryTrace(mesh, np.sin(mesh.boundary_angles))
+    upper, middle, lower = monotonicity_gap(s1, q1, s1, q1, g)
+    assert abs(upper) <= 1e-12 and abs(middle) <= 1e-12 and abs(lower) <= 1e-12
+
+
+@pytest.mark.parametrize("case", GAP_CASES)
+@PROPERTY
+@given(target=TARGETS, s_lo=LOWER, q_lo=LOWER, ratio=RATIO, seed=SEEDS)
+def test_gap_sandwich_random(case, target, s_lo, q_lo, ratio, seed):
+    mesh = _aligned_mesh(target)
+    rng = np.random.default_rng(seed)
+    s1, q1, s2, q2 = _gap_pair(case, mesh, rng, s_lo, q_lo, ratio)
+    _assert_sandwich(*monotonicity_gap(s1, q1, s2, q2, _unit_current(mesh, rng)))
+
+
+# Coefficient pairs ordered (s1, q1) <= (s2, q2), so Lambda(s1, q1) >= Lambda(s2, q2):
+# sigma1, sigma2 and the value of both q off omega.
+ORDERED = {
+    "absorption": ("example1_sigma", "example1_sigma", 0.0),
+    "joint": ("one", "constant:1.5", 1.0),
+}
+
+
+@pytest.mark.parametrize("case", GAP_CASES)
+def test_gap_ordered_sign(mesh_small_aligned, case):
+    mesh = mesh_small_aligned
+    omega = subdomain_partition(mesh, 0.5, 4).omega_mask
+    sigma1, sigma2, off = ORDERED[case]
+    s1, s2 = sample_coefficient(mesh, sigma1), sample_coefficient(mesh, sigma2)
+    q1 = PiecewiseConstantField(mesh, np.where(omega, 1.0, off))
+    q2 = PiecewiseConstantField(mesh, np.where(omega, 2.5, off))
+    for g in (1.0 + np.sin(mesh.boundary_angles), np.cos(2 * mesh.boundary_angles)):
+        _, middle, _ = monotonicity_gap(s1, q1, s2, q2, BoundaryTrace(mesh, g))
+        assert middle >= -1e-12
+
+
+def test_gap_support_rule(mesh_small_aligned):
+    # q1 must vanish wherever q2 does; a q1 that vanishes where q2 does not is fine
+    mesh = mesh_small_aligned
+    sigma = sample_coefficient(mesh, "example1_sigma")
+    omega = subdomain_partition(mesh, 0.5, 4).omega_mask
+    omega_q = PiecewiseConstantField(mesh, np.where(omega, 1.0, 0.0))
+    one = sample_coefficient(mesh, "one")
+    g = BoundaryTrace(mesh, np.sin(mesh.boundary_angles))
+    with pytest.raises(FieldError, match="^q1 must vanish wherever q2 does$"):
+        monotonicity_gap(sigma, one, sigma, omega_q, g)
+    _assert_sandwich(*monotonicity_gap(sigma, omega_q, sigma, one, g))
+
+
+def test_gap_different_sigma_with_absorption_vanishing_off_omega(mesh_small_aligned):
+    mesh = mesh_small_aligned
+    omega = subdomain_partition(mesh, 0.5, 4).omega_mask
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        s1, s2 = (_element_field(mesh, rng, 1.0, 2.0) for _ in range(2))
+        q1, q2 = (_element_field(mesh, rng, 1.0, 2.0, omega) for _ in range(2))
+        _assert_sandwich(*monotonicity_gap(s1, q1, s2, q2, _unit_current(mesh, rng)))
+
+
+@pytest.mark.parametrize("case", GAP_CASES)
+def test_gap_upper_is_the_derivative(mesh_small_aligned, case):
+    # upper = -Lambda'(s1, q1)[s2 - s1, q2 - q1] as a quadratic form in g
+    mesh = mesh_small_aligned
+    rng = np.random.default_rng(7)
+    s1, q1, s2, q2 = _gap_pair(case, mesh, rng, 1.0, 1.0, 2.0)
+    g = _unit_current(mesh, rng)
+    upper, _, _ = monotonicity_gap(s1, q1, s2, q2, g)
+    ds = PiecewiseConstantField(mesh, s2.values - s1.values)
+    dq = PiecewiseConstantField(mesh, q2.values - q1.values)
+    assert upper == pytest.approx(-lambda_frechet_form(s1, q1, ds, dq, g, g), rel=1e-12)
 
 
 def test_frechet_form_zero_direction(mesh_small):
