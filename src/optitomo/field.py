@@ -16,12 +16,11 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .errors import FieldError
-from .mesh import TriMesh
+from .mesh import TriMesh, text_rows
 
 # Rasterizer block: (element, pixel) candidates tested per vectorized step.
 _PGM_BLOCK = 4096
@@ -214,17 +213,14 @@ def transfer_boundary_trace(trace: BoundaryTrace, coarse: TriMesh) -> BoundaryTr
 def write_csv(path, header: str, columns) -> None:
     """Write a CSV artifact: ASCII, one header line, ``,`` separators, LF line ends.
 
-    ``columns`` holds equal-length sequences, each formatted once by dtype:
-    floats as ``%.17g`` (exact round trip), booleans as 0/1, anything else
-    with ``str``.  No columns writes the header alone.
+    ``columns`` holds equal-length sequences; :func:`~optitomo.mesh.text_rows`
+    formats the rows, floats as ``%.17g`` (exact round trip) and booleans as
+    0/1, and refuses columns of unequal length.  No columns writes the header
+    alone.
     """
-    cells = []
-    for values in map(np.asarray, columns):
-        values = values.astype(np.int8) if values.dtype.kind == "b" else values
-        spec = ".17g" if values.dtype.kind == "f" else ""
-        cells.append(list(map(format, values.tolist(), repeat(spec))))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+    lines = (header.encode("ascii") + b"\n", text_rows(columns, ","))
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
 
 
 def write_element_csv(field: PiecewiseConstantField, path) -> None:

@@ -20,15 +20,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import MeshError
+from .errors import FieldError, MeshError
 
 # Boundary nodes are snapped onto the circle; the tolerance is relative to the
 # disk diameter (= 2).
 GEOM_TOL = 1e-12 * 2.0
-
-# Rows formatted per write in write_mesh: large enough to amortize the
-# per-block overhead, small enough that the Python copies stay small.
-_WRITE_BLOCK = 4096
 
 
 def _edge_table(elements: np.ndarray, base: int) -> tuple:
@@ -283,7 +279,8 @@ def _angles(points: np.ndarray) -> np.ndarray:
 
 def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
     """Orientation-free scalar key of each node pair (row) of ``pairs``."""
-    return pairs.min(axis=1) * base + pairs.max(axis=1)
+    a, b = pairs.T
+    return np.minimum(a, b) * base + np.maximum(a, b)
 
 
 def _ring_layout(target_elements: int, angular_multiplier: int | None) -> tuple[int, int]:
@@ -461,23 +458,53 @@ def subdomain_partition(mesh: TriMesh, omega_radius: float, n_cells: int) -> Par
 
 
 def write_mesh(mesh: TriMesh, path) -> None:
-    """Write the plain-text mesh format (# nodes / # elements / # boundary)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# nodes\n")
-        for start, rows in _row_blocks(mesh.nodes):
-            fh.write("".join(f"{i} {x:.17g} {y:.17g}\n" for i, (x, y) in enumerate(rows, start)))
-        fh.write("# elements\n")
-        for start, rows in _row_blocks(mesh.elements):
-            fh.write("".join(f"{i} {a} {b} {c}\n" for i, (a, b, c) in enumerate(rows, start)))
-        fh.write("# boundary\n")
-        for _, rows in _row_blocks(mesh.boundary_nodes):
-            fh.write("".join(f"{n}\n" for n in rows))
+    """Write the plain-text mesh format (# nodes / # elements / # boundary).
+
+    Each section is a header line and the rows of ``_ROW_FORMATS``, formatted
+    by :func:`text_rows` with ``" "`` separators; the ``%.17g`` coordinates make
+    the file round-trip exactly through :func:`read_mesh`.
+    """
+    with open(path, "wb") as fh:
+        fh.writelines((b"# nodes\n", text_rows([np.arange(mesh.n_nodes), *mesh.nodes.T], " ")))
+        fh.writelines((b"# elements\n", text_rows([np.arange(mesh.n_elements), *mesh.elements.T], " ")))
+        fh.writelines((b"# boundary\n", text_rows([mesh.boundary_nodes], " ")))
 
 
-def _row_blocks(array: np.ndarray):
-    """Yield (first row index, rows as Python lists): Python scalars format faster, to the same text."""
-    for start in range(0, len(array), _WRITE_BLOCK):
-        yield start, array[start:start + _WRITE_BLOCK].tolist()
+def text_rows(columns, sep: str) -> bytes:
+    """ASCII rows of equal-length columns: cells joined by ``sep``, each row ended by LF.
+
+    Each column is formatted once by dtype: integers in decimal, booleans as
+    0/1, floats as ``%.17g`` (exact round trip), anything else with ``%s``.
+    The cells become one NUL-padded byte matrix, so no cell may hold a NUL.
+    No columns, or columns without rows, give no text.
+    """
+    columns = [np.asarray(c) for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise FieldError(f"columns of unequal length {lengths}")
+    if not lengths or not lengths[0]:
+        return b""
+    gap, eol = (np.full((lengths[0], 1), ord(ch), np.uint8) for ch in (sep, "\n"))
+    text = np.hstack([p for c in columns for p in (gap, _text_cells(c))][1:] + [eol]).ravel()
+    return text[text != 0].tobytes()
+
+
+def _text_cells(values: np.ndarray) -> np.ndarray:
+    """The (n, width) NUL-padded ASCII cells of one column, in ``text_rows``' formats."""
+    if values.dtype.kind not in "biu":
+        spec = "%.17g\0" if values.dtype.kind == "f" else "%s\0"
+        text = (spec * values.size % tuple(values.tolist())).encode("ascii")
+        return np.array(text.split(b"\0")[:-1]).view(np.uint8).reshape(values.size, -1)
+    # integers by digit arithmetic on their magnitudes, after a sign cell
+    mag, neg = values.astype(np.uint64), values < 0
+    mag[neg] = -mag[neg]
+    width = len(str(mag.max()))
+    cells = np.zeros((values.size, width + 1), np.uint8)
+    cells[neg, 0] = ord("-")
+    for k in range(width, 0, -1):
+        mag, digit = np.divmod(mag, 10)
+        cells[:, k] = np.where((mag > 0) | (digit > 0) | (k == width), digit + ord("0"), 0)
+    return cells
 
 
 # Row format per mesh file section; i is the row position, counted from 0.

@@ -234,6 +234,13 @@ def test_write_csv_matches_fstring_rows(tmp_path):
     assert (tmp_path / "no_rows.csv").read_bytes() == b"a,b\n"
 
 
+def test_write_csv_refuses_unequal_columns(tmp_path):
+    # columns are never truncated to the shortest; nothing is written
+    with pytest.raises(FieldError, match=r"unequal length \[3, 1\]"):
+        write_csv(tmp_path / "x.csv", "a,b", [[1, 2, 3], [1.0]])
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_field_writers_match_reference_bytes(tmp_path, mesh_small):
     elem = PiecewiseConstantField(mesh_small, _special_values(mesh_small.n_elements, 1))
     node = NodalField(mesh_small, _special_values(mesh_small.n_nodes, 2))

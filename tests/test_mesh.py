@@ -13,6 +13,7 @@ from optitomo.mesh import (
     read_mesh,
     refine_uniform,
     subdomain_partition,
+    text_rows,
     write_mesh,
 )
 
@@ -369,6 +370,46 @@ def test_write_mesh_matches_reference_bytes(tmp_path):
     path = tmp_path / "mesh.txt"
     write_mesh(mesh, path)
     assert path.read_bytes() == _reference_mesh_text(mesh)
+
+
+# Column kinds for text_rows: a value strategy whose draws include the cells
+# that are easy to get wrong, and the f-string reference of one cell.
+INT64_EDGES = [0, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan,
+               1e300, -1e300, 1e-300, -1e-300]
+CELL_KINDS = {
+    "int": (st.one_of(st.sampled_from(INT64_EDGES), st.integers(-(2**63), 2**63 - 1)),
+            np.int64, "{}".format),
+    "bool": (st.booleans(), bool, lambda v: f"{int(v)}"),
+    "float": (st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(width=64)), float, "{:.17g}".format),
+    "str": (st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=6), str, "{}".format),
+}
+
+
+@st.composite
+def _text_tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), max_size=5))
+    return kinds, [draw(st.lists(CELL_KINDS[k][0], min_size=n, max_size=n)) for k in kinds]
+
+
+def _reference_rows(kinds, columns, sep):
+    cells = [list(map(CELL_KINDS[k][2], col)) for k, col in zip(kinds, columns)]
+    return "".join(sep.join(row) + "\n" for row in zip(*cells)).encode("ascii")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(table=_text_tables(), sep=st.sampled_from([",", " "]))
+def test_text_rows_match_fstring_rows(table, sep):
+    kinds, columns = table
+    arrays = [np.array(col, dtype=CELL_KINDS[k][1]) for k, col in zip(kinds, columns)]
+    assert text_rows(arrays, sep) == _reference_rows(kinds, columns, sep)
+
+
+def test_text_rows_edge_shapes():
+    assert text_rows([], ",") == b""
+    assert text_rows([np.array([], dtype=np.int64), np.array([])], " ") == b""
+    assert text_rows([[-(2**63)], [-0.0], [True], ["x"]], ",") == b"-9223372036854775808,-0,1,x\n"
 
 
 def _sector_labels(mesh, radius, n_cells):

@@ -162,6 +162,22 @@ def test_descriptor_text_is_split_in_one_place():
     assert len(sites) == 1 and sites[0].startswith("field.py:"), sites
 
 
+def test_float_text_is_formatted_in_one_place():
+    # The mesh file and every CSV share one row formatter: the float spec
+    # .17g is written once in code (docstrings aside), in mesh._text_cells.
+    sites = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docs = {id(n.body[0].value) for n in ast.walk(tree)
+                if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(n)}
+        sites += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and ".17g" in node.value and id(node) not in docs]
+    lines, start = inspect.getsourcelines(optitomo.mesh._text_cells)
+    assert len(sites) == 1 and sites[0][0] == "mesh.py", sites
+    assert start <= sites[0][1] < start + len(lines), sites
+
+
 def test_assembled_system_is_a_frozen_matrix_value():
     # no solver state on the system: a frozen dataclass of (mesh, matrix)
     # and nothing else in its body but the docstring
