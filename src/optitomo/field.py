@@ -214,13 +214,14 @@ def write_csv(path, header: str, columns) -> None:
     """Write a CSV artifact: ASCII, one header line, ``,`` separators, LF line ends.
 
     ``columns`` holds equal-length sequences; :func:`~optitomo.mesh.text_rows`
-    formats the rows, floats as ``%.17g`` (exact round trip) and booleans as
-    0/1, and refuses columns of unequal length.  No columns writes the header
-    alone.
+    formats the rows block by block, floats as ``%.17g`` (exact round trip)
+    and booleans as 0/1, and refuses columns of unequal length before the
+    file is opened.  No columns writes the header alone.
     """
-    lines = (header.encode("ascii") + b"\n", text_rows(columns, ","))
+    blocks = text_rows(columns, ",")
     with open(path, "wb") as fh:
-        fh.writelines(lines)
+        fh.write(header.encode("ascii") + b"\n")
+        fh.writelines(blocks)
 
 
 def write_element_csv(field: PiecewiseConstantField, path) -> None:

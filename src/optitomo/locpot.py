@@ -51,6 +51,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import CertificateError, FieldError
 from .field import BoundaryTrace, PiecewiseConstantField
@@ -127,17 +128,22 @@ class Condensation:
         inner = np.zeros(mesh.n_nodes, dtype=bool)
         inner[mesh.elements[self.omega_mask]] = True
         outer = ~inner
+        local = np.where(inner, np.cumsum(inner), np.cumsum(outer)) - 1
+        pattern = mesh.assembly_pattern
         # any absorption that vanishes outside omega gives the same A_EE and A_EI
-        a = assemble(mesh, setup.sigma, eta_field(setup, 1, 1)).matrix[outer]
-        a_ei = a[:, inner].toarray()
+        data = assemble(mesh, setup.sigma, eta_field(setup, 1, 1)).matrix.data
+        slots, rows, cols = pattern.block(outer, outer)
+        a_ee = sp.csc_matrix((data[slots], (local[rows], local[cols])), shape=(outer.sum(),) * 2)
+        slots, rows, cols = pattern.block(outer, inner)
+        a_ei = np.zeros((outer.sum(), inner.sum()))
+        a_ei[local[rows], local[cols]] = data[slots]
         b = boundary_load(mesh, np.eye(n_b))
-        zy = solve_sparse_spd(a[:, outer], np.hstack([b[outer], a_ei]), "exterior solve")
+        zy = solve_sparse_spd(a_ee, np.hstack([b[outer], a_ei]), "exterior solve")
         z, y = np.hsplit(zy, [n_b])
         self.w = a_ei.T @ z - b[inner]
         self.c = a_ei.T @ y
         # Lambda = Z_B - Y_B x_I; a boundary node of an omega element reads its
         # own row of x_I (0 in Z_B, -1 in Y_B)
-        local = np.where(inner, np.cumsum(inner), np.cumsum(outer)) - 1
         bn = mesh.boundary_nodes
         on_e = outer[bn]
         self.z_b = np.zeros((n_b, n_b))
@@ -146,7 +152,7 @@ class Condensation:
         self.y_b[on_e] = y[local[bn[on_e]]]
         self.y_b[~on_e, local[bn[~on_e]]] = -1.0
         # the data slots of A_II and their dense (row, column) places
-        self._slots, rows, cols = mesh.assembly_pattern.principal_block(inner)
+        self._slots, rows, cols = pattern.block(inner, inner)
         self._places = (local[rows], local[cols])
 
     def block(self, data: np.ndarray) -> np.ndarray:

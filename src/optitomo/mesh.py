@@ -14,6 +14,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,19 +29,25 @@ GEOM_TOL = 1e-12 * 2.0
 
 
 def _edge_table(elements: np.ndarray, base: int) -> tuple:
-    """Key, count and locate every edge of ``elements`` in one ``np.unique`` pass.
+    """Sort the edge slots of ``elements`` by edge in one stable ``np.argsort``.
 
     Element e has the slots 3e, 3e + 1, 3e + 2 for its edges (a, b), (b, c),
-    (c, a).  Returns ``(base, keys, first, slot_edge, counts)``: the sorted
-    distinct keys ``lo * base + hi``, the first slot that meets each edge, the
-    (n_elements, 3) edge index of each slot, and the number of elements
-    meeting each edge, which is 1 exactly on the boundary.
+    (c, a); their keys ``lo * base + hi`` fill one (n_elements, 3) array,
+    with no copy of the element pairs.  Returns ``(keys, order, starts)``:
+    the sorted distinct keys, the slots in key order (ascending within an
+    edge, as the sort is stable) and the position in ``order`` where each
+    edge's run begins.  So ``order[starts]`` is the first slot that meets
+    each edge, and ``np.diff(starts, append=order.size)`` counts the
+    elements meeting it, which is 1 exactly on the boundary.
     """
-    slots = elements[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys, first, inverse, counts = np.unique(
-        _edge_keys(slots, base), return_index=True, return_inverse=True, return_counts=True
-    )
-    return base, keys, first, inverse.reshape(-1, 3), counts
+    slot_keys = np.column_stack([_edge_keys(elements[:, k], elements[:, (k + 1) % 3], base) for k in range(3)])
+    order = np.argsort(slot_keys.ravel(), kind="stable")
+    sorted_keys = slot_keys.ravel()[order]
+    del slot_keys  # alive beside the run marks, it would set validate's memory peak
+    new = np.ones(sorted_keys.size, dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(new)
+    return sorted_keys[starts], order, starts
 
 
 @dataclass(frozen=True)
@@ -142,10 +149,9 @@ class TriMesh:
     @cached_property
     def element_neighbors(self) -> np.ndarray:
         """Neighbor element across edge opposite local vertex i, -1 on the boundary."""
-        _, _, _, slot_edge, counts = _edge_table(self.elements, self.n_nodes + 1)
-        by_edge = np.argsort(slot_edge.ravel())
-        start = (np.cumsum(counts) - counts)[counts == 2]
-        s, t = by_edge[start], by_edge[start + 1]
+        _, order, starts = _edge_table(self.elements, self.n_nodes + 1)
+        shared = starts[np.diff(starts, append=order.size) == 2]
+        s, t = order[shared], order[shared + 1]
         across = np.full(3 * self.n_elements, -1, dtype=np.int64)
         across[s] = t // 3
         across[t] = s // 3
@@ -154,6 +160,8 @@ class TriMesh:
 
     def validate(self) -> None:
         """Check all mesh invariants, raising :class:`MeshError` on violation."""
+        if self.n_elements == 0:
+            raise MeshError("mesh has no elements")
         if self.elements.min() < 0 or self.elements.max() >= self.n_nodes:
             raise MeshError("element references a nonexistent node")
         if not np.all(self.areas > 0.0):  # NaN fails too
@@ -162,7 +170,9 @@ class TriMesh:
                 f"degenerate triangulation: element {bad} has signed area "
                 f"{self.areas[bad]:.3e}"
             )
-        base, keys, _, _, counts = _edge_table(self.elements, self.n_nodes + 1)
+        base = self.n_nodes + 1
+        keys, order, starts = _edge_table(self.elements, base)
+        counts = np.diff(starts, append=order.size)
         if np.any(counts > 2):
             raise MeshError("an edge is shared by more than two elements")
         # Keys are distinct only for node ids in [0, n_nodes], so a boundary
@@ -175,7 +185,7 @@ class TriMesh:
             raise MeshError("a boundary node is off the unit circle beyond tolerance")
         if not np.all(np.diff(self.boundary_angles) > 0.0):
             raise MeshError("boundary nodes are not strictly sorted by angle")
-        if not np.array_equal(np.unique(_edge_keys(self.boundary_edges, base)), keys[counts == 1]):
+        if not np.array_equal(np.unique(_edge_keys(*self.boundary_edges.T, base)), keys[counts == 1]):
             raise MeshError("boundary edges do not form the angular cycle")
 
 
@@ -210,8 +220,8 @@ class AssemblyPattern:
     ``scatter`` sums entry (a, b) of element e's 3x3 matrix, flattened
     row-major, into data slot ``slots[9 e + 3 a + b]`` of a CSC matrix with
     ``indptr`` and ``indices`` (rows sorted within each column, no
-    duplicates).  The principal block of such a matrix over a node set is a
-    fixed subset of its data slots (``principal_block``).  ``full_band`` and
+    duplicates).  The block of such a matrix over a row and a column node set
+    is a fixed subset of its data slots (``block``).  ``full_band`` and
     ``interior_band`` map those of A over all nodes and of A_II over the
     interior nodes into lower band forms, each with its nodes in a stable
     sort on x; they are built once, on first use.  A sort on x gives a band
@@ -237,10 +247,11 @@ class AssemblyPattern:
         self.indices = structure.indices
         self.indptr = structure.indptr
 
-    def principal_block(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Data slots of the principal block over ``mask``, and the node row and column of each."""
+    def block(self, row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Data slots of the block over the node masks ``row_mask`` x ``col_mask``, in CSC order,
+        and the node row and column of each."""
         cols = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
-        slots = np.flatnonzero(mask[self.indices] & mask[cols])
+        slots = np.flatnonzero(row_mask[self.indices] & col_mask[cols])
         return slots, self.indices[slots], cols[slots]
 
     def scatter(self, local: np.ndarray) -> np.ndarray:
@@ -249,7 +260,7 @@ class AssemblyPattern:
 
     def _band_map(self, mask: np.ndarray) -> BandMap:
         """The band map of the principal block over ``mask``, its nodes in a stable sort on x."""
-        slots, rows, cols = self.principal_block(mask)
+        slots, rows, cols = self.block(mask, mask)
         nodes = np.flatnonzero(mask)[np.argsort(self.x[mask], kind="stable")]
         rank = np.empty(mask.size, dtype=np.intp)
         rank[nodes] = np.arange(nodes.size)
@@ -277,9 +288,8 @@ def _angles(points: np.ndarray) -> np.ndarray:
     return np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * np.pi)
 
 
-def _edge_keys(pairs: np.ndarray, base: int) -> np.ndarray:
-    """Orientation-free scalar key of each node pair (row) of ``pairs``."""
-    a, b = pairs.T
+def _edge_keys(a: np.ndarray, b: np.ndarray, base: int) -> np.ndarray:
+    """Orientation-free scalar key of each node pair (a[i], b[i])."""
     return np.minimum(a, b) * base + np.maximum(a, b)
 
 
@@ -322,8 +332,13 @@ def generate_disk_mesh(target_elements: int, angular_multiplier: int | None = No
         raise MeshError("target_elements must be at least 16")
     if angular_multiplier is not None and angular_multiplier < 3:
         raise MeshError("angular_multiplier must be at least 3")
-    c, rings = _ring_layout(target_elements, angular_multiplier)
+    mesh = _ring_mesh(*_ring_layout(target_elements, angular_multiplier))
+    mesh.validate()
+    return mesh
 
+
+def _ring_mesh(c: int, rings: int) -> TriMesh:
+    """The unvalidated ring mesh: c * i nodes at radius i / rings on ring i; no builder array outlives it."""
     nodes = [np.zeros((1, 2))]
     ring_ids: list[np.ndarray] = [np.array([0], dtype=np.int64)]
     next_id = 1
@@ -334,14 +349,10 @@ def generate_disk_mesh(target_elements: int, angular_multiplier: int | None = No
         nodes.append(np.column_stack((r * np.cos(theta), r * np.sin(theta))))
         ring_ids.append(np.arange(next_id, next_id + n_i, dtype=np.int64))
         next_id += n_i
-    coords = np.vstack(nodes)
-
     fan = np.column_stack((np.zeros(c, dtype=np.int64), ring_ids[1], np.roll(ring_ids[1], -1)))
     elements = np.vstack([fan] + [_sew_rings(ring_ids[i - 1], ring_ids[i])
                                   for i in range(2, rings + 1)])
-    mesh = TriMesh(coords, elements, ring_ids[rings])
-    mesh.validate()
-    return mesh
+    return TriMesh(np.vstack(nodes), elements, ring_ids[rings])
 
 
 def _sew_rings(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -371,12 +382,16 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     (c, ca, bc), (ab, bc, ca), in that order.  Node order is part of the mesh
     file format.
     """
-    base, keys, first, slot_edge, counts = _edge_table(mesh.elements, mesh.n_nodes + 1)
-    order = np.argsort(first)  # edges in order of first encounter
-    ab, bc, ca = (mesh.n_nodes + np.argsort(order)[slot_edge]).T
-    lo, hi = np.divmod(keys[order], base)
+    base = mesh.n_nodes + 1
+    keys, order, starts = _edge_table(mesh.elements, base)
+    counts = np.diff(starts, append=order.size)
+    encounter = np.argsort(order[starts])  # edges in order of first encounter
+    slot_mid = np.empty_like(order)
+    slot_mid[order] = np.repeat(mesh.n_nodes + np.argsort(encounter), counts)
+    ab, bc, ca = slot_mid.reshape(-1, 3).T
+    lo, hi = np.divmod(keys[encounter], base)
     mids = 0.5 * (mesh.nodes[lo] + mesh.nodes[hi])
-    on_circle = counts[order] == 1
+    on_circle = counts[encounter] == 1
     # np.vecdot rounds like np.linalg.norm of each point; norm(axis=1) does not.
     mids[on_circle] /= np.sqrt(np.vecdot(mids[on_circle], mids[on_circle]))[:, None]
 
@@ -461,30 +476,46 @@ def write_mesh(mesh: TriMesh, path) -> None:
     """Write the plain-text mesh format (# nodes / # elements / # boundary).
 
     Each section is a header line and the rows of ``_ROW_FORMATS``, formatted
-    by :func:`text_rows` with ``" "`` separators; the ``%.17g`` coordinates make
-    the file round-trip exactly through :func:`read_mesh`.
+    by :func:`text_rows` with ``" "`` separators and written block by block;
+    the ``%.17g`` coordinates make the file round-trip exactly through
+    :func:`read_mesh`.
     """
     with open(path, "wb") as fh:
-        fh.writelines((b"# nodes\n", text_rows([np.arange(mesh.n_nodes), *mesh.nodes.T], " ")))
-        fh.writelines((b"# elements\n", text_rows([np.arange(mesh.n_elements), *mesh.elements.T], " ")))
-        fh.writelines((b"# boundary\n", text_rows([mesh.boundary_nodes], " ")))
+        for header, columns in ((b"# nodes\n", [np.arange(mesh.n_nodes), *mesh.nodes.T]),
+                                (b"# elements\n", [np.arange(mesh.n_elements), *mesh.elements.T]),
+                                (b"# boundary\n", [mesh.boundary_nodes])):
+            fh.write(header)
+            fh.writelines(text_rows(columns, " "))
 
 
-def text_rows(columns, sep: str) -> bytes:
-    """ASCII rows of equal-length columns: cells joined by ``sep``, each row ended by LF.
+# Rows per block of text_rows.  A block's cell matrices and text take a few
+# MB; one block per section of a 262 144-element mesh file raised the peak
+# RSS of writing it by 3-4 MB and saved no time (2-core host).
+TEXT_BLOCK_ROWS = 32768
 
-    Each column is formatted once by dtype: integers in decimal, booleans as
-    0/1, floats as ``%.17g`` (exact round trip), anything else with ``%s``.
-    The cells become one NUL-padded byte matrix, so no cell may hold a NUL.
-    No columns, or columns without rows, give no text.
+
+def text_rows(columns, sep: str) -> Iterator[bytes]:
+    """ASCII rows of equal-length columns, yielded in blocks of at most ``TEXT_BLOCK_ROWS`` rows.
+
+    Each row is its cells joined by ``sep`` and ended by LF.  Each column of
+    a block is formatted once by dtype: integers in decimal, booleans as 0/1,
+    floats as ``%.17g`` (exact round trip), anything else with ``%s``.  The
+    cells become one NUL-padded byte matrix, so no cell may hold a NUL.  The
+    column lengths are checked at the call, before any block is made; no
+    columns, or columns without rows, yield no blocks.
     """
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise FieldError(f"columns of unequal length {lengths}")
-    if not lengths or not lengths[0]:
-        return b""
-    gap, eol = (np.full((lengths[0], 1), ord(ch), np.uint8) for ch in (sep, "\n"))
+    rows = lengths[0] if lengths else 0
+    return (_text_block([c[i:i + TEXT_BLOCK_ROWS] for c in columns], sep)
+            for i in range(0, rows, TEXT_BLOCK_ROWS))
+
+
+def _text_block(columns: list[np.ndarray], sep: str) -> bytes:
+    """The text of one block of ``text_rows``: non-empty columns of equal length."""
+    gap, eol = (np.full((len(columns[0]), 1), ord(ch), np.uint8) for ch in (sep, "\n"))
     text = np.hstack([p for c in columns for p in (gap, _text_cells(c))][1:] + [eol]).ravel()
     return text[text != 0].tobytes()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import optitomo.mesh
 from optitomo.errors import FieldError
 from optitomo.field import (
     COEFFICIENTS,
@@ -232,6 +233,24 @@ def test_write_csv_matches_fstring_rows(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
     write_csv(tmp_path / "no_rows.csv", "a,b", [[], []])
     assert (tmp_path / "no_rows.csv").read_bytes() == b"a,b\n"
+
+
+def test_write_csv_matches_fstring_rows_across_blocks(tmp_path, monkeypatch):
+    # 10 rows in blocks of 4: each column's widest cell, and its one negative
+    # number, lies in the middle block only, and the last block is partial
+    monkeypatch.setattr(optitomo.mesh, "TEXT_BLOCK_ROWS", 4)
+    ints = np.arange(10)
+    ints[5] = -(2**62)
+    floats = np.full(10, 0.5)
+    floats[6] = -2.2250738585072009e-308
+    flags = np.arange(10) % 4 == 1
+    names = ["n"] * 10
+    names[4] = "wide name"
+    write_csv(tmp_path / "x.csv", "i,x,flag,name", [ints, floats, flags, names])
+    expected = "i,x,flag,name\n" + "".join(
+        f"{i},{x:.17g},{int(b)},{s}\n" for i, x, b, s in zip(ints, floats, flags, names)
+    )
+    assert (tmp_path / "x.csv").read_bytes() == expected.encode("ascii")
 
 
 def test_write_csv_refuses_unequal_columns(tmp_path):

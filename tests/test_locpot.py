@@ -377,12 +377,12 @@ def test_pattern_blocks_match_the_scipy_slices(pattern_setups, target, density, 
     data = rng.standard_normal(pattern.indices.size)
     a = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(mesh.n_nodes,) * 2)
     mask = rng.random(mesh.n_nodes) < density
-    slots, rows, cols = pattern.principal_block(mask)
-    assert np.all(mask[rows]) and np.all(mask[cols])
-    local = np.cumsum(mask) - 1
-    block = np.zeros((mask.sum(),) * 2)
-    block[local[rows], local[cols]] = data[slots]
-    assert np.array_equal(block, a[mask][:, mask].toarray())
+    for row_mask, col_mask in ((mask, mask), (mask, ~mask), (~mask, mask)):
+        slots, rows, cols = pattern.block(row_mask, col_mask)
+        assert np.all(row_mask[rows]) and np.all(col_mask[cols])
+        block = np.zeros((row_mask.sum(), col_mask.sum()))
+        block[np.cumsum(row_mask)[rows] - 1, np.cumsum(col_mask)[cols] - 1] = data[slots]
+        assert np.array_equal(block, a[row_mask][:, col_mask].toarray())
     inner = np.zeros(mesh.n_nodes, dtype=bool)
     inner[mesh.elements[setup.partition.omega_mask]] = True
     assert np.array_equal(setup.condensation.block(data), a[inner][:, inner].toarray())

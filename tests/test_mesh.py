@@ -1,10 +1,12 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import optitomo.mesh
 from optitomo.errors import MeshError
 from optitomo.mesh import (
     Partition,
@@ -71,6 +73,19 @@ def test_validate_rejects_nonexistent_node(mesh_small):
         elements[7, 1] = bad
         with pytest.raises(MeshError, match="^element references a nonexistent node$"):
             TriMesh(nodes, elements, bn).validate()
+
+
+def test_validate_rejects_mesh_without_elements(tmp_path, mesh_small):
+    nodes, _, bn = _arrays(mesh_small)
+    with pytest.raises(MeshError, match="^mesh has no elements$"):
+        TriMesh(nodes, np.empty((0, 3), dtype=np.int64), bn).validate()
+    # a file whose elements section is empty is refused the same way
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh_small, path)
+    head, rest = path.read_text().split("# elements\n")
+    path.write_text(head + "# elements\n" + rest[rest.index("# boundary\n"):])
+    with pytest.raises(MeshError, match="^mesh has no elements$"):
+        read_mesh(path)
 
 
 def test_validate_rejects_flipped_element(mesh_small):
@@ -372,6 +387,31 @@ def test_write_mesh_matches_reference_bytes(tmp_path):
     assert path.read_bytes() == _reference_mesh_text(mesh)
 
 
+@pytest.mark.parametrize("block", [11, 100])
+def test_write_mesh_matches_reference_bytes_across_blocks(tmp_path, monkeypatch, mesh_small, block):
+    sections = (mesh_small.n_nodes, mesh_small.n_elements, mesh_small.n_boundary)
+    if block == 11:  # every section spans several blocks and ends in a partial one
+        assert all(n > block and n % block for n in sections)
+    else:  # the node index column is 3 digits wide in the second of its two blocks only
+        assert 100 < mesh_small.n_nodes <= 200
+    monkeypatch.setattr(optitomo.mesh, "TEXT_BLOCK_ROWS", block)
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh_small, path)
+    assert path.read_bytes() == _reference_mesh_text(mesh_small)
+
+
+def test_generate_peak_memory_is_a_few_mesh_sizes():
+    # the edge table of validate sets the peak: one stable sort of the slot
+    # keys, with no builder array of the mesh alive
+    tracemalloc.start()
+    try:
+        mesh = generate_disk_mesh(16384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (mesh.nodes.nbytes + mesh.elements.nbytes)
+
+
 # Column kinds for text_rows: a value strategy whose draws include the cells
 # that are easy to get wrong, and the f-string reference of one cell.
 INT64_EDGES = [0, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]
@@ -403,13 +443,13 @@ def _reference_rows(kinds, columns, sep):
 def test_text_rows_match_fstring_rows(table, sep):
     kinds, columns = table
     arrays = [np.array(col, dtype=CELL_KINDS[k][1]) for k, col in zip(kinds, columns)]
-    assert text_rows(arrays, sep) == _reference_rows(kinds, columns, sep)
+    assert b"".join(text_rows(arrays, sep)) == _reference_rows(kinds, columns, sep)
 
 
 def test_text_rows_edge_shapes():
-    assert text_rows([], ",") == b""
-    assert text_rows([np.array([], dtype=np.int64), np.array([])], " ") == b""
-    assert text_rows([[-(2**63)], [-0.0], [True], ["x"]], ",") == b"-9223372036854775808,-0,1,x\n"
+    assert list(text_rows([], ",")) == []
+    assert list(text_rows([np.array([], dtype=np.int64), np.array([])], " ")) == []
+    assert list(text_rows([[-(2**63)], [-0.0], [True], ["x"]], ",")) == [b"-9223372036854775808,-0,1,x\n"]
 
 
 def _sector_labels(mesh, radius, n_cells):
