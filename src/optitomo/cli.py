@@ -300,6 +300,7 @@ def cmd_lipschitz(cfg, outdir, args):
         "beta_target": BETA_TARGET,
         "recheck_defect_max": max(abs(c.beta - BETA_TARGET) / BETA_TARGET for c in currents),
         "recheck_rtol_max": max(c.recheck_rtol for c in currents),
+        "condensation": setup.condensation.sizes,
     }
 
 

@@ -15,8 +15,10 @@ and of A_II that the pattern maps, and factors each by LAPACK's band
 Cholesky for all its columns (George & Liu, "Computer Solution of Large
 Sparse Positive Definite Systems", 1981): at 1 014 elements that takes
 0.2-0.3 ms where a SuperLU call takes over 1 ms, nearly all of it per-call
-overhead.  ``solve_sparse_spd`` makes one SuperLU factorization in
-symmetric mode (``SPLU_OPTIONS``) for all the columns of its call; the
+overhead.  ``solve_band_spd`` makes the same factorization of any principal
+block with a band map, for the interior block of ``locpot.Condensation``.
+``solve_sparse_spd`` makes one SuperLU factorization in symmetric mode
+(``SPLU_OPTIONS``) for all the columns of its call; the
 boundary-flux loads of ``solve_neumann_many`` (``solve_neumann`` is its
 one-column call) and the interior loads of ``solve_source`` go through it.
 On large meshes SuperLU is the better kernel: at 65 536 elements the band
@@ -183,6 +185,20 @@ def _band_solve(band_map, data: np.ndarray, rhs: np.ndarray, what: str) -> np.nd
     factor = _cholesky(sla.cholesky_banded, band_map.band(data), what, overwrite_ab=True)
     # rhs is not overwritten: the Dirichlet check still reads it
     return sla.cho_solve_banded((factor, True), rhs, check_finite=False)
+
+
+def solve_band_spd(band_map, data: np.ndarray, matrix, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve with the principal block that ``band_map`` maps from the CSC data ``data``.
+
+    The rows of rhs and of the result follow the band order of
+    ``band_map.nodes``.  One band Cholesky factorization serves every column,
+    and each column is held to the residual contract against ``matrix``, the
+    same block as a sparse matrix in band order, read apart from the band
+    form, so a wrong band form, load or solution fails it.
+    """
+    x = _band_solve(band_map, data, rhs, what)
+    _check_residual(matrix @ x - rhs, rhs, what)
+    return x
 
 
 def solve_sparse_spd(matrix, rhs: np.ndarray, what: str) -> np.ndarray:

@@ -23,7 +23,7 @@ a relative tolerance of BETA_TARGET, which catches a wrong form B or wrong
 weights.  The tolerance is RECHECK_RTOL, or RECHECK_ROUNDING * eps * kappa
 where that is larger: kappa = max |lambda_i| / lambda_max over the spectrum
 of B g = lambda M g, and the rounding of B reaches the re-checked beta as
-about eps * kappa (measured at most 0.28 eps * kappa on 288 and 968 elements),
+about eps * kappa (measured at most 0.30 eps * kappa on 288 and 968 elements),
 so strongly indefinite forms keep their certificates while a relative weight
 error delta, which moves beta by about 3.6 delta, is still refused.
 
@@ -37,10 +37,15 @@ returns its reciprocal L = 1/S together with the accepted currents.
 Every probing absorption (eta(j,k), and the random fields of
 ``stability_report``) vanishes outside omega, so the systems of one setup
 differ only in the block of the nodes of the omega elements.
-``Condensation`` eliminates the rest once per setup, and each system is then
-one dense Schur complement solve for U on those nodes; the NtD matrices of
-the stability report are read from the same solve.  The re-check of a
-certificate is a sparse solve of the full system, on its own factorization.
+``Condensation`` eliminates the rest once per setup, with one sparse solve
+whose columns are the boundary hat loads and the couplings of omega's rim J
+(the nodes of omega next to the rest or on the boundary).  Each system is
+then two levels: a band Cholesky of the block of omega's remaining nodes K,
+and a dense |J| x |J| Schur complement solve for U on the rim, from which
+the NtD matrices of the stability report are read; a certificate also reads
+U on K.  No system of the condensation is assembled.  The re-check of a
+certificate is a sparse solve of the full system, assembled and factored on
+its own.
 """
 
 from __future__ import annotations
@@ -56,10 +61,9 @@ import scipy.sparse as sp
 from .errors import CertificateError, FieldError
 from .field import BoundaryTrace, PiecewiseConstantField
 from .fem import (
-    AssembledSystem,
     assemble,
-    boundary_load,
     element_l2_products,
+    solve_band_spd,
     solve_dense_spd,
     solve_neumann,
     solve_sparse_spd,
@@ -100,83 +104,156 @@ class ProbingSetup:
         return Condensation(self)
 
 
+class _Block:
+    """The block over two node lists of the matrices on a mesh's pattern, rows and columns in list order.
+
+    ``dense`` and ``sparse`` read it from a matrix's CSC data; the places are
+    sorted once, so the sparse form is CSC with sorted rows, built without
+    a sort.
+    """
+
+    def __init__(self, pattern, row_nodes: np.ndarray, col_nodes: np.ndarray):
+        row_at = np.full(pattern.indptr.size - 1, -1)
+        col_at = row_at.copy()
+        row_at[row_nodes] = np.arange(row_nodes.size)
+        col_at[col_nodes] = np.arange(col_nodes.size)
+        slots, rows, cols = pattern.block(row_at >= 0, col_at >= 0)
+        rows, cols = row_at[rows], col_at[cols]
+        order = np.lexsort((rows, cols))
+        self.slots, self.rows, self.cols = slots[order], rows[order], cols[order]
+        self.indptr = np.searchsorted(self.cols, np.arange(col_nodes.size + 1))
+        self.shape = (row_nodes.size, col_nodes.size)
+
+    def dense(self, data: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = data[self.slots]
+        return out
+
+    def sparse(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data[self.slots], self.rows, self.indptr), shape=self.shape)
+
+
+def _weighted_mass(mesh: TriMesh, weights: np.ndarray) -> np.ndarray:
+    """CSC data, on the mesh's pattern, of sum_e weights_e M_e over the elements.
+
+    M_e is the exact P1 element mass matrix of ``element_l2_products``,
+    |e|/12 (1 1^T + I) on the vertices of e.
+    """
+    local = (weights * mesh.areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    return mesh.assembly_pattern.scatter(local)
+
+
 class Condensation:
-    """The probing systems of a setup, condensed onto the nodes of the omega elements.
+    """The probing systems of a setup, condensed onto the rim of the nodes of the omega elements.
 
     With I the nodes of the omega elements and E the rest, an absorption that
     vanishes outside omega changes only the block A_II of A; A_EE and A_EI
-    are fixed by sigma.  The setup factors A_EE once and solves, every column
-    under the residual contract, Z = A_EE^-1 b_E for the boundary hat loads b
-    and Y = A_EE^-1 A_EI; it keeps W = A_IE Z - b_I, C = A_IE Y, and the
-    boundary rows of Z and Y.  Per absorption q the rows I of the Neumann
-    solutions solve S x_I = -W with the Schur complement S = A_II(q) - C
-    (Quarteroni & Valli, Domain Decomposition Methods for PDEs, 1999, ch. 1),
-    by dense Cholesky under the residual contract, and the NtD matrix is
-    Z_B - Y_B x_I.  The residual of the full system splits into these two
-    contracts: its rows I are the Schur residual S x_I + W, and its rows E
-    are R_Z - R_Y x_I, with R_Z and R_Y the residuals of the A_EE columns.
-    ``block`` reads the dense I x I block of any matrix on the mesh's pattern:
-    A_II(q), and the certificate form's Q from a weighted mass matrix.
+    are fixed by sigma.  I splits into its rim J, the nodes of I on the
+    boundary or coupled to E, and the rest K, so A_EK = 0 and the boundary
+    hat loads vanish on K.  The setup factors A_EE once and solves, every
+    column under the residual contract, Z = A_EE^-1 b_E for the boundary hat
+    loads b and Y = A_EE^-1 A_EJ; it keeps W = A_JE Z - b_J, C = A_JE Y, and
+    the boundary rows of Z and Y.  Per absorption q, A_II(q) is the setup's
+    stiffness data plus q's weighted mass matrices, with no assembly; one
+    band Cholesky of A_KK gives P = A_KK^-1 A_KJ, and the rows J of the
+    Neumann solutions solve T x_J = -W with the Schur complement
+    T = A_JJ(q) - C - A_KJ^T P (Quarteroni & Valli, Domain Decomposition
+    Methods for PDEs, 1999, ch. 1), by dense Cholesky.  The NtD matrix is
+    Z_B - Y_B x_J, and the certificates read x_K = -P x_J as well.  The
+    residual of the full system splits into three contracts: its rows E are
+    R_Z - R_Y x_J, with R_Z and R_Y the residuals of the A_EE columns; its
+    rows K are -R_P x_J, with R_P = A_KK P - A_KJ held column by column;
+    its rows J are the Schur residual T x_J + W.  ``block`` reads the sparse
+    I x I block of any matrix on the mesh's pattern, for the certificate
+    form's Q.  ``sizes`` records |I|, |J|, |K| and the columns of the A_EE
+    solve.
     """
 
     def __init__(self, setup: ProbingSetup):
         mesh = setup.mesh
         self.mesh = mesh
-        self.sigma = setup.sigma
         self.omega_mask = setup.partition.omega_mask
         n_b = mesh.n_boundary
+        pattern = mesh.assembly_pattern
         inner = np.zeros(mesh.n_nodes, dtype=bool)
         inner[mesh.elements[self.omega_mask]] = True
-        outer = ~inner
-        local = np.where(inner, np.cumsum(inner), np.cumsum(outer)) - 1
-        pattern = mesh.assembly_pattern
-        # any absorption that vanishes outside omega gives the same A_EE and A_EI
-        data = assemble(mesh, setup.sigma, eta_field(setup, 1, 1)).matrix.data
-        slots, rows, cols = pattern.block(outer, outer)
-        a_ee = sp.csc_matrix((data[slots], (local[rows], local[cols])), shape=(outer.sum(),) * 2)
-        slots, rows, cols = pattern.block(outer, inner)
-        a_ei = np.zeros((outer.sum(), inner.sum()))
-        a_ei[local[rows], local[cols]] = data[slots]
-        b = boundary_load(mesh, np.eye(n_b))
-        zy = solve_sparse_spd(a_ee, np.hstack([b[outer], a_ei]), "exterior solve")
-        z, y = np.hsplit(zy, [n_b])
-        self.w = a_ei.T @ z - b[inner]
-        self.c = a_ei.T @ y
-        # Lambda = Z_B - Y_B x_I; a boundary node of an omega element reads its
-        # own row of x_I (0 in Z_B, -1 in Y_B)
-        bn = mesh.boundary_nodes
-        on_e = outer[bn]
+        rim = np.zeros(mesh.n_nodes, dtype=bool)
+        rim[pattern.block(~inner, inner)[2]] = True
+        rim[mesh.boundary_nodes] = True
+        rim &= inner
+        self._band = pattern._band_map(inner & ~rim)
+        e_nodes, i_nodes, j_nodes, k_nodes = (
+            np.flatnonzero(~inner), np.flatnonzero(inner), np.flatnonzero(rim), self._band.nodes)
+        # any absorption that vanishes outside omega gives the same A_EE and A_EJ
+        eta = eta_field(setup, 1, 1)
+        data = assemble(mesh, setup.sigma, eta).matrix.data
+        self._stiffness = data - _weighted_mass(mesh, eta.values)
+        a_ej = _Block(pattern, e_nodes, j_nodes).dense(data)
+        local = np.empty(mesh.n_nodes, dtype=np.intp)
+        for nodes in (e_nodes, j_nodes):
+            local[nodes] = np.arange(nodes.size)
+        bn, mass = mesh.boundary_nodes, mesh.boundary_mass
+        on_e = ~inner[bn]
+        # the boundary hat loads are the rows of M at the boundary nodes
+        rhs = np.zeros((e_nodes.size, n_b + j_nodes.size))
+        rhs[local[bn[on_e]], :n_b] = mass[on_e]
+        rhs[:, n_b:] = a_ej
+        zy = solve_sparse_spd(_Block(pattern, e_nodes, e_nodes).sparse(data), rhs, "exterior solve")
+        z, y = zy[:, :n_b], zy[:, n_b:]
+        self.w = a_ej.T @ z
+        self.w[local[bn[~on_e]]] -= mass[~on_e]
+        self.c = a_ej.T @ y
+        # Lambda = Z_B - Y_B x_J; a boundary node in omega is in J and reads
+        # its own row of x_J (0 in Z_B, -1 in Y_B)
         self.z_b = np.zeros((n_b, n_b))
-        self.y_b = np.zeros((n_b, self.c.shape[0]))
+        self.y_b = np.zeros((n_b, j_nodes.size))
         self.z_b[on_e] = z[local[bn[on_e]]]
         self.y_b[on_e] = y[local[bn[on_e]]]
         self.y_b[~on_e, local[bn[~on_e]]] = -1.0
-        # the data slots of A_II and their dense (row, column) places
-        self._slots, rows, cols = pattern.block(inner, inner)
-        self._places = (local[rows], local[cols])
+        self._ii = _Block(pattern, i_nodes, i_nodes)
+        self._kk = _Block(pattern, k_nodes, k_nodes)
+        self._kj = _Block(pattern, k_nodes, j_nodes)
+        self._jj = _Block(pattern, j_nodes, j_nodes)
+        # rows of K and J within I, numbered in node order as the rows of x_I
+        i_at = np.cumsum(inner) - 1
+        self._k_rows, self._j_rows = i_at[k_nodes], i_at[j_nodes]
+        self.sizes = {"omega_nodes": i_nodes.size, "rim_nodes": j_nodes.size,
+                      "interior_nodes": k_nodes.size, "exterior_columns": zy.shape[1]}
 
-    def block(self, data: np.ndarray) -> np.ndarray:
-        """The dense I x I block of the matrix with CSC data ``data`` on the mesh's pattern."""
-        out = np.zeros(self.c.shape)
-        out[self._places] = data[self._slots]
-        return out
+    def block(self, data: np.ndarray) -> sp.csc_matrix:
+        """The sparse I x I block of the matrix with CSC data ``data`` on the mesh's pattern."""
+        return self._ii.sparse(data)
 
-    def solve(self, q: PiecewiseConstantField) -> tuple[AssembledSystem, np.ndarray]:
-        """A(q), and the rows I of the Neumann solutions for every boundary hat current.
-
-        Raises :class:`FieldError` if q is nonzero outside omega, and
-        :class:`SolverError` if S is not positive definite or a column misses
-        the residual contract.
-        """
+    def _rim_solve(self, q: PiecewiseConstantField) -> tuple[np.ndarray, np.ndarray]:
+        """P = A_KK(q)^-1 A_KJ(q), and the rows J of the Neumann solutions at absorption q."""
+        if q.mesh is not self.mesh:
+            raise FieldError("absorption field lives on a different mesh")
         if np.any(q.values[~self.omega_mask] != 0.0):
             raise FieldError("absorption field must vanish outside the subdomain")
-        sys = assemble(self.mesh, self.sigma, q)
-        schur = self.block(sys.matrix.data) - self.c
-        return sys, -solve_dense_spd(schur, self.w, "condensed Neumann solve")
+        if not (np.all(np.isfinite(q.values) & (q.values >= 0.0)) and np.any(q.values > 0.0)):
+            raise FieldError("absorption coefficient must be finite, nonnegative and not identically 0")
+        data = self._stiffness + _weighted_mass(self.mesh, q.values)
+        kj = self._kj.dense(data)
+        p = solve_band_spd(self._band, data, self._kk.sparse(data), kj, "interior solve")
+        schur = self._jj.dense(data) - self.c - kj.T @ p
+        return p, -solve_dense_spd(schur, self.w, "condensed Neumann solve")
+
+    def solve(self, q: PiecewiseConstantField) -> np.ndarray:
+        """The rows I of the Neumann solutions at absorption q for every boundary hat current.
+
+        Raises :class:`FieldError` if q is nonzero outside omega or not a
+        valid absorption, and :class:`SolverError` if A_KK or T is not
+        positive definite or a column misses its residual contract.
+        """
+        p, x_j = self._rim_solve(q)
+        x_i = np.empty((self._ii.shape[0], x_j.shape[1]))
+        x_i[self._k_rows] = -(p @ x_j)
+        x_i[self._j_rows] = x_j
+        return x_i
 
     def ntd(self, q: PiecewiseConstantField) -> NtDMatrix:
         """The NtD matrix at absorption q, checked as every ``NtDMatrix`` is."""
-        return NtDMatrix(self.mesh, self.z_b - self.y_b @ self.solve(q)[1])
+        return NtDMatrix(self.mesh, self.z_b - self.y_b @ self._rim_solve(q)[1])
 
 
 @dataclass(frozen=True)
@@ -271,12 +348,10 @@ def _certificate_form(condensation: Condensation, weights: np.ndarray, u: np.nda
 
     Row r of u holds the values at the r-th node of the condensation's rows I,
     and the weights, one per element, vanish off omega.  The form is u^T Q u,
-    with Q the block on I of the weighted sum of the exact P1 element mass
-    matrices of ``element_l2_products``, |e|/12 (1 1^T + I) on the vertices of e.
+    with Q the sparse block on I of the weighted sum of the exact P1 element
+    mass matrices (``_weighted_mass``).
     """
-    mesh = condensation.mesh
-    local = (weights * mesh.areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-    q = condensation.block(mesh.assembly_pattern.scatter(local))
+    q = condensation.block(_weighted_mass(condensation.mesh, weights))
     return u.T @ (q @ u)
 
 
@@ -296,7 +371,8 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     """
     mesh = setup.mesh
     part = setup.partition
-    sys, x_i = setup.condensation.solve(eta_field(setup, j, k))
+    eta = eta_field(setup, j, k)
+    x_i = setup.condensation.solve(eta)
     # stated apart from ``_certificate``, so the re-check also catches a wrong weight
     rest = np.where(part.omega_mask, 0.5 - 1.5 * setup.b / setup.a, 0.0)
     form = _certificate_form(setup.condensation, np.where(part.labels == j, 0.5, rest), x_i)
@@ -310,7 +386,7 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     kappa = np.max(np.abs(lam)) / top
     rtol = max(RECHECK_RTOL, RECHECK_ROUNDING * np.finfo(float).eps * kappa)
     g = BoundaryTrace(mesh, vec[:, -1] * math.sqrt(BETA_TARGET / top))
-    u = solve_neumann(sys, g)
+    u = solve_neumann(assemble(mesh, setup.sigma, eta), g)
     beta = _certificate(setup, j, element_l2_products(u, u)[part.omega_mask])
     defect = abs(beta - BETA_TARGET) / BETA_TARGET
     if not (beta > 1.0 and defect <= rtol):

@@ -142,6 +142,13 @@ class TriMesh:
         return m
 
     @cached_property
+    def boundary_mass_factor(self) -> np.ndarray:
+        """Lower Cholesky factor L of the boundary mass matrix, M = L L^T."""
+        factor = np.linalg.cholesky(self.boundary_mass)
+        factor.setflags(write=False)
+        return factor
+
+    @cached_property
     def assembly_pattern(self) -> AssemblyPattern:
         """CSC structure of the P1 system matrix, shared by every assembly on the mesh."""
         return AssemblyPattern(self)
@@ -267,7 +274,7 @@ class AssemblyPattern:
         rows, cols = rank[rows], rank[cols]
         lower = rows >= cols
         offsets = rows[lower] - cols[lower]
-        width = int(offsets.max())
+        width = int(offsets.max(initial=0))  # 0 for an empty block
         return BandMap(nodes, width, slots[lower], cols[lower] * (width + 1) + offsets)
 
     @cached_property

@@ -3,9 +3,9 @@
 The operator maps coefficient vectors of boundary hat functions to nodal trace
 values; all norms are weighted by the boundary mass matrix M so that results
 approximate their continuous counterparts on L2 of the circle.  The operator
-norm of a difference is computed after M-symmetrization (via a Cholesky factor
-of M), which reduces the generalized eigenproblem to a standard symmetric one.
-All checks live in discrete boundary spaces; they approximate, but do not
+norm of a difference is computed after M-symmetrization (via the Cholesky
+factor of M cached on the mesh), which reduces the generalized eigenproblem
+to a standard symmetric one.  All checks live in discrete boundary spaces; they approximate, but do not
 certify, the continuous operator norms.
 """
 
@@ -35,18 +35,22 @@ MSYM_RTOL = 1e-10
 class NtDMatrix:
     """Dense discrete Neumann-to-Dirichlet operator; ``mesh.boundary_mass`` weights its norms.
 
-    M-symmetry and M-positive-definiteness are verified on construction, so
-    every operator built, by ``build_ntd`` or otherwise, passes both checks.
+    Finite entries, M-symmetry and M-positive-definiteness are verified on
+    construction, so every operator built, by ``build_ntd`` or otherwise,
+    passes all three checks; a non-finite operator is refused before any
+    arithmetic on it.
     """
 
     mesh: TriMesh
     lam: np.ndarray
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.lam)):
+            raise SolverError("NtD operator has a non-finite entry")
         ml = self.mesh.boundary_mass @ self.lam
         defect = np.max(np.abs(ml - ml.T))
         scale = np.max(np.abs(ml))
-        if defect > MSYM_RTOL * scale:
+        if not defect <= MSYM_RTOL * scale:
             raise SolverError(f"NtD M-symmetry defect {defect / scale:.3e} exceeds {MSYM_RTOL}")
         sym = 0.5 * (ml + ml.T)
         try:
@@ -90,24 +94,28 @@ def boundary_inner(g: BoundaryTrace, h: BoundaryTrace) -> float:
     return 0.5 * (a + b)
 
 
-def _m_spectrum(diff: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of diff after M-symmetrization: of L^T diff L^{-T} (M = L L^T)."""
-    chol = sla.cholesky(mass, lower=True)
+def _m_spectrum(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of diff after M-symmetrization: of L^T diff L^{-T}, with
+    ``chol`` the lower Cholesky factor L of M = L L^T."""
     right = sla.solve_triangular(chol, diff.T, lower=True).T  # diff @ L^{-T}
     sym = chol.T @ right
     return sla.eigvalsh(0.5 * (sym + sym.T))
 
 
-def m_weighted_opnorm(diff: np.ndarray, mass: np.ndarray) -> float:
-    """Largest |eigenvalue| of an M-self-adjoint operator given as a plain matrix."""
-    return float(np.max(np.abs(_m_spectrum(diff, mass))))
+def m_weighted_opnorm(diff: np.ndarray, chol: np.ndarray) -> float:
+    """Largest |eigenvalue| of an M-self-adjoint operator given as a plain matrix.
+
+    ``chol`` is the lower Cholesky factor L of M = L L^T, as
+    ``TriMesh.boundary_mass_factor`` holds it for the boundary mass matrix.
+    """
+    return float(np.max(np.abs(_m_spectrum(diff, chol))))
 
 
 def _difference(l1: NtDMatrix, l2: NtDMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The difference l1 - l2 of two NtD operators on one mesh, and the mass matrix M of that mesh."""
+    """The difference l1 - l2 of two NtD operators on one mesh, and the Cholesky factor of its mass matrix."""
     if l1.mesh is not l2.mesh:
         raise FieldError("NtD operators live on different meshes")
-    return l1.lam - l2.lam, l1.mesh.boundary_mass
+    return l1.lam - l2.lam, l1.mesh.boundary_mass_factor
 
 
 def opnorm_diff(l1: NtDMatrix, l2: NtDMatrix) -> float:

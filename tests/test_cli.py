@@ -277,6 +277,11 @@ def test_lipschitz_command_small(tmp_path, forward_solves):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["recheck_rtol_max"] == 1e-6
     assert 0.0 <= manifest["recheck_defect_max"] <= manifest["recheck_rtol_max"]
+    # the condensation's sizes: 41 omega nodes, 16 on the rim, and the
+    # exterior solve's 32 boundary loads and 16 rim columns
+    assert manifest["condensation"] == {
+        "omega_nodes": 41, "rim_nodes": 16, "interior_nodes": 25, "exterior_columns": 48,
+    }
 
 
 def test_reconstruct_small_profile(tmp_path):

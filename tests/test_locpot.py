@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,8 +343,11 @@ def test_forward_applications_count_every_solve(setup_small, forward_solves):
 
 
 # omega radius 0.5 keeps the boundary outside omega; at 0.9 omega reaches
-# part of the boundary, and at 0.99 it covers the whole mesh
-@pytest.mark.parametrize("target, radius", [(254, 0.5), (1016, 0.5), (254, 0.9), (254, 0.99)])
+# part of the boundary, and at 0.99 it covers the whole mesh, so that the rim
+# J is all of omega's boundary nodes; at 4 232 elements the interior block
+# A_KK is 521 (radius 0.5) and 1 361 (radius 0.8) nodes wide
+@pytest.mark.parametrize("target, radius", [(254, 0.5), (1016, 0.5), (254, 0.9), (254, 0.99),
+                                            (4064, 0.5), (4064, 0.8)])
 def test_condensed_ntd_matches_build_ntd(target, radius):
     mesh = generate_disk_mesh(target, angular_multiplier=8)
     setup = make_probing_setup(subdomain_partition(mesh, radius, 8), 1.0, 2.0)
@@ -385,7 +389,7 @@ def test_pattern_blocks_match_the_scipy_slices(pattern_setups, target, density, 
         assert np.array_equal(block, a[row_mask][:, col_mask].toarray())
     inner = np.zeros(mesh.n_nodes, dtype=bool)
     inner[mesh.elements[setup.partition.omega_mask]] = True
-    assert np.array_equal(setup.condensation.block(data), a[inner][:, inner].toarray())
+    assert np.array_equal(setup.condensation.block(data).toarray(), a[inner][:, inner].toarray())
 
 
 def _unique_route_form(mesh, elements, weights, u):
@@ -407,7 +411,7 @@ def test_certificate_form_matches_the_unique_route(target, radius):
     omega = setup.partition.omega_mask
     rng = np.random.default_rng(target)
     weights = np.where(omega, rng.uniform(-2.0, 1.0, mesh.n_elements), 0.0)
-    x_i = setup.condensation.solve(eta_field(setup, 1, 1))[1]
+    x_i = setup.condensation.solve(eta_field(setup, 1, 1))
     form = optitomo.locpot._certificate_form(setup.condensation, weights, x_i)
     ref = _unique_route_form(mesh, np.flatnonzero(omega), weights[omega], x_i)
     assert np.max(np.abs(form - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -426,7 +430,7 @@ def test_certificates_and_report_share_one_exterior_factorization(mesh_small_ali
     monkeypatch.setattr(optitomo.fem.spla, "splu", counting)
     _, currents = lipschitz_constant(setup)
     stability_report(setup, currents, 5, seed=0)
-    n_exterior = mesh_small_aligned.n_nodes - setup.condensation.c.shape[0]
+    n_exterior = mesh_small_aligned.n_nodes - setup.condensation.sizes["omega_nodes"]
     assert sizes == [n_exterior] + [mesh_small_aligned.n_nodes] * (setup.n_cells * setup.K)
 
 
@@ -437,7 +441,124 @@ def test_condensation_refuses_absorption_outside_omega(setup_small):
         setup_small.condensation.solve(PiecewiseConstantField(setup_small.mesh, values))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0.0])
+def test_condensation_refuses_an_invalid_absorption(setup_small, value):
+    # the condensed systems are never assembled, so they check q themselves:
+    # a non-finite or negative value on one element, or q = 0 on all of omega
+    values = eta_field(setup_small, 1, 1).values.copy()
+    omega = setup_small.partition.omega_mask
+    if value == 0.0:
+        values[omega] = 0.0
+    else:
+        values[np.flatnonzero(omega)[0]] = value
+    q = PiecewiseConstantField(setup_small.mesh, values)
+    for call in (setup_small.condensation.ntd, setup_small.condensation.solve):
+        with pytest.raises(FieldError, match="absorption coefficient must be finite"):
+            call(q)
+    other = PiecewiseConstantField(generate_disk_mesh(254, angular_multiplier=8), values)
+    with pytest.raises(FieldError, match="different mesh"):
+        setup_small.condensation.ntd(other)
+
+
+def test_condensed_ntd_with_no_interior_block(mesh_small_aligned):
+    # omega one ring of elements thick: every node of omega couples to E, so
+    # K is empty and the Schur complement is all of A_II(q) - C
+    mesh = mesh_small_aligned
+    radius = np.round(np.hypot(*mesh.nodes.T), 12)
+    levels = np.unique(radius)
+    middle = levels.size // 2
+    ring = np.all(np.isin(radius[mesh.elements], levels[middle:middle + 2]), axis=1)
+    setup = make_probing_setup(Partition(mesh, ring.astype(int), 1), 1.0, 2.0)
+    assert setup.condensation.sizes["interior_nodes"] == 0
+    assert setup.condensation.sizes["rim_nodes"] == setup.condensation.sizes["omega_nodes"] > 0
+    q = PiecewiseConstantField(mesh, np.where(ring, 1.5, 0.0))
+    ref = build_ntd(mesh, setup.sigma, q).lam
+    assert np.max(np.abs(setup.condensation.ntd(q).lam - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_condensation_work_counts(monkeypatch):
+    # one SuperLU solve of n_b + |J| columns per setup; per q one band
+    # factorization of A_KK, one dense factorization of the |J| x |J| Schur
+    # complement, and no assembly
+    setup = _eight_cells(generate_disk_mesh(1016, angular_multiplier=8), 1.0, 2.0)
+    columns, band, dense = [], [], []
+    sparse_solve = optitomo.locpot.solve_sparse_spd
+    monkeypatch.setattr(optitomo.locpot, "solve_sparse_spd",
+                        lambda m, rhs, what: columns.append(rhs.shape[1]) or sparse_solve(m, rhs, what))
+    band_factor, dense_factor = optitomo.fem.sla.cholesky_banded, optitomo.fem.sla.cho_factor
+    monkeypatch.setattr(optitomo.fem.sla, "cholesky_banded",
+                        lambda ab, **kw: band.append(ab.shape[1]) or band_factor(ab, **kw))
+    monkeypatch.setattr(optitomo.fem.sla, "cho_factor",
+                        lambda a, **kw: dense.append(a.shape) or dense_factor(a, **kw))
+    sizes = setup.condensation.sizes
+    n_j, n_k = sizes["rim_nodes"], sizes["interior_nodes"]
+    assert (sizes["omega_nodes"], n_j, n_k) == (161, 48, 113)
+    assert columns == [setup.mesh.n_boundary + n_j] == [sizes["exterior_columns"]]
+    assert band == dense == []
+
+    def no_assembly(*args):
+        raise AssertionError("the condensed solve assembled A")
+
+    monkeypatch.setattr(optitomo.locpot, "assemble", no_assembly)
+    q = eta_field(setup, 3, 2)
+    setup.condensation.ntd(q)
+    setup.condensation.solve(q)
+    assert band == [n_k] * 2
+    assert dense == [(n_j, n_j)] * 2
+    assert columns == [sizes["exterior_columns"]]
+
+
+def _perturbed(original, where):
+    """``original`` with a relative 1e-6 error on its load (``where`` "load") or its result."""
+    def call(factor, rhs, **options):
+        if where == "load":
+            rhs = rhs * (1.0 + 1e-6)
+        x = original(factor, rhs, **options)
+        return x * (1.0 + 1e-6) if where == "result" else x
+    return call
+
+
+# a wrong A_KJ as the band solve sees it, a wrong P, or a wrong band form of A_KK
+@pytest.mark.parametrize("defect", ["A_KJ", "P", "A_KK"])
+def test_interior_solve_is_held_to_the_k_row_contract(setup_small, monkeypatch, defect):
+    sla_ = optitomo.fem.sla
+    if defect == "A_KK":
+        band_factor = sla_.cholesky_banded
+        monkeypatch.setattr(sla_, "cholesky_banded", lambda ab, **kw: band_factor(ab * (1.0 + 1e-6), **kw))
+    else:
+        where = "load" if defect == "A_KJ" else "result"
+        monkeypatch.setattr(sla_, "cho_solve_banded", _perturbed(sla_.cho_solve_banded, where))
+    q = eta_field(setup_small, 1, 1)
+    for call in (setup_small.condensation.ntd, setup_small.condensation.solve):
+        with pytest.raises(SolverError, match="interior solve did not converge"):
+            call(q)
+
+
+def test_condensation_setup_holds_no_omega_sized_arrays():
+    # at 4 232 elements |I| = 617, |J| = 96 and |E| = 1 592: the setup keeps
+    # less than one |I| x |I| array and its peak is a few copies of the
+    # exterior load, |E| x (n_b + |J|), with no |E| x |I| array
+    mesh = generate_disk_mesh(4232, angular_multiplier=8)
+    setup = _eight_cells(mesh, 1.0, 2.0)
+    for cached in ("assembly_pattern", "element_grads", "areas", "boundary_mass"):
+        getattr(mesh, cached)
+    setup.partition.omega_mask
+    tracemalloc.start()
+    try:
+        condensation = optitomo.locpot.Condensation(setup)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = condensation.sizes
+    n_i = sizes["omega_nodes"]
+    n_e = mesh.n_nodes - n_i
+    assert (n_i, sizes["rim_nodes"], n_e) == (617, 96, 1592)
+    assert held < 8 * n_i * n_i
+    assert peak < 5 * 8 * n_e * sizes["exterior_columns"]
+
+
 def test_indefinite_schur_complement_is_a_solver_error(mesh_small_aligned, monkeypatch):
+    # a shift of the J x J coupling C makes T = A_JJ(q) - C - A_KJ^T P indefinite
     setup = make_probing_setup(subdomain_partition(mesh_small_aligned, 0.5, 4), 1.0, 2.0)
     condensation = setup.condensation
     shifted = condensation.c + 1e3 * np.eye(condensation.c.shape[0])

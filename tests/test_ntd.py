@@ -3,6 +3,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import iv
 
+import optitomo.ntd
+
 from optitomo.errors import FieldError, MeshError, SolverError
 from optitomo.field import BoundaryTrace, PiecewiseConstantField, sample_coefficient
 from optitomo.mesh import TriMesh, generate_disk_mesh, subdomain_partition
@@ -74,6 +76,40 @@ def test_ntd_matrix_refuses_asymmetric_or_indefinite_operators(ntd_unit, mesh_me
         NtDMatrix(mesh_medium, lam + skew)
     with pytest.raises(SolverError, match="not positive definite"):
         NtDMatrix(mesh_medium, -lam)
+
+
+@pytest.mark.parametrize("entry", ["one nan", "one inf", "all nan"])
+def test_ntd_matrix_refuses_a_non_finite_operator(entry):
+    # refused before any arithmetic, so no RuntimeWarning escapes either
+    mesh = generate_disk_mesh(64)
+    one = sample_coefficient(mesh, "one")
+    lam = build_ntd(mesh, one, one).lam.copy()
+    if entry == "all nan":
+        lam[:] = np.nan
+    else:
+        lam[2, 5] = np.nan if entry == "one nan" else np.inf
+    with pytest.raises(SolverError, match="non-finite"):
+        NtDMatrix(mesh, lam)
+
+
+def test_opnorm_reuses_the_cached_mass_factor(mesh_small):
+    # M is factored once per mesh: the operator norms after the first make no Cholesky call
+    one = sample_coefficient(mesh_small, "one")
+    lam1 = build_ntd(mesh_small, one, one)
+    lam2 = build_ntd(mesh_small, one, sample_coefficient(mesh_small, "constant:2"))
+    first = opnorm_diff(lam1, lam2)
+    factor = mesh_small.boundary_mass_factor
+    assert np.allclose(factor @ factor.T, mesh_small.boundary_mass, rtol=0.0, atol=1e-15)
+    assert np.array_equal(factor, np.tril(factor))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("M was factored again")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", refused)
+        mp.setattr(optitomo.ntd.sla, "cholesky", refused)
+        assert opnorm_diff(lam1, lam2) == first
+        assert min_m_eigenvalue(lam1, lam2) >= -1e-10
 
 
 def test_rayleigh_quotient_cosine(ntd_unit, mesh_medium):
