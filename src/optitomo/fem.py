@@ -45,6 +45,8 @@ from .mesh import TriMesh
 
 # Relative residual beyond which a direct solve is reported as failed.
 SOLVE_RTOL = 1e-8
+# Bytes of solution columns multiplied at a time when a residual is formed.
+_RESIDUAL_BYTES = 2 ** 20
 
 # SuperLU settings of every factorization: minimum degree on A^T + A, diagonal
 # pivots only, and a symmetric ordering of rows and columns (Li, "An overview
@@ -108,13 +110,35 @@ def boundary_load(mesh: TriMesh, g_values: np.ndarray) -> np.ndarray:
 
 def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> None:
     """Require a residual ||r|| <= SOLVE_RTOL ||b|| for every column of the 2-D b; NaN fails."""
-    res = np.sqrt(np.einsum("ij,ij->j", r, r))
-    ratio = res / np.maximum(np.sqrt(np.einsum("ij,ij->j", b, b)), 1e-300)
+    _check_squared_norms(np.einsum("ij,ij->j", r, r), b, what)
+
+
+def _check_squared_norms(r_sq: np.ndarray, b: np.ndarray, what: str) -> None:
+    """The residual contract for the squared column norms ``r_sq`` of a residual."""
+    ratio = np.sqrt(r_sq) / np.maximum(np.sqrt(np.einsum("ij,ij->j", b, b)), 1e-300)
     worst = int(np.argmax(ratio))  # the first NaN, if any
     if not ratio[worst] <= SOLVE_RTOL:
         raise SolverError(
             f"{what} did not converge in column {worst}: relative residual {ratio[worst]:.3e}"
         )
+
+
+def _check_solve(matrix, x: np.ndarray, rhs: np.ndarray, what: str) -> None:
+    """Hold the solution x of matrix @ x = rhs to the residual contract.
+
+    The residual is formed in place, for blocks of columns of about
+    ``_RESIDUAL_BYTES``: a sparse matrix copies a Fortran-ordered x (as
+    every solver returns it) to C order before it multiplies, so a whole x
+    would cost two more solution-sized arrays beside the load and the
+    solution.
+    """
+    r_sq = np.empty(x.shape[1])
+    block = max(1, _RESIDUAL_BYTES // (8 * max(1, x.shape[0])))
+    for j in range(0, x.shape[1], block):
+        r = matrix @ x[:, j:j + block]
+        r -= rhs[:, j:j + block]
+        r_sq[j:j + block] = np.einsum("ij,ij->j", r, r)
+    _check_squared_norms(r_sq, rhs, what)
 
 
 def solve_neumann(sys: AssembledSystem, g: BoundaryTrace) -> NodalField:
@@ -150,7 +174,7 @@ def solve_pairs(
     b = boundary_load(sys.mesh, g_values)
     un = np.empty_like(b)
     un[full.nodes] = _band_solve(full, sys.matrix.data, b[full.nodes], "Neumann solve")
-    _check_residual(sys.matrix @ un - b, b, "Neumann solve")
+    _check_solve(sys.matrix, un, b, "Neumann solve")
     return un, _band_dirichlet(sys, f_values)
 
 
@@ -197,14 +221,14 @@ def solve_band_spd(band_map, data: np.ndarray, matrix, rhs: np.ndarray, what: st
     form, so a wrong band form, load or solution fails it.
     """
     x = _band_solve(band_map, data, rhs, what)
-    _check_residual(matrix @ x - rhs, rhs, what)
+    _check_solve(matrix, x, rhs, what)
     return x
 
 
 def solve_sparse_spd(matrix, rhs: np.ndarray, what: str) -> np.ndarray:
     """Solve with a sparse SPD matrix on an LU made for this call, each column under the contract."""
     x = spla.splu(matrix, **SPLU_OPTIONS).solve(rhs)
-    _check_residual(matrix @ x - rhs, rhs, what)
+    _check_solve(matrix, x, rhs, what)
     return x
 
 
@@ -217,7 +241,7 @@ def solve_dense_spd(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarra
     """
     factor = _cholesky(sla.cho_factor, matrix, what)
     x = sla.cho_solve(factor, rhs, check_finite=False)
-    _check_residual(matrix @ x - rhs, rhs, what)
+    _check_solve(matrix, x, rhs, what)
     return x
 
 

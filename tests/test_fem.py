@@ -406,6 +406,21 @@ def test_multi_column_residual_is_checked_per_column(mesh_small, unit_coefficien
         solve_dirichlet(sys, BoundaryTrace(mesh_small, g[:, 1]))
 
 
+@pytest.mark.parametrize("columns", [1, 2, 64])
+def test_residual_is_formed_block_by_block(mesh_small, unit_coefficients, monkeypatch, columns):
+    # the residual is formed a few columns at a time: a spoiled column in a
+    # later block is named by its own index
+    monkeypatch.setattr(optitomo.fem, "_RESIDUAL_BYTES", 8 * mesh_small.n_nodes * columns)
+    sys = assemble(mesh_small, *unit_coefficients)
+    g = np.column_stack([np.cos(k * mesh_small.boundary_angles) for k in range(1, 6)])
+    spoiled = solve_neumann_many(sys, g)
+    spoiled[:, 3] *= 1.0 + 1e-5
+    monkeypatch.setattr(optitomo.fem.spla, "splu", lambda matrix, **options: SimpleNamespace(
+        solve=lambda rhs: spoiled))
+    with pytest.raises(SolverError, match="Neumann solve did not converge in column 3"):
+        solve_neumann_many(sys, g)
+
+
 @pytest.mark.parametrize("columns", [1, 3])
 def test_dirichlet_check_reads_the_load_not_the_solution(mesh_small, unit_coefficients, monkeypatch,
                                                          columns):
@@ -415,13 +430,13 @@ def test_dirichlet_check_reads_the_load_not_the_solution(mesh_small, unit_coeffi
     sys = assemble(mesh_small, *unit_coefficients)
     f = _boundary_columns(mesh_small)[:, :columns]
     loads = []
-    check = optitomo.fem._check_residual
+    check = optitomo.fem._check_squared_norms
 
-    def keeping(r, b, what):
+    def keeping(r_sq, b, what):
         loads.append((what, b.copy()))
-        check(r, b, what)
+        check(r_sq, b, what)
 
-    monkeypatch.setattr(optitomo.fem, "_check_residual", keeping)
+    monkeypatch.setattr(optitomo.fem, "_check_squared_norms", keeping)
     solve_pairs(sys, f, f)
     x = np.zeros((mesh_small.n_nodes, columns))
     x[mesh_small.boundary_nodes] = f

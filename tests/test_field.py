@@ -1,11 +1,15 @@
 import csv
 import inspect
 import itertools
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import optitomo.field
 import optitomo.mesh
 from optitomo.errors import FieldError
 from optitomo.field import (
@@ -383,3 +387,136 @@ def test_pgm_shared_edge_takes_highest_element_index(tmp_path, elements):
     img = np.frombuffer(path.read_bytes()[-16:], dtype=np.uint8).reshape(4, 4)
     assert np.all(np.diag(img[::-1]) == 255)  # gray of element 1, the last one
     assert path.read_bytes() == _reference_pgm(field, 4)
+
+
+@pytest.mark.parametrize("offset", [-1e-7, 0.0, 1e-7])
+def test_pgm_horizontal_edges_beside_a_row_centre(tmp_path, offset):
+    # a quad with a horizontal bottom and top edge, each within 1e-7 pixel
+    # of a row centre: outside the quad by that much, a row is not painted
+    h = 2.0 / 8
+    bottom, top = -1.0 + 2.5 * h + offset * h, -1.0 + 5.5 * h - offset * h
+    nodes = [(-0.9, bottom), (0.9, bottom), (0.9, top), (-0.9, top)]
+    mesh = TriMesh(nodes, [(0, 1, 2), (0, 2, 3)], [0, 1, 2, 3])
+    field = PiecewiseConstantField(mesh, [1.0, 2.0])
+    path = tmp_path / "quad.pgm"
+    write_field_pgm(field, path, resolution=8)
+    assert path.read_bytes() == _reference_pgm(field, 8)
+    img = np.frombuffer(path.read_bytes()[-64:], dtype=np.uint8).reshape(8, 8)
+    assert np.count_nonzero(img.any(axis=1)) == (2 if offset > 0 else 4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(-1000, 1000), st.integers(0, 5)), max_size=12))
+def test_runs_lists_each_run_in_order(runs):
+    # empty runs, a leading or trailing one included, contribute nothing
+    first = np.array([f for f, _ in runs], dtype=np.int64)
+    count = np.array([n for _, n in runs], dtype=np.int64)
+    expected = [f + i for f, n in runs for i in range(n)]
+    assert optitomo.field._runs(first, count).tolist() == expected
+
+
+def _write_pgm_counting_exact_tests(field, path, resolution):
+    """Write the PGM; return how many points went to the exact inside test."""
+    exact = optitomo.field._barycentric_mask
+    with mock.patch.object(optitomo.field, "_barycentric_mask", wraps=exact) as spy:
+        write_field_pgm(field, path, resolution=resolution)
+    return sum(np.size(call.args[1]) for call in spy.call_args_list)
+
+
+def _pgm_mesh(multiplier, rings, layout, resolution, seed):
+    """A disk mesh whose interior nodes are kept, jittered, or moved onto the nearest pixel centres."""
+    mesh = generate_disk_mesh(multiplier * rings * rings, multiplier)
+    nodes = mesh.nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
+    if layout == "jittered":
+        step = 0.3 / np.sqrt(mesh.n_elements)
+        nodes[interior] += np.random.default_rng(seed).uniform(-step, step, (interior.size, 2))
+    elif layout == "on_centres":
+        h = 2.0 / resolution
+        nodes[interior] = -1.0 + (np.floor((nodes[interior] + 1.0) / h) + 0.5) * h
+    return TriMesh(nodes, mesh.elements, mesh.boundary_nodes)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(multiplier=st.integers(4, 9), rings=st.integers(2, 10),
+       layout=st.sampled_from(["plain", "jittered", "on_centres"]), refine=st.booleans(),
+       resolution=st.integers(1, 600), seed=st.integers(0, 2**16))
+@example(multiplier=8, rings=6, layout="on_centres", refine=False, resolution=64, seed=0)
+@example(multiplier=4, rings=5, layout="on_centres", refine=True, resolution=301, seed=0)
+def test_pgm_row_spans_match_per_element_reference(tmp_path_factory, multiplier, rings, layout, refine,
+                                                    resolution, seed):
+    # the spans claim every pixel the exact test accepts and no other, and
+    # on nodes at pixel centres the exact test decides the centres on edges
+    mesh = _pgm_mesh(multiplier, rings, layout, resolution, seed)
+    if not np.all(mesh.areas > 0.0):  # a fine mesh can fold when snapped to a coarse pixel grid
+        mesh = _pgm_mesh(multiplier, rings, "plain", resolution, seed)
+        layout = "plain"
+    if refine:
+        mesh = refine_uniform(mesh)
+    field = PiecewiseConstantField(mesh, np.random.default_rng(seed).standard_normal(mesh.n_elements))
+    path = tmp_path_factory.mktemp("pgm") / "field.pgm"
+    tested = _write_pgm_counting_exact_tests(field, path, resolution)
+    assert path.read_bytes() == _reference_pgm(field, resolution)
+    if layout == "on_centres" and resolution > 1:
+        assert tested > 0
+
+
+def test_pgm_sends_few_points_to_the_exact_test(tmp_path, mesh_medium):
+    # a bounding-box rasterizer tests 526 795 (element, pixel) pairs here
+    field = sample_coefficient(mesh_medium, "example1_sigma")
+    assert _write_pgm_counting_exact_tests(field, tmp_path / "field.pgm", 512) <= 0.05 * 512 ** 2
+
+
+def test_pgm_peak_memory_does_not_grow_with_the_mesh(tmp_path):
+    # at 65 536 elements the writer's peak is a few copies of its 512 x 512
+    # int32 owner image, with no array of the mesh's size beside it
+    mesh = generate_disk_mesh(65536)
+    field = PiecewiseConstantField(mesh, np.arange(mesh.n_elements, dtype=float))
+    tracemalloc.start()
+    try:
+        write_field_pgm(field, tmp_path / "field.pgm", resolution=512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 4 * 512 ** 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_refuses_non_finite_values(tmp_path, mesh_small, bad):
+    values = np.ones(mesh_small.n_elements)
+    values[7] = bad
+    path = tmp_path / "field.pgm"
+    with pytest.raises(FieldError, match=f"PGM field must be finite; element 7 has value {bad}"):
+        write_field_pgm(PiecewiseConstantField(mesh_small, values), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("resolution", [0, -4, np.int64(0), 2.0, 64.5, True, "64", None])
+def test_pgm_refuses_a_resolution_that_is_not_a_positive_int(tmp_path, mesh_small, resolution):
+    path = tmp_path / "field.pgm"
+    with pytest.raises(FieldError, match="PGM resolution must be a positive int"):
+        write_field_pgm(sample_coefficient(mesh_small, "one"), path, resolution=resolution)
+    assert not path.exists()
+
+
+def test_pgm_accepts_a_numpy_integer_resolution(tmp_path, mesh_small):
+    field = sample_coefficient(mesh_small, "example1_sigma")
+    write_field_pgm(field, tmp_path / "numpy.pgm", resolution=np.int32(64))
+    write_field_pgm(field, tmp_path / "int.pgm", resolution=64)
+    assert (tmp_path / "numpy.pgm").read_bytes() == (tmp_path / "int.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (0.0, 1e307), (-np.finfo(float).max, np.finfo(float).max)])
+def test_pgm_maps_a_range_that_overflows(tmp_path, mesh_small, low, high):
+    # max - min, or 254 (max - min), is not finite, yet the map stays linear
+    values = np.full(mesh_small.n_elements, low)
+    values[1::2] = high
+    values[2::4] = 0.5 * low + 0.5 * high
+    path = tmp_path / "field.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_field_pgm(PiecewiseConstantField(mesh_small, values), path, resolution=64)
+    reference = np.where(values == low, 1, np.where(values == high, 255, 128)).astype(np.uint8)
+    flat = PiecewiseConstantField(mesh_small, reference.astype(float))
+    write_field_pgm(flat, tmp_path / "reference.pgm", resolution=64)
+    assert path.read_bytes() == (tmp_path / "reference.pgm").read_bytes()

@@ -536,8 +536,9 @@ def test_interior_solve_is_held_to_the_k_row_contract(setup_small, monkeypatch, 
 
 def test_condensation_setup_holds_no_omega_sized_arrays():
     # at 4 232 elements |I| = 617, |J| = 96 and |E| = 1 592: the setup keeps
-    # less than one |I| x |I| array and its peak is a few copies of the
-    # exterior load, |E| x (n_b + |J|), with no |E| x |I| array
+    # less than one |I| x |I| array and its peak is the exterior load,
+    # |E| x (n_b + |J|), its solution and a block of the residual, with no
+    # |E| x |I| array and no whole residual (A_EE @ x copies a whole x first)
     mesh = generate_disk_mesh(4232, angular_multiplier=8)
     setup = _eight_cells(mesh, 1.0, 2.0)
     for cached in ("assembly_pattern", "element_grads", "areas", "boundary_mass"):
@@ -554,7 +555,7 @@ def test_condensation_setup_holds_no_omega_sized_arrays():
     n_e = mesh.n_nodes - n_i
     assert (n_i, sizes["rim_nodes"], n_e) == (617, 96, 1592)
     assert held < 8 * n_i * n_i
-    assert peak < 5 * 8 * n_e * sizes["exterior_columns"]
+    assert peak < 4 * 8 * n_e * sizes["exterior_columns"]
 
 
 def test_indefinite_schur_complement_is_a_solver_error(mesh_small_aligned, monkeypatch):

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import optitomo
+import optitomo.field
 
 SOURCES = sorted(Path(optitomo.__file__).parent.glob("*.py"))
 
@@ -176,6 +177,24 @@ def test_float_text_is_formatted_in_one_place():
     lines, start = inspect.getsourcelines(optitomo.mesh._text_cells)
     assert len(sites) == 1 and sites[0][0] == "mesh.py", sites
     assert start <= sites[0][1] < start + len(lines), sites
+
+
+def test_pixel_inside_test_is_written_in_one_place():
+    # The PGM rasterizer's row spans only choose which pixel centres reach
+    # the exact inside test; that test and its 1e-12 tolerance are written
+    # once in field.py (docstrings aside), in field._barycentric_mask.
+    tree = ast.parse((PACKAGE / "field.py").read_text(encoding="utf-8"))
+    docs = {id(n.body[0].value) for n in ast.walk(tree)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(n)}
+    sites = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-12
+             and id(node) not in docs]
+    lines, start = inspect.getsourcelines(optitomo.field._barycentric_mask)
+    assert len(sites) == 1 and start <= sites[0] < start + len(lines), sites
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_barycentric_mask"]
+    lines, start = inspect.getsourcelines(optitomo.field._claim_pixels)
+    assert len(calls) == 1 and start <= calls[0] < start + len(lines), calls
 
 
 def test_assembled_system_is_a_frozen_matrix_value():
