@@ -4,19 +4,20 @@ Element integrals are evaluated in closed form for piecewise-constant
 coefficients times P1 products, so the assembled matrix carries no quadrature
 error.  The Neumann problem needs no mean-zero gauge: q > 0 on a set of
 positive area makes the bilinear form coercive, and the system matrix is
-symmetric positive definite.  ``assemble`` sums the nine entries of every
-element matrix into the data of a CSC matrix with the ``scatter`` of the
-mesh's ``TriMesh.assembly_pattern``, built once per mesh.
+symmetric positive definite.  This module is the one writer of the P1
+element matrices: ``assemble`` sums each element's stiffness plus mass into
+CSC data with the ``scatter`` of the mesh's ``TriMesh.assembly_pattern``,
+built once per mesh; ``stiffness_data`` and ``mass_data`` scatter one part.
 
 Each kernel factors per call and keeps no factor after it returns.  The
 Kohn-Vogelius pair solve (``solve_pairs``, with ``solve_dirichlet`` its
-one-column Dirichlet call) scatters the data of A into the band forms of A
-and of A_II that the pattern maps, and factors each by LAPACK's band
+one-column Dirichlet call) reads the data of A into the band forms of the
+pattern's blocks of A and of A_II, and factors each by LAPACK's band
 Cholesky for all its columns (George & Liu, "Computer Solution of Large
 Sparse Positive Definite Systems", 1981): at 1 014 elements that takes
 0.2-0.3 ms where a SuperLU call takes over 1 ms, nearly all of it per-call
 overhead.  ``solve_band_spd`` makes the same factorization of any principal
-block with a band map, for the interior block of ``locpot.Condensation``.
+``mesh.Block``, for the interior block of ``locpot.Condensation``.
 ``solve_sparse_spd`` makes one SuperLU factorization in symmetric mode
 (``SPLU_OPTIONS``) for all the columns of its call; the
 boundary-flux loads of ``solve_neumann_many`` (``solve_neumann`` is its
@@ -41,7 +42,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FieldError, SolverError
 from .field import BoundaryTrace, NodalField, PiecewiseConstantField
-from .mesh import TriMesh
+from .mesh import Block, TriMesh
 
 # Relative residual beyond which a direct solve is reported as failed.
 SOLVE_RTOL = 1e-8
@@ -79,9 +80,8 @@ def assemble(
     somewhere; a q that vanishes identically leaves the Neumann problem
     singular up to constants and is rejected.
     """
-    if sigma.mesh is not mesh or q.mesh is not mesh:
+    if q.mesh is not mesh:
         raise FieldError("coefficient fields live on a different mesh")
-    sigma.require_positive()
     if not np.all(np.isfinite(q.values) & (q.values >= 0.0)):
         raise FieldError("absorption coefficient must be finite and nonnegative")
     if not np.any(q.values > 0.0):
@@ -89,16 +89,39 @@ def assemble(
 
     # a first call builds the pattern before the element matrices take memory
     pattern = mesh.assembly_pattern
+    local = _element_stiffness(mesh, sigma)
+    local += _element_mass(mesh, q.values)
+    matrix = sp.csc_matrix((pattern.scatter(local), pattern.indices, pattern.indptr),
+                           shape=(mesh.n_nodes, mesh.n_nodes))
+    return AssembledSystem(mesh, matrix)
 
+
+def stiffness_data(mesh: TriMesh, sigma: PiecewiseConstantField) -> np.ndarray:
+    """CSC data, on the mesh's pattern, of sum_e sigma_e int_e grad phi_a . grad phi_b, the stiffness of A."""
+    return mesh.assembly_pattern.scatter(_element_stiffness(mesh, sigma))
+
+
+def mass_data(mesh: TriMesh, weights: np.ndarray) -> np.ndarray:
+    """CSC data, on the mesh's pattern, of sum_e weights_e int_e phi_a phi_b, one weight per element."""
+    return mesh.assembly_pattern.scatter(_element_mass(mesh, weights))
+
+
+def _element_stiffness(mesh: TriMesh, sigma: PiecewiseConstantField) -> np.ndarray:
+    """The (n_elements, 3, 3) element stiffness matrices sigma_e |e| grad phi_a . grad phi_b."""
+    if sigma.mesh is not mesh:
+        raise FieldError("coefficient fields live on a different mesh")
+    sigma.require_positive()
     gx = mesh.element_grads[:, :, 0]
     gy = mesh.element_grads[:, :, 1]
     local = gx[:, :, None] * gx[:, None, :]
     local += gy[:, :, None] * gy[:, None, :]
     local *= (mesh.areas * sigma.values)[:, None, None]
-    local += _MASS_PATTERN * (mesh.areas * q.values)[:, None, None]
-    matrix = sp.csc_matrix((pattern.scatter(local), pattern.indices, pattern.indptr),
-                           shape=(mesh.n_nodes, mesh.n_nodes))
-    return AssembledSystem(mesh, matrix)
+    return local
+
+
+def _element_mass(mesh: TriMesh, weights: np.ndarray) -> np.ndarray:
+    """The (n_elements, 3, 3) exact P1 element mass matrices |e|/12 (1 1^T + I), times weights_e."""
+    return _MASS_PATTERN * (mesh.areas * weights)[:, None, None]
 
 
 def boundary_load(mesh: TriMesh, g_values: np.ndarray) -> np.ndarray:
@@ -108,13 +131,8 @@ def boundary_load(mesh: TriMesh, g_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_residual(r: np.ndarray, b: np.ndarray, what: str) -> None:
-    """Require a residual ||r|| <= SOLVE_RTOL ||b|| for every column of the 2-D b; NaN fails."""
-    _check_squared_norms(np.einsum("ij,ij->j", r, r), b, what)
-
-
 def _check_squared_norms(r_sq: np.ndarray, b: np.ndarray, what: str) -> None:
-    """The residual contract for the squared column norms ``r_sq`` of a residual."""
+    """Require ||r|| <= SOLVE_RTOL ||b|| per column of the 2-D b, given r's squared column norms ``r_sq``; NaN fails."""
     ratio = np.sqrt(r_sq) / np.maximum(np.sqrt(np.einsum("ij,ij->j", b, b)), 1e-300)
     worst = int(np.argmax(ratio))  # the first NaN, if any
     if not ratio[worst] <= SOLVE_RTOL:
@@ -173,7 +191,7 @@ def solve_pairs(
     full = sys.mesh.assembly_pattern.full_band
     b = boundary_load(sys.mesh, g_values)
     un = np.empty_like(b)
-    un[full.nodes] = _band_solve(full, sys.matrix.data, b[full.nodes], "Neumann solve")
+    un[full.row_nodes] = _band_solve(full, sys.matrix.data, b[full.row_nodes], "Neumann solve")
     _check_solve(sys.matrix, un, b, "Neumann solve")
     return un, _band_dirichlet(sys, f_values)
 
@@ -190,9 +208,10 @@ def _band_dirichlet(sys: AssembledSystem, f_values: np.ndarray) -> np.ndarray:
     interior = mesh.assembly_pattern.interior_band
     x = np.zeros((mesh.n_nodes, f_values.shape[1]))
     x[mesh.boundary_nodes] = f_values
-    rhs = -(sys.matrix @ x)[interior.nodes]
-    x[interior.nodes] = _band_solve(interior, sys.matrix.data, rhs, "Dirichlet solve")
-    _check_residual((sys.matrix @ x)[interior.nodes], rhs, "Dirichlet solve")
+    rhs = -(sys.matrix @ x)[interior.row_nodes]
+    x[interior.row_nodes] = _band_solve(interior, sys.matrix.data, rhs, "Dirichlet solve")
+    r = (sys.matrix @ x)[interior.row_nodes]
+    _check_squared_norms(np.einsum("ij,ij->j", r, r), rhs, "Dirichlet solve")
     return x
 
 
@@ -204,24 +223,22 @@ def _cholesky(factorize, matrix: np.ndarray, what: str, **options):
         raise SolverError(f"{what} failed: the matrix is not positive definite ({exc})") from None
 
 
-def _band_solve(band_map, data: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve, in band order, with the block that ``band_map`` maps from the CSC data ``data``."""
-    factor = _cholesky(sla.cholesky_banded, band_map.band(data), what, overwrite_ab=True)
+def _band_solve(block: Block, data: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve with the principal ``block`` of the matrix with CSC data ``data``, rows in block order."""
+    factor = _cholesky(sla.cholesky_banded, block.band(data), what, overwrite_ab=True)
     # rhs is not overwritten: the Dirichlet check still reads it
     return sla.cho_solve_banded((factor, True), rhs, check_finite=False)
 
 
-def solve_band_spd(band_map, data: np.ndarray, matrix, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve with the principal block that ``band_map`` maps from the CSC data ``data``.
+def solve_band_spd(block: Block, data: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve with the principal ``block`` of the matrix with CSC data ``data``, rows in block order.
 
-    The rows of rhs and of the result follow the band order of
-    ``band_map.nodes``.  One band Cholesky factorization serves every column,
-    and each column is held to the residual contract against ``matrix``, the
-    same block as a sparse matrix in band order, read apart from the band
-    form, so a wrong band form, load or solution fails it.
+    One band Cholesky factorization serves every column, and each column is
+    held to the residual contract against the block's sparse form, read apart
+    from the band form, so a wrong band form, load or solution fails it.
     """
-    x = _band_solve(band_map, data, rhs, what)
-    _check_solve(matrix, x, rhs, what)
+    x = _band_solve(block, data, rhs, what)
+    _check_solve(block.sparse(data), x, rhs, what)
     return x
 
 

@@ -43,9 +43,9 @@ whose columns are the boundary hat loads and the couplings of omega's rim J
 then two levels: a band Cholesky of the block of omega's remaining nodes K,
 and a dense |J| x |J| Schur complement solve for U on the rim, from which
 the NtD matrices of the stability report are read; a certificate also reads
-U on K.  No system of the condensation is assembled.  The re-check of a
-certificate is a sparse solve of the full system, assembled and factored on
-its own.
+U on K.  No system of the condensation is assembled: its blocks of A are
+``mesh.Block``s of the stiffness and mass data of ``fem``.  The re-check of
+a certificate is a sparse solve of the full system, assembled on its own.
 """
 
 from __future__ import annotations
@@ -56,17 +56,18 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import CertificateError, FieldError
 from .field import BoundaryTrace, PiecewiseConstantField
 from .fem import (
     assemble,
     element_l2_products,
+    mass_data,
     solve_band_spd,
     solve_dense_spd,
     solve_neumann,
     solve_sparse_spd,
+    stiffness_data,
 )
 from .mesh import Partition, TriMesh
 from .ntd import NtDMatrix, boundary_inner, opnorm_diff
@@ -104,45 +105,6 @@ class ProbingSetup:
         return Condensation(self)
 
 
-class _Block:
-    """The block over two node lists of the matrices on a mesh's pattern, rows and columns in list order.
-
-    ``dense`` and ``sparse`` read it from a matrix's CSC data; the places are
-    sorted once, so the sparse form is CSC with sorted rows, built without
-    a sort.
-    """
-
-    def __init__(self, pattern, row_nodes: np.ndarray, col_nodes: np.ndarray):
-        row_at = np.full(pattern.indptr.size - 1, -1)
-        col_at = row_at.copy()
-        row_at[row_nodes] = np.arange(row_nodes.size)
-        col_at[col_nodes] = np.arange(col_nodes.size)
-        slots, rows, cols = pattern.block(row_at >= 0, col_at >= 0)
-        rows, cols = row_at[rows], col_at[cols]
-        order = np.lexsort((rows, cols))
-        self.slots, self.rows, self.cols = slots[order], rows[order], cols[order]
-        self.indptr = np.searchsorted(self.cols, np.arange(col_nodes.size + 1))
-        self.shape = (row_nodes.size, col_nodes.size)
-
-    def dense(self, data: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = data[self.slots]
-        return out
-
-    def sparse(self, data: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((data[self.slots], self.rows, self.indptr), shape=self.shape)
-
-
-def _weighted_mass(mesh: TriMesh, weights: np.ndarray) -> np.ndarray:
-    """CSC data, on the mesh's pattern, of sum_e weights_e M_e over the elements.
-
-    M_e is the exact P1 element mass matrix of ``element_l2_products``,
-    |e|/12 (1 1^T + I) on the vertices of e.
-    """
-    local = (weights * mesh.areas / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-    return mesh.assembly_pattern.scatter(local)
-
-
 class Condensation:
     """The probing systems of a setup, condensed onto the rim of the nodes of the omega elements.
 
@@ -153,20 +115,20 @@ class Condensation:
     hat loads vanish on K.  The setup factors A_EE once and solves, every
     column under the residual contract, Z = A_EE^-1 b_E for the boundary hat
     loads b and Y = A_EE^-1 A_EJ; it keeps W = A_JE Z - b_J, C = A_JE Y, and
-    the boundary rows of Z and Y.  Per absorption q, A_II(q) is the setup's
-    stiffness data plus q's weighted mass matrices, with no assembly; one
-    band Cholesky of A_KK gives P = A_KK^-1 A_KJ, and the rows J of the
-    Neumann solutions solve T x_J = -W with the Schur complement
+    the boundary rows of Z and Y, reading A_EE and A_EJ from sigma's
+    ``fem.stiffness_data``.  Per absorption q, A_II(q) adds q's
+    ``fem.mass_data``, with no assembly; one band Cholesky of A_KK gives
+    P = A_KK^-1 A_KJ, and the rows J of the Neumann solutions solve
+    T x_J = -W with the Schur complement
     T = A_JJ(q) - C - A_KJ^T P (Quarteroni & Valli, Domain Decomposition
     Methods for PDEs, 1999, ch. 1), by dense Cholesky.  The NtD matrix is
     Z_B - Y_B x_J, and the certificates read x_K = -P x_J as well.  The
     residual of the full system splits into three contracts: its rows E are
     R_Z - R_Y x_J, with R_Z and R_Y the residuals of the A_EE columns; its
     rows K are -R_P x_J, with R_P = A_KK P - A_KJ held column by column;
-    its rows J are the Schur residual T x_J + W.  ``block`` reads the sparse
-    I x I block of any matrix on the mesh's pattern, for the certificate
-    form's Q.  ``sizes`` records |I|, |J|, |K| and the columns of the A_EE
-    solve.
+    its rows J are the Schur residual T x_J + W.  ``ii`` is the block over
+    I, for the certificate form's Q.  ``sizes`` records |I|, |J|, |K| and
+    the columns of the A_EE solve.
     """
 
     def __init__(self, setup: ProbingSetup):
@@ -177,18 +139,16 @@ class Condensation:
         pattern = mesh.assembly_pattern
         inner = np.zeros(mesh.n_nodes, dtype=bool)
         inner[mesh.elements[self.omega_mask]] = True
+        e_nodes, i_nodes = np.flatnonzero(~inner), np.flatnonzero(inner)
+        self._stiffness = stiffness_data(mesh, setup.sigma)
         rim = np.zeros(mesh.n_nodes, dtype=bool)
-        rim[pattern.block(~inner, inner)[2]] = True
+        rim[i_nodes[np.diff(pattern.block(e_nodes, i_nodes).sparse(self._stiffness).indptr) > 0]] = True
         rim[mesh.boundary_nodes] = True
         rim &= inner
-        self._band = pattern._band_map(inner & ~rim)
-        e_nodes, i_nodes, j_nodes, k_nodes = (
-            np.flatnonzero(~inner), np.flatnonzero(inner), np.flatnonzero(rim), self._band.nodes)
-        # any absorption that vanishes outside omega gives the same A_EE and A_EJ
-        eta = eta_field(setup, 1, 1)
-        data = assemble(mesh, setup.sigma, eta).matrix.data
-        self._stiffness = data - _weighted_mass(mesh, eta.values)
-        a_ej = _Block(pattern, e_nodes, j_nodes).dense(data)
+        j_nodes = np.flatnonzero(rim)
+        self._kk = pattern.band_block(inner & ~rim)
+        k_nodes = self._kk.row_nodes
+        a_ej = pattern.block(e_nodes, j_nodes).dense(self._stiffness)
         local = np.empty(mesh.n_nodes, dtype=np.intp)
         for nodes in (e_nodes, j_nodes):
             local[nodes] = np.arange(nodes.size)
@@ -198,7 +158,7 @@ class Condensation:
         rhs = np.zeros((e_nodes.size, n_b + j_nodes.size))
         rhs[local[bn[on_e]], :n_b] = mass[on_e]
         rhs[:, n_b:] = a_ej
-        zy = solve_sparse_spd(_Block(pattern, e_nodes, e_nodes).sparse(data), rhs, "exterior solve")
+        zy = solve_sparse_spd(pattern.block(e_nodes, e_nodes).sparse(self._stiffness), rhs, "exterior solve")
         z, y = zy[:, :n_b], zy[:, n_b:]
         self.w = a_ej.T @ z
         self.w[local[bn[~on_e]]] -= mass[~on_e]
@@ -210,19 +170,14 @@ class Condensation:
         self.z_b[on_e] = z[local[bn[on_e]]]
         self.y_b[on_e] = y[local[bn[on_e]]]
         self.y_b[~on_e, local[bn[~on_e]]] = -1.0
-        self._ii = _Block(pattern, i_nodes, i_nodes)
-        self._kk = _Block(pattern, k_nodes, k_nodes)
-        self._kj = _Block(pattern, k_nodes, j_nodes)
-        self._jj = _Block(pattern, j_nodes, j_nodes)
+        self.ii = pattern.block(i_nodes, i_nodes)
+        self._kj = pattern.block(k_nodes, j_nodes)
+        self._jj = pattern.block(j_nodes, j_nodes)
         # rows of K and J within I, numbered in node order as the rows of x_I
         i_at = np.cumsum(inner) - 1
         self._k_rows, self._j_rows = i_at[k_nodes], i_at[j_nodes]
         self.sizes = {"omega_nodes": i_nodes.size, "rim_nodes": j_nodes.size,
                       "interior_nodes": k_nodes.size, "exterior_columns": zy.shape[1]}
-
-    def block(self, data: np.ndarray) -> sp.csc_matrix:
-        """The sparse I x I block of the matrix with CSC data ``data`` on the mesh's pattern."""
-        return self._ii.sparse(data)
 
     def _rim_solve(self, q: PiecewiseConstantField) -> tuple[np.ndarray, np.ndarray]:
         """P = A_KK(q)^-1 A_KJ(q), and the rows J of the Neumann solutions at absorption q."""
@@ -232,9 +187,9 @@ class Condensation:
             raise FieldError("absorption field must vanish outside the subdomain")
         if not (np.all(np.isfinite(q.values) & (q.values >= 0.0)) and np.any(q.values > 0.0)):
             raise FieldError("absorption coefficient must be finite, nonnegative and not identically 0")
-        data = self._stiffness + _weighted_mass(self.mesh, q.values)
+        data = self._stiffness + mass_data(self.mesh, q.values)
         kj = self._kj.dense(data)
-        p = solve_band_spd(self._band, data, self._kk.sparse(data), kj, "interior solve")
+        p = solve_band_spd(self._kk, data, kj, "interior solve")
         schur = self._jj.dense(data) - self.c - kj.T @ p
         return p, -solve_dense_spd(schur, self.w, "condensed Neumann solve")
 
@@ -246,7 +201,7 @@ class Condensation:
         positive definite or a column misses its residual contract.
         """
         p, x_j = self._rim_solve(q)
-        x_i = np.empty((self._ii.shape[0], x_j.shape[1]))
+        x_i = np.empty((self.ii.shape[0], x_j.shape[1]))
         x_i[self._k_rows] = -(p @ x_j)
         x_i[self._j_rows] = x_j
         return x_i
@@ -349,9 +304,9 @@ def _certificate_form(condensation: Condensation, weights: np.ndarray, u: np.nda
     Row r of u holds the values at the r-th node of the condensation's rows I,
     and the weights, one per element, vanish off omega.  The form is u^T Q u,
     with Q the sparse block on I of the weighted sum of the exact P1 element
-    mass matrices (``_weighted_mass``).
+    mass matrices (``fem.mass_data``).
     """
-    q = condensation.block(_weighted_mass(condensation.mesh, weights))
+    q = condensation.ii.sparse(mass_data(condensation.mesh, weights))
     return u.T @ (q @ u)
 
 

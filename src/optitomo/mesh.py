@@ -1,8 +1,9 @@
 """Triangular meshes of the unit disk: generation, refinement, partitions, file I/O.
 
 Each mesh also carries the P1 quantities every assembly on it reads: element
-gradients, the boundary mass matrix and the CSC assembly pattern, with the
-band maps of A and A_II that the Kohn-Vogelius pair solve factors.
+gradients, the boundary mass matrix and the CSC assembly pattern, whose
+``Block`` reads any block of a matrix on it, dense, sparse or, for a
+principal block, in band form.
 
 The mesher builds structured concentric-ring triangulations: rings of nodes at
 radii i/R with node counts proportional to the radius.  This keeps element
@@ -85,27 +86,31 @@ class TriMesh:
     def n_boundary(self) -> int:
         return self.boundary_nodes.shape[0]
 
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n_elements, 3) vertex x and y, one gather per column: five times faster than
+        ``nodes[elements]``, and with no copy of the read-only elements, which ``np.take`` makes."""
+        return self.nodes[:, 0][self.elements], self.nodes[:, 1][self.elements]
+
     @cached_property
     def areas(self) -> np.ndarray:
         """Signed element areas, positive for counterclockwise elements (``validate`` checks)."""
-        p = self.nodes[self.elements]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
+        x, y = self._corners()
+        return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
     @cached_property
     def centroids(self) -> np.ndarray:
-        return self.nodes[self.elements].mean(axis=1)
+        return np.column_stack([c.mean(axis=1) for c in self._corners()])
 
     @cached_property
     def element_grads(self) -> np.ndarray:
         """Gradients of the three P1 hat functions per element, shape (n_elements, 3, 2)."""
-        p = self.nodes[self.elements]
+        x, y = self._corners()
         grads = np.empty((self.n_elements, 3, 2))
         inv2a = 1.0 / (2.0 * self.areas)
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
-            grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) * inv2a
-            grads[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) * inv2a
+            grads[:, i, 0] = (y[:, j] - y[:, k]) * inv2a
+            grads[:, i, 1] = (x[:, k] - x[:, j]) * inv2a
         return grads
 
     @cached_property
@@ -196,28 +201,61 @@ class TriMesh:
             raise MeshError("boundary edges do not form the angular cycle")
 
 
-@dataclass(frozen=True)
-class BandMap:
-    """Lower band of a principal block of the P1 system matrix, in LAPACK's band storage.
+class Block:
+    """The block of the matrices on an assembly pattern over two node lists, rows and columns in list order.
 
-    ``nodes`` lists the block's nodes in band order, and ``width`` is the
-    lower bandwidth in that order.  Entry (i, j), i >= j, of the reordered
-    block sits at row i - j, column j of the (width + 1, len(nodes)) lower
-    band form that ``scipy.linalg.cholesky_banded`` reads.  Its value is data
-    slot ``slots[p]`` of a matrix on the pattern, and its place is
-    ``places[p]`` in the band form stored column by column.
+    ``dense`` and ``sparse`` read it from a matrix's CSC data, its entries
+    sorted by column and then row, so the sparse form is CSC with sorted rows.
+    A principal block also has the lower ``band`` form of
+    ``scipy.linalg.cholesky_banded``: entry (i, j), i >= j, at row i - j,
+    column j of a (width + 1, n) array.  Each form finds the entries it reads
+    on its first call and keeps only those.
     """
 
-    nodes: np.ndarray
-    width: int
-    slots: np.ndarray
-    places: np.ndarray
+    def __init__(self, pattern: AssemblyPattern, row_nodes: np.ndarray, col_nodes: np.ndarray):
+        self.row_nodes, self.col_nodes = row_nodes, col_nodes
+        self.shape = (row_nodes.size, col_nodes.size)
+        self._pattern = pattern.indices, pattern.indptr
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The data slots of the entries, sorted by column and then row, their rows and columns, and indptr."""
+        indices, indptr = self._pattern
+        n = indptr.size - 1
+        at = np.full((2, n), -1)  # each node's row and column in the block
+        at[0, self.row_nodes] = np.arange(self.shape[0])
+        at[1, self.col_nodes] = np.arange(self.shape[1])
+        rows, cols = at[0, indices], at[1, np.repeat(np.arange(n), np.diff(indptr))]
+        slots = np.flatnonzero((rows >= 0) & (cols >= 0))
+        slots = slots[np.lexsort((rows[slots], cols[slots]))]
+        return slots, rows[slots], cols[slots], np.searchsorted(cols[slots], np.arange(self.shape[1] + 1))
+
+    _csc = cached_property(_entries)  # kept for dense and sparse; band keeps only its lower band
+
+    @cached_property
+    def _band_places(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The width, the data slots of the lower band and their places in the band form stored column by column."""
+        slots, rows, cols, _ = self._entries()
+        lower = rows >= cols
+        offsets = rows[lower] - cols[lower]
+        width = int(offsets.max(initial=0))  # 0 for an empty block
+        return width, slots[lower], cols[lower] * (width + 1) + offsets
+
+    def dense(self, data: np.ndarray) -> np.ndarray:
+        slots, rows, cols, _ = self._csc
+        out = np.zeros(self.shape)
+        out[rows, cols] = data[slots]
+        return out
+
+    def sparse(self, data: np.ndarray) -> sp.csc_matrix:
+        slots, rows, _, indptr = self._csc
+        return sp.csc_matrix((data[slots], rows, indptr), shape=self.shape)
 
     def band(self, data: np.ndarray) -> np.ndarray:
-        """The Fortran-ordered lower band form of the block of the matrix with CSC data ``data``."""
+        """The Fortran-ordered lower band form of a principal block of the matrix with CSC data ``data``."""
+        width, slots, places = self._band_places
         # the band form stored column by column is the C-order buffer of its transpose
-        columns = np.zeros((self.nodes.size, self.width + 1))
-        columns.reshape(-1)[self.places] = data[self.slots]
+        columns = np.zeros((self.shape[1], width + 1))
+        columns.reshape(-1)[places] = data[slots]
         return columns.T
 
 
@@ -227,16 +265,14 @@ class AssemblyPattern:
     ``scatter`` sums entry (a, b) of element e's 3x3 matrix, flattened
     row-major, into data slot ``slots[9 e + 3 a + b]`` of a CSC matrix with
     ``indptr`` and ``indices`` (rows sorted within each column, no
-    duplicates).  The block of such a matrix over a row and a column node set
-    is a fixed subset of its data slots (``block``).  ``full_band`` and
-    ``interior_band`` map those of A over all nodes and of A_II over the
-    interior nodes into lower band forms, each with its nodes in a stable
-    sort on x; they are built once, on first use.  A sort on x gives a band
-    40 wide at 1 014 elements, where reverse Cuthill-McKee gives 27, but it
-    needs no graph module.  A pattern costs about 105 B per element, and
-    about 70 B more once both band maps are built; it lives as long as its
-    mesh, as ``TriMesh.assembly_pattern``.  It keeps the mesh's arrays, not
-    the mesh, so that mesh and pattern form no reference cycle.
+    duplicates).  ``block`` reads the block of such a matrix over any two
+    node lists, and ``band_block`` over a node set in a stable sort on x, the
+    order of ``full_band`` (A) and ``interior_band`` (A_II), built on first
+    use.  A sort on x gives a band 40 wide at 1 014 elements, where reverse
+    Cuthill-McKee gives 27, but it needs no graph module.  A pattern costs
+    about 105 B per element, and 70 B more once both bands are used; it lives
+    as long as its mesh, as ``TriMesh.assembly_pattern``, and keeps the
+    mesh's arrays, not the mesh, so that the two form no reference cycle.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -254,40 +290,30 @@ class AssemblyPattern:
         self.indices = structure.indices
         self.indptr = structure.indptr
 
-    def block(self, row_mask: np.ndarray, col_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Data slots of the block over the node masks ``row_mask`` x ``col_mask``, in CSC order,
-        and the node row and column of each."""
-        cols = np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
-        slots = np.flatnonzero(row_mask[self.indices] & col_mask[cols])
-        return slots, self.indices[slots], cols[slots]
+    def block(self, row_nodes: np.ndarray, col_nodes: np.ndarray) -> Block:
+        """The block over the node lists ``row_nodes`` x ``col_nodes``."""
+        return Block(self, row_nodes, col_nodes)
+
+    def band_block(self, mask: np.ndarray) -> Block:
+        """The principal block over the nodes of ``mask``, in a stable sort on x."""
+        nodes = np.flatnonzero(mask)[np.argsort(self.x[mask], kind="stable")]
+        return Block(self, nodes, nodes)
 
     def scatter(self, local: np.ndarray) -> np.ndarray:
         """CSC data of the matrix summed from the (n_elements, 3, 3) element matrices ``local``."""
         return np.bincount(self.slots, weights=local.ravel(), minlength=self.indices.size)
 
-    def _band_map(self, mask: np.ndarray) -> BandMap:
-        """The band map of the principal block over ``mask``, its nodes in a stable sort on x."""
-        slots, rows, cols = self.block(mask, mask)
-        nodes = np.flatnonzero(mask)[np.argsort(self.x[mask], kind="stable")]
-        rank = np.empty(mask.size, dtype=np.intp)
-        rank[nodes] = np.arange(nodes.size)
-        rows, cols = rank[rows], rank[cols]
-        lower = rows >= cols
-        offsets = rows[lower] - cols[lower]
-        width = int(offsets.max(initial=0))  # 0 for an empty block
-        return BandMap(nodes, width, slots[lower], cols[lower] * (width + 1) + offsets)
+    @cached_property
+    def full_band(self) -> Block:
+        """A over all nodes, in band order."""
+        return self.band_block(np.ones(self.indptr.size - 1, dtype=bool))
 
     @cached_property
-    def full_band(self) -> BandMap:
-        """Band map of A over all nodes."""
-        return self._band_map(np.ones(self.indptr.size - 1, dtype=bool))
-
-    @cached_property
-    def interior_band(self) -> BandMap:
-        """Band map of A_II over the interior nodes."""
+    def interior_band(self) -> Block:
+        """A_II over the interior nodes, in band order."""
         interior = np.ones(self.indptr.size - 1, dtype=bool)
         interior[self.boundary_nodes] = False
-        return self._band_map(interior)
+        return self.band_block(interior)
 
 
 def _angles(points: np.ndarray) -> np.ndarray:

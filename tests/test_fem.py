@@ -20,18 +20,20 @@ from optitomo.field import (
 )
 from optitomo.fem import (
     SOLVE_RTOL,
-    _check_residual,
+    _check_squared_norms,
     assemble,
     boundary_load,
     element_gradients,
     element_l2_products,
     element_means,
+    mass_data,
     solve_dirichlet,
     solve_neumann,
     solve_neumann_many,
     solve_pairs,
     solve_source,
     solve_sparse_spd,
+    stiffness_data,
 )
 from optitomo.inversion import MeasurementSet, _solutions
 from optitomo.locpot import lipschitz_constant, make_probing_setup, stability_report
@@ -211,26 +213,39 @@ def test_pattern_assembly_matches_the_coo_route(target, levels):
     interior = np.ones(mesh.n_nodes, dtype=bool)
     interior[mesh.boundary_nodes] = False
     pattern = mesh.assembly_pattern
-    for band_map, mask in ((pattern.full_band, np.ones_like(interior)),
-                           (pattern.interior_band, interior)):
-        assert np.array_equal(np.sort(band_map.nodes), np.flatnonzero(mask))
+    for band, mask in ((pattern.full_band, np.ones_like(interior)),
+                       (pattern.interior_band, interior)):
+        nodes = band.row_nodes
+        assert np.array_equal(np.sort(nodes), np.flatnonzero(mask))
         # the band order is a stable sort on x
-        assert np.all(np.diff(mesh.nodes[band_map.nodes, 0]) >= 0.0)
-        _assert_band_of(band_map, a.data, a[mask][:, mask].toarray(), np.flatnonzero(mask))
+        assert np.all(np.diff(mesh.nodes[nodes, 0]) >= 0.0)
+        _assert_band_of(band, a.data, a[nodes][:, nodes].toarray())
 
 
-def _assert_band_of(band_map, data, cut, cut_nodes):
-    """Every entry of the band form equals its entry of the block ``cut`` over ``cut_nodes``."""
-    place = np.searchsorted(cut_nodes, band_map.nodes)
-    block = cut[np.ix_(place, place)]
-    m, w = band_map.nodes.size, band_map.width
-    ab = band_map.band(data)
-    assert ab.shape == (w + 1, m)
+def _assert_band_of(block, data, dense):
+    """Every entry of the principal block's band form equals its entry of ``dense``, the block
+    in the block's node order, and nothing of ``dense`` lies outside the band."""
+    ab = block.band(data)
+    m, w = block.shape[0], ab.shape[0] - 1
+    assert ab.shape[1] == m
     for r in range(w + 1):
-        np.testing.assert_array_equal(ab[r, :m - r], np.diagonal(block, -r))
+        np.testing.assert_array_equal(ab[r, :m - r], np.diagonal(dense, -r))
         assert np.all(ab[r, m - r:] == 0.0)
-    # nothing of the block lies outside the band
-    assert not np.any(np.tril(block, -w - 1)) and np.any(np.diagonal(block, -w))
+    assert not np.any(np.tril(dense, -w - 1)) and (m == 0 or np.any(np.diagonal(dense, -w)))
+
+
+@pytest.mark.parametrize("target, levels", [(254, 0), (1016, 0), (254, 2)])
+def test_stiffness_and_mass_data_sum_to_the_assembly(target, levels):
+    # fem writes the element matrices once: its two parts, scattered apart
+    # and added, match the assembly, which sums them before the scatter
+    mesh = generate_disk_mesh(target)
+    for _ in range(levels):
+        mesh = refine_uniform(mesh)
+    sigma = sample_coefficient(mesh, "example1_sigma")
+    q = sample_coefficient(mesh, "example1_q")
+    a = assemble(mesh, sigma, q).matrix.data
+    parts = stiffness_data(mesh, sigma) + mass_data(mesh, q.values)
+    assert np.max(np.abs(parts - a) / np.abs(a)) <= 1e-15
 
 
 def test_band_widths_are_pinned_at_the_inversion_mesh(mesh_medium):
@@ -238,7 +253,8 @@ def test_band_widths_are_pinned_at_the_inversion_mesh(mesh_medium):
     # worse ordering costs each pair solve time and memory
     pattern = mesh_medium.assembly_pattern
     assert mesh_medium.n_elements == 1014
-    assert (pattern.full_band.width, pattern.interior_band.width) == (40, 36)
+    data = np.ones(pattern.indices.size)
+    assert (pattern.full_band.band(data).shape[0], pattern.interior_band.band(data).shape[0]) == (41, 37)
 
 
 def test_each_mesh_builds_one_assembly_pattern(monkeypatch):
@@ -440,7 +456,7 @@ def test_dirichlet_check_reads_the_load_not_the_solution(mesh_small, unit_coeffi
     solve_pairs(sys, f, f)
     x = np.zeros((mesh_small.n_nodes, columns))
     x[mesh_small.boundary_nodes] = f
-    interior = mesh_small.assembly_pattern.interior_band.nodes
+    interior = mesh_small.assembly_pattern.interior_band.row_nodes
     assert loads[1][0] == "Dirichlet solve"
     np.testing.assert_array_equal(loads[1][1], -(sys.matrix @ x)[interior])
     np.testing.assert_array_equal(loads[0][1], boundary_load(mesh_small, f))
@@ -474,12 +490,17 @@ def test_residual_check_refuses_nan_columns(mesh_small, unit_coefficients):
     ang = mesh_small.boundary_angles
     x = solve_neumann_many(sys, np.column_stack((np.cos(ang), np.sin(ang))))
     b = sys.matrix @ x
-    _check_residual(sys.matrix @ x - b, b, "clean solve")
+
+    def check(x, b, what):
+        r = sys.matrix @ x - b
+        _check_squared_norms(np.einsum("ij,ij->j", r, r), b, what)
+
+    check(x, b, "clean solve")
     for spoil in ("solution", "load"):
         xs, bs = x.copy(), b.copy()
         (xs if spoil == "solution" else bs)[3, 1] = np.nan
         with pytest.raises(SolverError, match="spoiled solve did not converge in column 1"):
-            _check_residual(sys.matrix @ xs - bs, bs, "spoiled solve")
+            check(xs, bs, "spoiled solve")
 
 
 def test_source_zero(mesh_small, unit_coefficients):

@@ -37,6 +37,7 @@ from optitomo.locpot import (
 )
 from optitomo.mesh import Partition, generate_disk_mesh, subdomain_partition
 from optitomo.ntd import build_ntd
+from test_fem import _assert_band_of
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +374,9 @@ def pattern_setups():
 @given(target=st.sampled_from([254, 1016]), density=st.floats(0.0, 1.0), seed=SEEDS)
 def test_pattern_blocks_match_the_scipy_slices(pattern_setups, target, density, seed):
     # a matrix on the pattern with random, unsymmetric data, so that a
-    # transposed or shifted place shows; the blocks must match exactly
+    # transposed or shifted place shows, and node lists in shuffled order,
+    # so that a block numbered in node order shows; the blocks must match
+    # exactly, and the sparse form is CSC with sorted rows
     setup = pattern_setups[target]
     mesh = setup.mesh
     pattern = mesh.assembly_pattern
@@ -381,15 +384,46 @@ def test_pattern_blocks_match_the_scipy_slices(pattern_setups, target, density, 
     data = rng.standard_normal(pattern.indices.size)
     a = sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(mesh.n_nodes,) * 2)
     mask = rng.random(mesh.n_nodes) < density
-    for row_mask, col_mask in ((mask, mask), (mask, ~mask), (~mask, mask)):
-        slots, rows, cols = pattern.block(row_mask, col_mask)
-        assert np.all(row_mask[rows]) and np.all(col_mask[cols])
-        block = np.zeros((row_mask.sum(), col_mask.sum()))
-        block[np.cumsum(row_mask)[rows] - 1, np.cumsum(col_mask)[cols] - 1] = data[slots]
-        assert np.array_equal(block, a[row_mask][:, col_mask].toarray())
-    inner = np.zeros(mesh.n_nodes, dtype=bool)
-    inner[mesh.elements[setup.partition.omega_mask]] = True
-    assert np.array_equal(setup.condensation.block(data).toarray(), a[inner][:, inner].toarray())
+    some, rest = rng.permutation(np.flatnonzero(mask)), rng.permutation(np.flatnonzero(~mask))
+    for rows, cols in ((some, some), (some, rest), (rest, some), (rest, rest)):
+        block = pattern.block(rows, cols)
+        cut = a[rows][:, cols].toarray()
+        assert np.array_equal(block.dense(data), cut)
+        sparse = block.sparse(data)
+        assert sparse.has_sorted_indices and np.array_equal(sparse.toarray(), cut)
+        if rows is cols:
+            _assert_band_of(block, data, cut)
+    # the condensation's A_KK, its nodes in a stable sort on x
+    kk = setup.condensation._kk
+    k_nodes = kk.row_nodes
+    assert np.all(np.diff(mesh.nodes[k_nodes, 0]) >= 0.0)
+    cut = a[k_nodes][:, k_nodes].toarray()
+    assert np.array_equal(kk.dense(data), cut) and np.array_equal(kk.sparse(data).toarray(), cut)
+    _assert_band_of(kk, data, cut)
+
+
+@pytest.mark.parametrize("target", [254, 1016])
+def test_condensation_omega_block_matches_the_assembly(pattern_setups, target, monkeypatch):
+    # A_II(q) of the condensation is sigma's stiffness data plus q's mass
+    # data, with no assembly: at a random q on omega it matches the same
+    # block of the assembled A, entry by entry
+    setup = pattern_setups[target]
+    mesh = setup.mesh
+    rng = np.random.default_rng(target)
+    q = PiecewiseConstantField(
+        mesh, np.where(setup.partition.omega_mask, rng.uniform(0.5, 3.0, mesh.n_elements), 0.0))
+    seen = []
+    solve = optitomo.locpot.solve_band_spd
+
+    def keeping(block, data, rhs, what):
+        seen.append(data)
+        return solve(block, data, rhs, what)
+
+    monkeypatch.setattr(optitomo.locpot, "solve_band_spd", keeping)
+    setup.condensation.solve(q)
+    ii = setup.condensation.ii
+    got, ref = ii.dense(seen[0]), ii.dense(assemble(mesh, setup.sigma, q).matrix.data)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 def _unique_route_form(mesh, elements, weights, u):

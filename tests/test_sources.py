@@ -25,13 +25,13 @@ def test_source_compiles_without_warnings(path):
 
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
-# Spans the benchmark counts under the certificate search: fem.solve_neumann
-# for its forward applications (one re-check solve per certificate) and
-# fem.solve_source for its adjoint applications, which read 0 because the
-# search makes no source solve; the span stays while the benchmark reads it.
-# The tracer's own fem.factorize and fem.lu_solve wrap scipy, not optitomo,
-# and are not listed.
-UNDER_SEARCH = ("fem.solve_neumann", "fem.solve_source")
+# Spans the benchmark counts under each certificate (find_localized_current):
+# fem.solve_neumann for its forward applications (one re-check solve per
+# certificate) and fem.solve_source for its adjoint applications, which read
+# 0 because a certificate makes no source solve; the span stays while the
+# benchmark reads it.  The tracer's own fem.factorize and fem.lu_solve wrap
+# scipy, not optitomo, and are not listed.
+UNDER_CERTIFICATE = ("fem.solve_neumann", "fem.solve_source")
 
 
 def _load_benchmark_runner(monkeypatch):
@@ -77,9 +77,9 @@ def test_benchmark_spans_name_public_functions(monkeypatch):
         if name.rpartition(".")[2] in ("calls", "busy_s", "self_s") and name not in module_sums
     }
     source = inspect.getsource(run.layer_metrics)
-    for name in UNDER_SEARCH:
+    for name in UNDER_CERTIFICATE:
         assert f'"{name}"' in source, f"layer_metrics no longer reads {name}"
-    missing = sorted(s for s in stems | set(UNDER_SEARCH) if not _traced_span_exists(s))
+    missing = sorted(s for s in stems | set(UNDER_CERTIFICATE) if not _traced_span_exists(s))
     assert not missing, f"benchmark spans without a traced function: {missing}"
 
 
@@ -177,6 +177,19 @@ def test_float_text_is_formatted_in_one_place():
     lines, start = inspect.getsourcelines(optitomo.mesh._text_cells)
     assert len(sites) == 1 and sites[0][0] == "mesh.py", sites
     assert start <= sites[0][1] < start + len(lines), sites
+
+
+def test_element_mass_pattern_is_written_in_one_place():
+    # fem owns the P1 element matrices: the mass pattern 1 1^T + I is
+    # written once in code (docstrings are not code), in fem.py, and every
+    # assembled, condensed or certificate mass matrix scatters from it.
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp) and ast.unparse(node) == "np.ones((3, 3)) + np.eye(3)"
+    ]
+    assert len(sites) == 1 and sites[0].startswith("fem.py:"), sites
 
 
 def test_pixel_inside_test_is_written_in_one_place():
