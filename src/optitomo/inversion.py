@@ -12,10 +12,10 @@ evaluation, ``kv_evaluate``, is one batched pass: a single assembly of
 A(sigma, q), one K-column Neumann solve and one K-column Dirichlet solve.
 Because the assembly integrates piecewise-constant coefficients in closed
 form, the data fit is exactly the energy sum_k w_k^T A w_k of the columns of
-W = U_N - U_D, taken as one sparse matrix product.  The gradient with respect to per-element
-coefficient values is analytic (no adjoint solves beyond the 2K forward
-solves) and is formed for all 2K solution columns at once.  Minimization runs
-a projected L-BFGS: a limited-memory quasi-Newton step from the two-loop
+W = U_N - U_D, taken as one sparse matrix product.  The gradient with respect
+to per-element coefficient values is analytic (no adjoint solves beyond the
+2K forward solves), in product form from W and S = U_N + U_D.  Minimization
+runs a projected L-BFGS: a limited-memory quasi-Newton step from the two-loop
 recursion over the last ``LBFGS_MEMORY`` curvature pairs, projection onto the
 box bounds, Armijo backtracking on the projected point, and a
 curvature-guarded pair update.  A solve stops on its iteration budget, on a
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FieldError
 from .field import PiecewiseConstantField
-from .fem import assemble, solve_pairs
+from .fem import assemble, element_energy_products, element_l2_products, solve_pairs
 from .mesh import TriMesh
 
 Q_ONLY = "q_only"
@@ -150,12 +150,6 @@ def _solutions(meas: MeasurementSet, sigma, q):
     return (sys.matrix, *solve_pairs(sys, meas.fluxes, meas.traces))
 
 
-def _data_fit(matrix, un, ud) -> float:
-    """sum_k w_k^T A w_k over the columns of W = U_N - U_D."""
-    w = un - ud
-    return float(np.sum(w * (matrix @ w)))
-
-
 def _penalty(mesh, sigma, q, rho, mode):
     """The penalty (rho/2) P, its integral P = int sigma^2 + q^2, and its gradient.
 
@@ -182,39 +176,24 @@ def kv_evaluate(
     Returns (J, data_fit, penalty, g_sigma, g_q) with the gradient taken with
     respect to per-element coefficient values, as arrays that pair with
     coefficient directions through the plain Euclidean dot product; g_sigma is
-    None in q-only mode.
+    None in q-only mode.  The data-fit gradient, sum_k |grad u_Dk|^2 -
+    |grad u_Nk|^2 (sigma) and u_Dk^2 - u_Nk^2 (q) per element, is -sum_k of
+    fem's element products of W = U_N - U_D and S = U_N + U_D, which do not
+    cancel as the two solutions meet.
     """
-    pen, _, (gsig, gq) = _penalty(meas.mesh, sigma, q, rho, mode)
+    mesh = meas.mesh
+    pen, _, (gsig, gq) = _penalty(mesh, sigma, q, rho, mode)
     matrix, un, ud = _solutions(meas, sigma, q)
-    fit = _data_fit(matrix, un, ud)
-    gsig, gq = _add_data_gradient(meas.mesh, un, ud, gsig, gq)
-    return fit + pen, fit, pen, gsig, gq
-
-
-def _add_data_gradient(mesh, un, ud, gsig, gq):
-    """Add the data-fit gradient of all 2K solution columns to (gsig, gq) at once.
-
-    The data-fit gradient is sum_k |grad u_Dk|^2 - |grad u_Nk|^2 for sigma and
-    sum_k u_Dk^2 - u_Nk^2 for q, integrated over each element; a None gsig
-    (q-only mode) stays None.
-    """
-    k = un.shape[1]
-    u = np.concatenate((un, ud), axis=1)
-    u0, u1, u2 = (u[mesh.elements[:, i]] for i in range(3))   # (n_elements, 2K) each
+    w = un - ud
+    fit = float(np.sum(w * (matrix @ w)))
+    s = un + ud
     # Sums over the K pairs are matrix-vector products: numpy's reduction
     # over a short last axis is several times slower.
-    pairs = np.ones(k)
-    # exact P1 integral of u^2 on an element: area/12 ((sum_i u_i)^2 + sum_i u_i^2)
-    total = u0 + u1 + u2
-    mass_sq = total * total + u0 * u0 + u1 * u1 + u2 * u2
-    gq = mesh.areas / 12.0 * ((mass_sq[:, k:] - mass_sq[:, :k]) @ pairs) + gq
-    if gsig is None:
-        return None, gq
-    g = mesh.element_grads[:, :, :, None]
-    gx = g[:, 0, 0] * u0 + g[:, 1, 0] * u1 + g[:, 2, 0] * u2
-    gy = g[:, 0, 1] * u0 + g[:, 1, 1] * u1 + g[:, 2, 1] * u2
-    grad_sq = gx * gx + gy * gy
-    return mesh.areas * ((grad_sq[:, k:] - grad_sq[:, :k]) @ pairs) + gsig, gq
+    pairs = np.ones(len(meas))
+    gq = gq - element_l2_products(mesh, w, s) @ pairs
+    if gsig is not None:
+        gsig = gsig - element_energy_products(mesh, w, s) @ pairs
+    return fit + pen, fit, pen, gsig, gq
 
 
 class _Objective:

@@ -276,25 +276,26 @@ def bracket_index(setup: ProbingSetup, qj: float) -> int:
     return min(max(k, 1), setup.K)
 
 
-def _cell_and_rest(part: Partition, j: int, usq: np.ndarray) -> tuple[float, float]:
-    """Sums of an array over the omega elements, on D_j and on omega \\ D_j."""
+def _cell_and_rest(setup: ProbingSetup, q: PiecewiseConstantField, g: BoundaryTrace, j: int) -> tuple[float, float]:
+    """int u^2 on D_j and on omega \\ D_j, u the Neumann solution for g at absorption q.
+
+    A full-system solve of its own and ``fem.element_l2_products`` give them, apart from the form B."""
+    part = setup.partition
+    u = solve_neumann(assemble(setup.mesh, setup.sigma, q), g).values[:, None]
+    usq = element_l2_products(setup.mesh, u, u)[part.omega_mask, 0]
     cell = part.labels[part.omega_mask] == j
     return float(usq[cell].sum()), float(usq[~cell].sum())
 
 
-def _certificate(setup: ProbingSetup, j: int, usq: np.ndarray) -> float:
-    """beta(j, k) from the element integrals of u^2 over the subdomain elements."""
-    inside, rest = _cell_and_rest(setup.partition, j, usq)
+def _certificate(setup: ProbingSetup, inside: float, rest: float) -> float:
+    """beta(j, k) from int u^2 on D_j (``inside``) and on omega \\ D_j (``rest``)."""
     weight = 3.0 * setup.b / (2.0 * setup.a) - 0.5
     return 0.5 * inside - weight * rest
 
 
 def localization_gap(setup: ProbingSetup, q: PiecewiseConstantField, g: BoundaryTrace, j: int) -> float:
     """int_{D_j} u^2 - int_{omega \\ D_j} u^2 for the Neumann solution at absorption q."""
-    sys = assemble(setup.mesh, setup.sigma, q)
-    u = solve_neumann(sys, g)
-    usq = element_l2_products(u, u)[setup.partition.omega_mask]
-    inside, rest = _cell_and_rest(setup.partition, j, usq)
+    inside, rest = _cell_and_rest(setup, q, g, j)
     return inside - rest
 
 
@@ -341,8 +342,7 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     kappa = np.max(np.abs(lam)) / top
     rtol = max(RECHECK_RTOL, RECHECK_ROUNDING * np.finfo(float).eps * kappa)
     g = BoundaryTrace(mesh, vec[:, -1] * math.sqrt(BETA_TARGET / top))
-    u = solve_neumann(assemble(mesh, setup.sigma, eta), g)
-    beta = _certificate(setup, j, element_l2_products(u, u)[part.omega_mask])
+    beta = _certificate(setup, *_cell_and_rest(setup, eta, g, j))
     defect = abs(beta - BETA_TARGET) / BETA_TARGET
     if not (beta > 1.0 and defect <= rtol):
         raise CertificateError(

@@ -17,10 +17,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import FieldError, SolverError
-from .field import BoundaryTrace, NodalField, PiecewiseConstantField, restrict_to_boundary
+from .field import BoundaryTrace, PiecewiseConstantField, restrict_to_boundary
 from .fem import (
     assemble,
-    element_gradients,
+    element_energy_products,
     element_l2_products,
     solve_neumann,
     solve_neumann_many,
@@ -156,9 +156,9 @@ def monotonicity_gap(
     u2 = solve_neumann(assemble(mesh, s2, q2), g)
     middle = (boundary_inner(g, restrict_to_boundary(u1))
               - boundary_inner(g, restrict_to_boundary(u2)))
-    grad1 = element_gradients(u1)
-    gradsq1 = mesh.areas * np.sum(grad1 * grad1, axis=1)
-    u1sq = element_l2_products(u1, u1)[supp]
+    col = u1.values[:, None]
+    gradsq1 = element_energy_products(mesh, col, col)[:, 0]
+    u1sq = element_l2_products(mesh, col, col)[supp, 0]
     ds = s2.values - s1.values
     dq = q2.values[supp] - q1.values[supp]
     upper = float(np.sum(ds * gradsq1) + np.sum(dq * u1sq))
@@ -186,10 +186,8 @@ def lambda_frechet_form(
     if g.mesh is not mesh or h.mesh is not mesh:
         raise FieldError("boundary trace lives on a different mesh")
     u = solve_neumann_many(assemble(mesh, sigma, q), np.column_stack((g.values, h.values)))
-    ug, uh = NodalField(mesh, u[:, 0]), NodalField(mesh, u[:, 1])
-    gg = element_gradients(ug)
-    gh = element_gradients(uh)
-    grad_term = float(np.sum(d1.values * mesh.areas * np.sum(gg * gh, axis=1)))
-    mass_term = float(np.sum(d2.values * element_l2_products(ug, uh)))
+    ug, uh = u[:, :1], u[:, 1:]
+    grad_term = float(np.sum(d1.values * element_energy_products(mesh, ug, uh)[:, 0]))
+    mass_term = float(np.sum(d2.values * element_l2_products(mesh, ug, uh)[:, 0]))
     return -grad_term - mass_term
 

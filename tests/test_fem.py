@@ -13,7 +13,6 @@ import optitomo.fem
 from optitomo.errors import FieldError, SolverError
 from optitomo.field import (
     BoundaryTrace,
-    NodalField,
     PiecewiseConstantField,
     restrict_to_boundary,
     sample_coefficient,
@@ -23,7 +22,7 @@ from optitomo.fem import (
     _check_squared_norms,
     assemble,
     boundary_load,
-    element_gradients,
+    element_energy_products,
     element_l2_products,
     element_means,
     mass_data,
@@ -570,24 +569,39 @@ def test_source_on_listed_elements_matches_full_field_load(mesh_small_aligned, s
 
 
 def test_element_gradients_linear_reproduction(mesh_small):
-    u = NodalField(mesh_small, mesh_small.nodes[:, 0])
-    grads = element_gradients(u)
-    np.testing.assert_allclose(grads[:, 0], 1.0, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(grads[:, 1], 0.0, rtol=0, atol=1e-13)
-    const = NodalField(mesh_small, np.full(mesh_small.n_nodes, 4.2))
-    assert np.max(np.abs(element_gradients(const))) <= 1e-13
+    # grad x = (1, 0), grad y = (0, 1) and grad c = 0 on every element, so the
+    # energy products of the columns (x, y, y, c) with (x, y, x, x) are
+    # |e|, |e|, 0 and 0
+    mesh = mesh_small
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    const = np.full(mesh.n_nodes, 4.2)
+    got = element_energy_products(mesh, np.column_stack((x, y, y, const)), np.column_stack((x, y, x, x)))
+    assert got.shape == (mesh.n_elements, 4)
+    np.testing.assert_allclose(got[:, :2], np.column_stack((mesh.areas, mesh.areas)), rtol=1e-12)
+    np.testing.assert_allclose(got[:, 2:], 0.0, rtol=0, atol=1e-13 * mesh.areas.max())
 
 
 def test_gradient_assembly_consistency(mesh_small):
+    # per column, sum_e sigma_e int_e |grad u|^2 + q_e int_e u^2 is u^T A u,
+    # and a product of two columns is the bilinear form u^T A v
     sigma = sample_coefficient(mesh_small, "example1_sigma")
     q = sample_coefficient(mesh_small, "example1_q")
-    sys = assemble(mesh_small, sigma, q)
+    a = assemble(mesh_small, sigma, q).matrix
     rng = np.random.default_rng(11)
-    u = NodalField(mesh_small, rng.standard_normal(mesh_small.n_nodes))
-    grads = element_gradients(u)
-    quad = float(np.sum(sigma.values * mesh_small.areas * np.sum(grads * grads, axis=1)))
-    quad += float(np.sum(q.values * element_l2_products(u, u)))
-    assert abs(quad - u.values @ (sys.matrix @ u.values)) <= 1e-12 * abs(quad)
+    u = rng.standard_normal((mesh_small.n_nodes, 4))
+    v = rng.standard_normal((mesh_small.n_nodes, 4))
+    for left, right in ((u, u), (u, v)):
+        energy = element_energy_products(mesh_small, left, right)
+        mass = element_l2_products(mesh_small, left, right)
+        assert energy.shape == mass.shape == (mesh_small.n_elements, 4)
+        quad = sigma.values @ energy + q.values @ mass
+        ref = np.einsum("ij,ij->j", left, a @ right)
+        assert np.all(np.abs(quad - ref) <= 1e-12 * np.abs(ref))
+        # each column is the one-column call
+        for c in range(4):
+            one = (left[:, c:c + 1], right[:, c:c + 1])
+            assert np.array_equal(energy[:, c], element_energy_products(mesh_small, *one)[:, 0])
+            assert np.array_equal(mass[:, c], element_l2_products(mesh_small, *one)[:, 0])
 
 
 def test_boundary_load_uses_edge_mass(mesh_small):

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from optitomo.errors import FieldError
-from optitomo.field import BoundaryTrace, NodalField, PiecewiseConstantField, sample_coefficient
-from optitomo.fem import (
-    assemble,
-    element_gradients,
-    element_l2_products,
-    solve_dirichlet,
-    solve_neumann,
-)
+from optitomo.field import BoundaryTrace, PiecewiseConstantField, sample_coefficient
+import optitomo.fem
+from optitomo.fem import assemble, solve_dirichlet, solve_neumann
 from optitomo.inversion import (
     FTOL,
     JOINT,
@@ -21,7 +16,6 @@ from optitomo.inversion import (
     MeasurementSet,
     _LimitedMemoryInverseHessian,
     _Objective,
-    _data_fit,
     _solutions,
     balancing_rho,
     bfgs_minimize,
@@ -46,25 +40,37 @@ def example1_consistent(mesh_small):
     return sigma, q_true, meas
 
 
+def _element_integrals(mesh, u, v, dtype=float):
+    """(int_e grad u . grad v, int_e u v) per element and column of the (n_nodes, k) arrays u, v.
+
+    Read by contracting fem's 3x3 element matrices (sigma = 1, unit mass
+    weights) with corner values, in ``dtype`` arithmetic, apart from the
+    column kernels ``element_energy_products`` and ``element_l2_products``.
+    """
+    one = np.ones(mesh.n_elements)
+    ue, ve = (np.asarray(w, dtype=dtype)[mesh.elements] for w in (u, v))
+    stiffness = optitomo.fem._element_stiffness(mesh, PiecewiseConstantField(mesh, one))
+    mass = optitomo.fem._element_mass(mesh, one)
+    return tuple(np.einsum("eak,eab,ebk->ek", ue, local.astype(dtype), ve) for local in (stiffness, mass))
+
+
 def _reference_kv(meas, sigma, q, rho, mode):
     """The functional pair by pair: 2K single-column solves, per-pair data fit and gradient."""
     mesh = meas.mesh
     sys = assemble(mesh, sigma, q)
-    sols = [(solve_neumann(sys, BoundaryTrace(mesh, g)),
-             solve_dirichlet(sys, BoundaryTrace(mesh, f)))
+    sols = [(solve_neumann(sys, BoundaryTrace(mesh, g)).values[:, None],
+             solve_dirichlet(sys, BoundaryTrace(mesh, f)).values[:, None])
             for g, f in zip(meas.fluxes.T, meas.traces.T)]
     fit = 0.0
     gsig = np.zeros(mesh.n_elements)
     gq = np.zeros(mesh.n_elements)
     for un, ud in sols:
-        diff = NodalField(mesh, un.values - ud.values)
-        grad = element_gradients(diff)
-        fit += float(np.sum(sigma.values * mesh.areas * np.sum(grad * grad, axis=1)))
-        fit += float(np.sum(q.values * element_l2_products(diff, diff)))
-        gn = element_gradients(un)
-        gd = element_gradients(ud)
-        gsig += mesh.areas * (np.sum(gd * gd, axis=1) - np.sum(gn * gn, axis=1))
-        gq += element_l2_products(ud, ud) - element_l2_products(un, un)
+        diff = un - ud
+        energy, mass = _element_integrals(mesh, diff, diff)
+        fit += float(sigma.values @ energy[:, 0]) + float(q.values @ mass[:, 0])
+        (energy_n, mass_n), (energy_d, mass_d) = (_element_integrals(mesh, u, u) for u in (un, ud))
+        gsig += energy_d[:, 0] - energy_n[:, 0]
+        gq += mass_d[:, 0] - mass_n[:, 0]
     pen = float(np.sum(mesh.areas * q.values ** 2))
     gq += rho * mesh.areas * q.values
     if mode == JOINT:
@@ -190,6 +196,34 @@ def test_gradient_matches_finite_differences(example1_consistent):
         assert best <= 1e-4
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is no wider than double here")
+@pytest.mark.parametrize("distance", [1e-3, 1e-5, 1e-7])
+def test_data_gradient_keeps_its_accuracy_near_the_truth(mesh_medium, distance):
+    # Near consistent-data truth U_N and U_D meet, and the data gradient
+    # sum_k |grad u_Dk|^2 - |grad u_Nk|^2 (sigma), sum_k u_Dk^2 - u_Nk^2 (q)
+    # is small against each square.  The reference takes it from the same
+    # solution columns in long double, through fem's symmetric element
+    # matrices E, as -sum_k E(u_Nk - u_Dk, u_Nk + u_Dk), which equals the
+    # difference of squares exactly and does not cancel as the columns meet.
+    # A difference of squares in double loses about 1e-15 / distance.
+    sigma_true = sample_coefficient(mesh_medium, "example1_sigma")
+    q_true = sample_coefficient(mesh_medium, "example1_q")
+    meas = consistent_measurements(mesh_medium, sigma_true, q_true, FLUXES)
+    rng = np.random.default_rng(17)
+    sigma, q = (
+        PiecewiseConstantField(mesh_medium, f.values * (1.0 + distance * rng.uniform(-1.0, 1.0, f.values.size)))
+        for f in (sigma_true, q_true)
+    )
+    _, _, _, gsig, gq = kv_evaluate(meas, sigma, q, 0.0, JOINT)
+    _, un, ud = _solutions(meas, sigma, q)
+    un = un.astype(np.longdouble)
+    energy, mass = _element_integrals(mesh_medium, un - ud, un + ud, np.longdouble)
+    for got, ref in ((gsig, -energy.sum(axis=1)), (gq, -mass.sum(axis=1))):
+        error = float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+        assert error <= 1e-10, error
+
+
 def test_gradient_penalty_only_term(example1_consistent):
     # consistent data: the data-term gradient vanishes, leaving rho * area * sigma
     sigma, q_true, meas = example1_consistent
@@ -256,7 +290,7 @@ def test_data_fit_matches_the_ntd_route(benchmark_data):
         meas = benchmark_data[name]
         sigma = sample_coefficient(meas.mesh, spec.init_sigma)
         q = sample_coefficient(meas.mesh, spec.init_q)
-        fit = _data_fit(*_solutions(meas, sigma, q))
+        fit = kv_evaluate(meas, sigma, q, 0.0)[1]
         assert fit == pytest.approx(_ntd_route_data_fit(meas, sigma, q), rel=1e-10, abs=0)
 
 

@@ -187,8 +187,8 @@ def _rayleigh_quotient(setup, j, k, g):
     """
     eta = eta_field(setup, j, k)
     gap = localization_gap(setup, eta, g, j)
-    u = solve_neumann(assemble(setup.mesh, setup.sigma, eta), g)
-    total = float(np.sum(element_l2_products(u, u)[setup.partition.omega_mask]))
+    u = solve_neumann(assemble(setup.mesh, setup.sigma, eta), g).values[:, None]
+    total = float(np.sum(element_l2_products(setup.mesh, u, u)[setup.partition.omega_mask]))
     inside, rest = 0.5 * (total + gap), 0.5 * (total - gap)
     beta = 0.5 * inside - (1.5 * setup.b / setup.a - 0.5) * rest
     return beta / float(g.values @ (setup.mesh.boundary_mass @ g.values))
@@ -240,10 +240,10 @@ def test_monotonicity_of_squared_solutions(setup_small):
         qv = np.where(part.omega_mask, rng.uniform(setup.a, setup.b, mesh.n_elements), 0.0)
         dv = np.where(part.omega_mask, rng.uniform(0.0, 1.0, mesh.n_elements), 0.0)
         g = BoundaryTrace(mesh, rng.standard_normal(mesh.n_boundary))
-        u_q = solve_neumann(assemble(mesh, setup.sigma, PiecewiseConstantField(mesh, qv)), g)
-        u_qd = solve_neumann(assemble(mesh, setup.sigma, PiecewiseConstantField(mesh, qv + dv)), g)
-        lhs = float(np.sum(dv * element_l2_products(u_q, u_q)))
-        rhs = float(np.sum(dv * element_l2_products(u_qd, u_qd)))
+        u_q, u_qd = (solve_neumann(assemble(mesh, setup.sigma, PiecewiseConstantField(mesh, v)), g).values[:, None]
+                     for v in (qv, qv + dv))
+        lhs = float(np.sum(dv * element_l2_products(mesh, u_q, u_q)[:, 0]))
+        rhs = float(np.sum(dv * element_l2_products(mesh, u_qd, u_qd)[:, 0]))
         assert lhs >= rhs - 1e-10 * max(abs(lhs), 1.0)
 
 

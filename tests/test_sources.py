@@ -192,6 +192,20 @@ def test_element_mass_pattern_is_written_in_one_place():
     assert len(sites) == 1 and sites[0].startswith("fem.py:"), sites
 
 
+def test_element_gradients_are_read_in_one_module():
+    # fem states every P1 product integral of solution columns and every
+    # element matrix: the basis gradients TriMesh.element_grads, defined in
+    # mesh.py, are read in code only in fem.py
+    readers, definitions = set(), set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "element_grads":
+                readers.add(path.name)
+            elif isinstance(node, ast.FunctionDef) and node.name == "element_grads":
+                definitions.add(path.name)
+    assert (readers, definitions) == ({"fem.py"}, {"mesh.py"}), (readers, definitions)
+
+
 def test_pixel_inside_test_is_written_in_one_place():
     # The PGM rasterizer's row spans only choose which pixel centres reach
     # the exact inside test; that test and its 1e-12 tolerance are written
