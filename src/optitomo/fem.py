@@ -80,15 +80,11 @@ def assemble(
     """Assemble A(sigma, q) for the weak form of the diffusion-absorption equation.
 
     Requires finite coefficients, sigma > 0 everywhere and q >= 0 with q > 0
-    somewhere; a q that vanishes identically leaves the Neumann problem
-    singular up to constants and is rejected.
+    somewhere (``require_positive`` and ``require_absorption``).
     """
     if q.mesh is not mesh:
         raise FieldError("coefficient fields live on a different mesh")
-    if not np.all(np.isfinite(q.values) & (q.values >= 0.0)):
-        raise FieldError("absorption coefficient must be finite and nonnegative")
-    if not np.any(q.values > 0.0):
-        raise FieldError("absorption coefficient vanishes identically; system is singular")
+    q.require_absorption()
 
     # a first call builds the pattern before the element matrices take memory
     pattern = mesh.assembly_pattern

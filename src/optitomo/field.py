@@ -68,6 +68,12 @@ class PiecewiseConstantField(_MeshValues):
             )
         return self
 
+    def require_absorption(self) -> "PiecewiseConstantField":
+        """Require finite values >= 0, some > 0: an absorption that vanishes identically leaves the Neumann problem singular."""
+        if not (np.all(np.isfinite(self.values) & (self.values >= 0.0)) and np.any(self.values > 0.0)):
+            raise FieldError("absorption coefficient must be finite, nonnegative and not identically 0")
+        return self
+
 
 @dataclass(frozen=True)
 class NodalField(_MeshValues):

@@ -23,7 +23,7 @@ a relative tolerance of BETA_TARGET, which catches a wrong form B or wrong
 weights.  The tolerance is RECHECK_RTOL, or RECHECK_ROUNDING * eps * kappa
 where that is larger: kappa = max |lambda_i| / lambda_max over the spectrum
 of B g = lambda M g, and the rounding of B reaches the re-checked beta as
-about eps * kappa (measured at most 0.30 eps * kappa on 288 and 968 elements),
+about eps * kappa (measured at most 0.16 eps * kappa on 288 and 968 elements),
 so strongly indefinite forms keep their certificates while a relative weight
 error delta, which moves beta by about 3.6 delta, is still refused.
 
@@ -42,8 +42,9 @@ whose columns are the boundary hat loads and the couplings of omega's rim J
 (the nodes of omega next to the rest or on the boundary).  Each system is
 then two levels: a band Cholesky of the block of omega's remaining nodes K,
 and a dense |J| x |J| Schur complement solve for U on the rim, from which
-the NtD matrices of the stability report are read; a certificate also reads
-U on K.  No system of the condensation is assembled: its blocks of A are
+both the NtD matrices of the stability report and the certificate form are
+read: U is -P x_J on K, so B = x_J^T B_J x_J with B_J a |J| x |J| form.  No
+system of the condensation is assembled: its blocks of A and Q are
 ``mesh.Block``s of the stiffness and mass data of ``fem``.  The re-check of
 a certificate is a sparse solve of the full system, assembled on its own.
 """
@@ -122,13 +123,13 @@ class Condensation:
     T x_J = -W with the Schur complement
     T = A_JJ(q) - C - A_KJ^T P (Quarteroni & Valli, Domain Decomposition
     Methods for PDEs, 1999, ch. 1), by dense Cholesky.  The NtD matrix is
-    Z_B - Y_B x_J, and the certificates read x_K = -P x_J as well.  The
-    residual of the full system splits into three contracts: its rows E are
+    Z_B - Y_B x_J, and the certificate form reads (P, x_J) as well, and its
+    mass data through the same K x K, K x J and J x J blocks.  The residual
+    of the full system splits into three contracts: its rows E are
     R_Z - R_Y x_J, with R_Z and R_Y the residuals of the A_EE columns; its
-    rows K are -R_P x_J, with R_P = A_KK P - A_KJ held column by column;
-    its rows J are the Schur residual T x_J + W.  ``ii`` is the block over
-    I, for the certificate form's Q.  ``sizes`` records |I|, |J|, |K| and
-    the columns of the A_EE solve.
+    rows K are -R_P x_J, with R_P = A_KK P - A_KJ held column by column; its
+    rows J are the Schur residual T x_J + W.  ``sizes`` records |I|, |J|,
+    |K| and the columns of the A_EE solve.
     """
 
     def __init__(self, setup: ProbingSetup):
@@ -170,45 +171,46 @@ class Condensation:
         self.z_b[on_e] = z[local[bn[on_e]]]
         self.y_b[on_e] = y[local[bn[on_e]]]
         self.y_b[~on_e, local[bn[~on_e]]] = -1.0
-        self.ii = pattern.block(i_nodes, i_nodes)
         self._kj = pattern.block(k_nodes, j_nodes)
         self._jj = pattern.block(j_nodes, j_nodes)
-        # rows of K and J within I, numbered in node order as the rows of x_I
-        i_at = np.cumsum(inner) - 1
-        self._k_rows, self._j_rows = i_at[k_nodes], i_at[j_nodes]
         self.sizes = {"omega_nodes": i_nodes.size, "rim_nodes": j_nodes.size,
                       "interior_nodes": k_nodes.size, "exterior_columns": zy.shape[1]}
 
     def _rim_solve(self, q: PiecewiseConstantField) -> tuple[np.ndarray, np.ndarray]:
-        """P = A_KK(q)^-1 A_KJ(q), and the rows J of the Neumann solutions at absorption q."""
+        """P = A_KK(q)^-1 A_KJ(q), and the rows J of the Neumann solutions at absorption q.
+
+        Raises :class:`FieldError` if q is nonzero outside omega or not a
+        valid absorption, and :class:`SolverError` if A_KK or T is not
+        positive definite or a column misses its residual contract.
+        """
         if q.mesh is not self.mesh:
             raise FieldError("absorption field lives on a different mesh")
         if np.any(q.values[~self.omega_mask] != 0.0):
             raise FieldError("absorption field must vanish outside the subdomain")
-        if not (np.all(np.isfinite(q.values) & (q.values >= 0.0)) and np.any(q.values > 0.0)):
-            raise FieldError("absorption coefficient must be finite, nonnegative and not identically 0")
+        q.require_absorption()
         data = self._stiffness + mass_data(self.mesh, q.values)
         kj = self._kj.dense(data)
         p = solve_band_spd(self._kk, data, kj, "interior solve")
         schur = self._jj.dense(data) - self.c - kj.T @ p
         return p, -solve_dense_spd(schur, self.w, "condensed Neumann solve")
 
-    def solve(self, q: PiecewiseConstantField) -> np.ndarray:
-        """The rows I of the Neumann solutions at absorption q for every boundary hat current.
-
-        Raises :class:`FieldError` if q is nonzero outside omega or not a
-        valid absorption, and :class:`SolverError` if A_KK or T is not
-        positive definite or a column misses its residual contract.
-        """
-        p, x_j = self._rim_solve(q)
-        x_i = np.empty((self.ii.shape[0], x_j.shape[1]))
-        x_i[self._k_rows] = -(p @ x_j)
-        x_i[self._j_rows] = x_j
-        return x_i
-
     def ntd(self, q: PiecewiseConstantField) -> NtDMatrix:
         """The NtD matrix at absorption q, checked as every ``NtDMatrix`` is."""
         return NtDMatrix(self.mesh, self.z_b - self.y_b @ self._rim_solve(q)[1])
+
+    def certificate_form(self, q: PiecewiseConstantField, weights: np.ndarray) -> np.ndarray:
+        """B = x_I^T Q x_I at absorption q, one row and column per boundary hat current.
+
+        Q = ``fem.mass_data(mesh, weights)``, one weight per element, is
+        sum_e weights_e int_e phi_a phi_b; the weights vanish off omega, so
+        only its block on I is read.  With x_K = -P x_J, B = x_J^T B_J x_J and
+        B_J = Q_JJ - H - H^T + P^T Q_KK P, H = Q_KJ^T P, a |J| x |J| matrix.
+        """
+        p, x_j = self._rim_solve(q)
+        mass = mass_data(self.mesh, weights)
+        h = self._kj.dense(mass).T @ p
+        b_j = self._jj.dense(mass) - h - h.T + p.T @ (self._kk.sparse(mass) @ p)
+        return x_j.T @ (b_j @ x_j)
 
 
 @dataclass(frozen=True)
@@ -299,25 +301,13 @@ def localization_gap(setup: ProbingSetup, q: PiecewiseConstantField, g: Boundary
     return inside - rest
 
 
-def _certificate_form(condensation: Condensation, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_e weights_e int_e u_a u_b over the elements, for every column pair (a, b) of u.
-
-    Row r of u holds the values at the r-th node of the condensation's rows I,
-    and the weights, one per element, vanish off omega.  The form is u^T Q u,
-    with Q the sparse block on I of the weighted sum of the exact P1 element
-    mass matrices (``fem.mass_data``).
-    """
-    q = condensation.ii.sparse(mass_data(condensation.mesh, weights))
-    return u.T @ (q @ u)
-
-
 def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurrent:
     """The current with the smallest squared norm certified at beta(j,k) = BETA_TARGET.
 
     Solves the Neumann problem at eta(j,k) for every boundary hat current,
-    condensed onto omega, forms the certificate's quadratic form B over the
-    omega elements, takes the top eigenpair of B g = lambda M g and scales
-    the eigenvector to beta = BETA_TARGET.  The current is then certified
+    condensed onto omega's rim, forms the certificate's quadratic form B
+    there (``Condensation.certificate_form``), takes the top eigenpair of
+    B g = lambda M g and scales the eigenvector to beta = BETA_TARGET.  The current is then certified
     again by its own Neumann solve of the full system.
 
     Raises :class:`CertificateError` if lambda_max <= 0, so that no current
@@ -328,10 +318,9 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
     mesh = setup.mesh
     part = setup.partition
     eta = eta_field(setup, j, k)
-    x_i = setup.condensation.solve(eta)
     # stated apart from ``_certificate``, so the re-check also catches a wrong weight
     rest = np.where(part.omega_mask, 0.5 - 1.5 * setup.b / setup.a, 0.0)
-    form = _certificate_form(setup.condensation, np.where(part.labels == j, 0.5, rest), x_i)
+    form = setup.condensation.certificate_form(eta, np.where(part.labels == j, 0.5, rest))
     lam, vec = sla.eigh(form, mesh.boundary_mass)
     top = lam[-1]
     if not top > 0.0:
@@ -350,7 +339,7 @@ def find_localized_current(setup: ProbingSetup, j: int, k: int) -> LocalizedCurr
             f"solve against {BETA_TARGET} from the eigenproblem (relative defect {defect:.3e} "
             f"> tolerance {rtol:.3e})"
         )
-    return LocalizedCurrent(j, k, g, beta, float(rtol), x_i.shape[1] + 1)
+    return LocalizedCurrent(j, k, g, beta, float(rtol), form.shape[1] + 1)
 
 
 def verify_localization(

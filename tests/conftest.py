@@ -46,16 +46,17 @@ def forward_solves(monkeypatch):
     """
     columns = []
     single = optitomo.locpot.solve_neumann
-    form = optitomo.locpot._certificate_form
+    form = optitomo.locpot.Condensation.certificate_form
 
     def counting_single(sys, g):
         columns.append(1)
         return single(sys, g)
 
-    def counting_form(condensation, weights, u):
-        columns.append(u.shape[1])
-        return form(condensation, weights, u)
+    def counting_form(condensation, q, weights):
+        b = form(condensation, q, weights)
+        columns.append(b.shape[1])
+        return b
 
     monkeypatch.setattr(optitomo.locpot, "solve_neumann", counting_single)
-    monkeypatch.setattr(optitomo.locpot, "_certificate_form", counting_form)
+    monkeypatch.setattr(optitomo.locpot.Condensation, "certificate_form", counting_form)
     return columns

@@ -420,8 +420,9 @@ def test_condensation_omega_block_matches_the_assembly(pattern_setups, target, m
         return solve(block, data, rhs, what)
 
     monkeypatch.setattr(optitomo.locpot, "solve_band_spd", keeping)
-    setup.condensation.solve(q)
-    ii = setup.condensation.ii
+    setup.condensation.ntd(q)
+    i_nodes = np.unique(mesh.elements[setup.partition.omega_mask])
+    ii = mesh.assembly_pattern.block(i_nodes, i_nodes)
     got, ref = ii.dense(seen[0]), ii.dense(assemble(mesh, setup.sigma, q).matrix.data)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
@@ -440,15 +441,19 @@ def _unique_route_form(mesh, elements, weights, u):
 
 @pytest.mark.parametrize("target, radius", [(254, 0.5), (1016, 0.5), (254, 0.99)])
 def test_certificate_form_matches_the_unique_route(target, radius):
+    # the rim form x_J^T B_J x_J against x_I^T Q x_I, with x_I the rows I of a
+    # dense solve of the full system, apart from P and the condensation
     mesh = generate_disk_mesh(target, angular_multiplier=8)
     setup = make_probing_setup(subdomain_partition(mesh, radius, 8), 1.0, 2.0)
     omega = setup.partition.omega_mask
     rng = np.random.default_rng(target)
     weights = np.where(omega, rng.uniform(-2.0, 1.0, mesh.n_elements), 0.0)
-    x_i = setup.condensation.solve(eta_field(setup, 1, 1))
-    form = optitomo.locpot._certificate_form(setup.condensation, weights, x_i)
+    eta = eta_field(setup, 1, 1)
+    a = assemble(mesh, setup.sigma, eta).matrix.toarray()
+    x_i = np.linalg.solve(a, boundary_load(mesh, np.eye(mesh.n_boundary)))[np.unique(mesh.elements[omega])]
+    form = setup.condensation.certificate_form(eta, weights)
     ref = _unique_route_form(mesh, np.flatnonzero(omega), weights[omega], x_i)
-    assert np.max(np.abs(form - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(form - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_certificates_and_report_share_one_exterior_factorization(mesh_small_aligned, monkeypatch):
@@ -468,11 +473,17 @@ def test_certificates_and_report_share_one_exterior_factorization(mesh_small_ali
     assert sizes == [n_exterior] + [mesh_small_aligned.n_nodes] * (setup.n_cells * setup.K)
 
 
+def _form_at(condensation):
+    """``certificate_form`` with weight 1 on omega, as a call of q alone."""
+    return lambda q: condensation.certificate_form(q, condensation.omega_mask.astype(float))
+
+
 def test_condensation_refuses_absorption_outside_omega(setup_small):
     values = eta_field(setup_small, 1, 1).values.copy()
     values[np.flatnonzero(~setup_small.partition.omega_mask)[0]] = 1.0
-    with pytest.raises(FieldError, match="must vanish outside the subdomain"):
-        setup_small.condensation.solve(PiecewiseConstantField(setup_small.mesh, values))
+    for call in (setup_small.condensation.ntd, _form_at(setup_small.condensation)):
+        with pytest.raises(FieldError, match="must vanish outside the subdomain"):
+            call(PiecewiseConstantField(setup_small.mesh, values))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0.0])
@@ -486,7 +497,7 @@ def test_condensation_refuses_an_invalid_absorption(setup_small, value):
     else:
         values[np.flatnonzero(omega)[0]] = value
     q = PiecewiseConstantField(setup_small.mesh, values)
-    for call in (setup_small.condensation.ntd, setup_small.condensation.solve):
+    for call in (setup_small.condensation.ntd, _form_at(setup_small.condensation)):
         with pytest.raises(FieldError, match="absorption coefficient must be finite"):
             call(q)
     other = PiecewiseConstantField(generate_disk_mesh(254, angular_multiplier=8), values)
@@ -511,9 +522,9 @@ def test_condensed_ntd_with_no_interior_block(mesh_small_aligned):
 
 
 def test_condensation_work_counts(monkeypatch):
-    # one SuperLU solve of n_b + |J| columns per setup; per q one band
-    # factorization of A_KK, one dense factorization of the |J| x |J| Schur
-    # complement, and no assembly
+    # one SuperLU solve of n_b + |J| columns per setup; per q, for each of
+    # ntd and the certificate form, one band factorization of A_KK, one dense
+    # factorization of the |J| x |J| Schur complement, and no assembly
     setup = _eight_cells(generate_disk_mesh(1016, angular_multiplier=8), 1.0, 2.0)
     columns, band, dense = [], [], []
     sparse_solve = optitomo.locpot.solve_sparse_spd
@@ -536,7 +547,7 @@ def test_condensation_work_counts(monkeypatch):
     monkeypatch.setattr(optitomo.locpot, "assemble", no_assembly)
     q = eta_field(setup, 3, 2)
     setup.condensation.ntd(q)
-    setup.condensation.solve(q)
+    _form_at(setup.condensation)(q)
     assert band == [n_k] * 2
     assert dense == [(n_j, n_j)] * 2
     assert columns == [sizes["exterior_columns"]]
@@ -563,7 +574,7 @@ def test_interior_solve_is_held_to_the_k_row_contract(setup_small, monkeypatch, 
         where = "load" if defect == "A_KJ" else "result"
         monkeypatch.setattr(sla_, "cho_solve_banded", _perturbed(sla_.cho_solve_banded, where))
     q = eta_field(setup_small, 1, 1)
-    for call in (setup_small.condensation.ntd, setup_small.condensation.solve):
+    for call in (setup_small.condensation.ntd, _form_at(setup_small.condensation)):
         with pytest.raises(SolverError, match="interior solve did not converge"):
             call(q)
 
@@ -605,7 +616,7 @@ def test_indefinite_schur_complement_is_a_solver_error(mesh_small_aligned, monke
 def test_certificate_error_names_best_beta(setup_small, monkeypatch):
     # with B = -M every current has beta = -<g, g>_M: the best beta per unit
     # squared current norm is lambda_max = -1
-    monkeypatch.setattr(optitomo.locpot, "_certificate_form",
+    monkeypatch.setattr(optitomo.locpot.Condensation, "certificate_form",
                         lambda condensation, *_: -condensation.mesh.boundary_mass)
     with pytest.raises(CertificateError) as info:
         find_localized_current(setup_small, 1, 1)
@@ -617,10 +628,10 @@ def test_certificate_error_names_best_beta(setup_small, monkeypatch):
 def _scaled_rest_weight(monkeypatch, factor):
     # scales the weight on omega \ D_j in B alone, so only the independent
     # re-check solve sees the true certificate
-    original = optitomo.locpot._certificate_form
+    original = optitomo.locpot.Condensation.certificate_form
     monkeypatch.setattr(
-        optitomo.locpot, "_certificate_form",
-        lambda condensation, w, u: original(condensation, np.where(w < 0.0, factor * w, w), u),
+        optitomo.locpot.Condensation, "certificate_form",
+        lambda condensation, q, w: original(condensation, q, np.where(w < 0.0, factor * w, w)),
     )
 
 
