@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,11 +96,12 @@ class _Parser(argparse.ArgumentParser):
 def _run(argv) -> int:
     parser = _Parser(prog="optitomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (handler, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override the noise seed")
         p.add_argument("--out", default="optitomo_out", help="output directory")
+        if handler is cmd_reconstruct:  # the only reader of [noise] seed
+            p.add_argument("--seed", type=int, default=None, help="override the noise seed")
         if name in ("example1", "example2"):
             p.add_argument("--epsilon", type=float, default=None, help="noise level")
 
@@ -146,7 +148,7 @@ def _load_config(command: str, args, overrides) -> dict:
             cfg[section] = merged
         if args.epsilon is not None:
             cfg.setdefault("noise", {})["epsilon"] = repr(args.epsilon)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.setdefault("noise", {})["seed"] = str(args.seed)
 
     for (section, name), value in overrides.items():
@@ -346,11 +348,10 @@ def cmd_reconstruct(cfg, outdir, args):
              _get(cfg, "optimizer", "sigma_upper", cast=float))
             if mode == JOINT else None
         ),
-        rho=_get(cfg, "optimizer", "rho", default=0.0, cast=float, minimum=0),
-        beta_balance=_get(cfg, "optimizer", "beta_balance", default=1.5, cast=float),
-        max_iter=_get(cfg, "optimizer", "max_iter", default=200, cast=int, minimum=0),
-        gradient_tolerance=_get(cfg, "optimizer", "gradient_tolerance", default=1e-9, cast=float,
-                                minimum=0),
+        **{key: _get(cfg, "optimizer", key, cast=cast, minimum=minimum)
+           for key, cast, minimum in (("rho", float, 0), ("beta_balance", float, None),
+                                      ("max_iter", int, 0), ("gradient_tolerance", float, 0))
+           if key in cfg.get("optimizer", {})},
     )
 
     balancing = _get(cfg, "optimizer", "balancing", default=False, cast=bool)
@@ -361,10 +362,9 @@ def cmd_reconstruct(cfg, outdir, args):
     write_measurements_csv(meas, meas_csv)
     outputs.append(meas_csv)
 
-    rho = inv_cfg.rho
     if balancing:
         rho_star, history = balancing_rho(meas, inv_cfg)
-        rho = rho_star
+        inv_cfg = replace(inv_cfg, rho=rho_star)
         bal_csv = _artifact(outdir, "balancing.csv")
         header = "outer,rho,data_fit,penalty_integral,residual,degenerate"
         write_csv(bal_csv, header, _columns(history, header))
@@ -380,8 +380,8 @@ def cmd_reconstruct(cfg, outdir, args):
             row["objective_evaluations"] for row in history
         )
 
-    sigma_rec, q_rec, trace = bfgs_minimize(meas, inv_cfg, rho=rho)
-    extra["rho"] = rho
+    sigma_rec, q_rec, trace = bfgs_minimize(meas, inv_cfg)
+    extra["rho"] = inv_cfg.rho
     extra["iterations"] = len(trace.rows) - 1
     extra["final_J"] = trace.rows[-1]["J"]
     extra["converged"] = trace.converged
@@ -442,7 +442,7 @@ def _write_manifest(args, cfg, outdir, outputs, extra, wall_time) -> None:
         "command": args.command,
         "config_path": args.config,
         "config": cfg,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "versions": {
             "optitomo": __version__,
             "numpy": np.__version__,

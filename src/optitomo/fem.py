@@ -43,7 +43,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import FieldError, SolverError
+from .errors import SolverError
 from .field import BoundaryTrace, NodalField, PiecewiseConstantField
 from .mesh import Block, TriMesh
 
@@ -82,9 +82,7 @@ def assemble(
     Requires finite coefficients, sigma > 0 everywhere and q >= 0 with q > 0
     somewhere (``require_positive`` and ``require_absorption``).
     """
-    if q.mesh is not mesh:
-        raise FieldError("coefficient fields live on a different mesh")
-    q.require_absorption()
+    q.require_mesh(mesh).require_absorption()
 
     # a first call builds the pattern before the element matrices take memory
     pattern = mesh.assembly_pattern
@@ -107,9 +105,7 @@ def mass_data(mesh: TriMesh, weights: np.ndarray) -> np.ndarray:
 
 def _element_stiffness(mesh: TriMesh, sigma: PiecewiseConstantField) -> np.ndarray:
     """The (n_elements, 3, 3) element stiffness matrices sigma_e |e| grad phi_a . grad phi_b."""
-    if sigma.mesh is not mesh:
-        raise FieldError("coefficient fields live on a different mesh")
-    sigma.require_positive()
+    sigma.require_mesh(mesh).require_positive()
     gx = mesh.element_grads[:, :, 0]
     gy = mesh.element_grads[:, :, 1]
     local = gx[:, :, None] * gx[:, None, :]
@@ -160,8 +156,7 @@ def _check_solve(matrix, x: np.ndarray, rhs: np.ndarray, what: str) -> None:
 
 def solve_neumann(sys: AssembledSystem, g: BoundaryTrace) -> NodalField:
     """Solve with prescribed boundary flux g (coefficients of boundary hat functions)."""
-    if g.mesh is not sys.mesh:
-        raise FieldError("boundary trace lives on a different mesh")
+    g.require_mesh(sys.mesh)
     return NodalField(sys.mesh, solve_neumann_many(sys, g.values[:, None])[:, 0])
 
 
@@ -172,8 +167,7 @@ def solve_neumann_many(sys: AssembledSystem, g_values: np.ndarray) -> np.ndarray
 
 def solve_dirichlet(sys: AssembledSystem, f: BoundaryTrace) -> NodalField:
     """Solve with prescribed boundary values f; exact at boundary nodes."""
-    if f.mesh is not sys.mesh:
-        raise FieldError("boundary trace lives on a different mesh")
+    f.require_mesh(sys.mesh)
     return NodalField(sys.mesh, _band_dirichlet(sys, f.values[:, None])[:, 0])
 
 

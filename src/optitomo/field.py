@@ -51,6 +51,12 @@ class _MeshValues:
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
 
+    def require_mesh(self, mesh: TriMesh) -> "_MeshValues":
+        """Require the values to live on ``mesh`` itself; an equal copy is another mesh."""
+        if self.mesh is not mesh:
+            raise FieldError(f"{self._noun} values live on a different mesh")
+        return self
+
 
 @dataclass(frozen=True)
 class PiecewiseConstantField(_MeshValues):

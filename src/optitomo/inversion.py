@@ -21,9 +21,11 @@ box bounds, Armijo backtracking on the projected point, and a
 curvature-guarded pair update.  A solve stops on its iteration budget, on a
 small projected gradient, or once an accepted step lowers J by no more than
 ``FTOL`` relative to max(|J_old|, |J_new|, 1), the relative-reduction test of
-L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995).  The
-regularization weight can be chosen by a fixed-point iteration that balances
-the data-fit term against the penalty, which needs no noise-level knowledge.
+L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J. Sci. Comput. 16, 1995).  A solve
+reads its weight, start, bounds and budget from one frozen ``InversionConfig``.
+The regularization weight can be chosen by a fixed-point iteration that
+balances the data-fit term against the penalty, which needs no noise-level
+knowledge.
 
 In absorption-only mode the diffusion coefficient is held fixed and the
 penalty reduces to (rho/2) int q^2.
@@ -31,7 +33,7 @@ penalty reduces to (rho/2) int q^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -83,14 +85,15 @@ class MeasurementSet:
         return self.fluxes.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class InversionConfig:
-    """Settings for reconstruction.
+    """Settings of one reconstruction; the defaults below are the only ones.
 
     ``sigma0`` is the known diffusion in q-only mode and the initial guess in
     joint mode; ``q0`` is the initial absorption guess.  Bounds are inclusive
-    boxes applied per element.  ``max_iter`` and ``gradient_tolerance`` bound
-    the projected L-BFGS descent; ``beta_balance`` sets the balancing target.
+    boxes applied per element.  ``rho`` weights the penalty, ``max_iter`` and
+    ``gradient_tolerance`` bound the projected L-BFGS descent, and
+    ``beta_balance`` sets the balancing target.
     Optimizer internals are module constants: ``LBFGS_MEMORY`` = 20, ``FTOL`` =
     1e-12, ``ARMIJO`` = 1e-4, ``MAX_BACKTRACKS`` = 30 step halvings, and for
     the balancing fixed point ``BALANCE_MAX_OUTER`` = 20 and ``BALANCE_RTOL`` = 1e-3.
@@ -169,7 +172,7 @@ def kv_evaluate(
     sigma: PiecewiseConstantField,
     q: PiecewiseConstantField,
     rho: float,
-    mode: str = JOINT,
+    mode: str,
 ):
     """The energy-misfit functional and its analytic gradient in one batched pass.
 
@@ -216,9 +219,9 @@ class _Objective:
         n = self.mesh.n_elements
         return np.concatenate([np.broadcast_to(b, n) for b in blocks], dtype=float)
 
-    def start(self, sigma, q):
-        """The in-bounds stacked point of the fields (sigma, q)."""
-        return self.project(self.stack(sigma.values, q.values))
+    def start(self):
+        """The in-bounds stacked point of the configured start (sigma0, q0)."""
+        return self.project(self.stack(self.config.sigma0.values, self.config.q0.values))
 
     def split(self, x):
         n = self.mesh.n_elements
@@ -229,9 +232,10 @@ class _Objective:
     def project(self, x):
         return np.clip(x, self.lo, self.hi)
 
-    def value_and_gradient(self, x, rho):
-        """(J, data_fit, penalty, stacked gradient) at the stacked point x."""
-        value, fit, pen, gsig, gq = kv_evaluate(self.meas, *self.split(x), rho, self.config.mode)
+    def value_and_gradient(self, x):
+        """(J, data_fit, penalty, stacked gradient) at the stacked point x, at the configured rho."""
+        value, fit, pen, gsig, gq = kv_evaluate(self.meas, *self.split(x), self.config.rho,
+                                                self.config.mode)
         return value, fit, pen, self.stack(gsig, gq)
 
 
@@ -269,28 +273,21 @@ class _LimitedMemoryInverseHessian:
         self._gamma = sy / float(y @ y)
 
 
-def bfgs_minimize(
-    meas: MeasurementSet,
-    config: InversionConfig,
-    rho: float | None = None,
-    start: tuple[PiecewiseConstantField, PiecewiseConstantField] | None = None,
-):
-    """Projected L-BFGS descent on the energy-misfit functional.
+def bfgs_minimize(meas: MeasurementSet, config: InversionConfig):
+    """Projected L-BFGS descent on the energy-misfit functional at ``config.rho``.
 
+    Starts from (``config.sigma0``, ``config.q0``) projected onto the bounds.
     Returns (sigma_rec, q_rec, trace); ``trace.message`` names the stop and
-    ``trace.evaluations`` counts the objective evaluations made.  ``start``,
-    a (sigma, q) pair of fields, overrides the configured initial guess (used
-    by warm-started outer loops).
+    ``trace.evaluations`` counts the objective evaluations made.
     """
     obj = _Objective(meas, config)
-    rho = config.rho if rho is None else rho
-    x = obj.start(*(start or (config.sigma0, config.q0)))
+    x = obj.start()
     hessian = _LimitedMemoryInverseHessian()
     trace = OptimizationTrace()
 
     def evaluate(x_eval):
         trace.evaluations += 1
-        return obj.value_and_gradient(x_eval, rho)
+        return obj.value_and_gradient(x_eval)
 
     value, fit, pen, grad = evaluate(x)
     pg_norm = float(np.linalg.norm(x - obj.project(x - grad)))
@@ -355,17 +352,18 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
     """Fixed-point choice of the regularization weight.
 
     Iterates rho <- 2 (beta - 1) F(rho) / P(rho), where F is the data-fit
-    term and P the penalty integral of the reconstruction at the current rho,
-    warm-starting each reconstruction from the previous one.  Returns
-    (rho_star, history); each history row carries the balance residual
-    |(beta - 1) F - (rho/2) P| of the minimizer at its own rho and the
-    objective evaluations spent on it (the first row includes the evaluation
-    at the start that set its rho).  Degenerates to rho = 0 (flagged in the
-    history) for noise-free consistent data.
+    term and P the penalty integral of the reconstruction at the current rho:
+    a solve on ``config`` with that rho, warm-started from the previous
+    reconstruction as its (sigma0, q0).  Returns (rho_star, history); each
+    history row carries the balance residual |(beta - 1) F - (rho/2) P| of
+    the minimizer at its own rho and the objective evaluations spent on it
+    (the first row includes the evaluation at the start that set its rho).
+    Degenerates to rho = 0 (flagged in the history) for noise-free
+    consistent data.
     """
     obj = _Objective(meas, config)
     beta = config.beta_balance
-    sigma0, q0 = obj.split(obj.start(config.sigma0, config.q0))
+    sigma0, q0 = obj.split(obj.start())
     fit0 = kv_evaluate(meas, sigma0, q0, 0.0, config.mode)[1]
     pen0 = _penalty(meas.mesh, sigma0, q0, 0.0, config.mode)[1]
     scale = abs(fit0) + abs(pen0)
@@ -375,11 +373,10 @@ def balancing_rho(meas: MeasurementSet, config: InversionConfig):
 
     rho = 2.0 * (beta - 1.0) * fit0 / pen0
     history = []
-    start = None
     evaluations = 1
     for outer in range(1, BALANCE_MAX_OUTER + 1):
-        sigma_rec, q_rec, trace = bfgs_minimize(meas, config, rho=rho, start=start)
-        start = (sigma_rec, q_rec)
+        sigma_rec, q_rec, trace = bfgs_minimize(meas, replace(config, rho=rho))
+        config = replace(config, sigma0=sigma_rec, q0=q_rec)  # the next solve's warm start
         fit = trace.rows[-1]["data_fit"]
         pen = _penalty(meas.mesh, sigma_rec, q_rec, rho, config.mode)[1]
         residual = abs((beta - 1.0) * fit - 0.5 * rho * pen)

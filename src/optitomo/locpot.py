@@ -52,7 +52,7 @@ a certificate is a sparse solve of the full system, assembled on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -84,13 +84,16 @@ RECHECK_ROUNDING = 4.0
 
 @dataclass(frozen=True)
 class ProbingSetup:
-    """Partitioned subdomain, coefficient bounds, and the known background diffusion."""
+    """Partitioned subdomain, coefficient bounds, and the known background diffusion; ``K`` is ``compute_K(a, b)``."""
 
     partition: Partition
     a: float
     b: float
-    K: int
     sigma: PiecewiseConstantField
+    K: int = dc_field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "K", compute_K(self.a, self.b))
 
     @property
     def mesh(self) -> TriMesh:
@@ -183,11 +186,8 @@ class Condensation:
         valid absorption, and :class:`SolverError` if A_KK or T is not
         positive definite or a column misses its residual contract.
         """
-        if q.mesh is not self.mesh:
-            raise FieldError("absorption field lives on a different mesh")
-        if np.any(q.values[~self.omega_mask] != 0.0):
-            raise FieldError("absorption field must vanish outside the subdomain")
-        q.require_absorption()
+        q.require_mesh(self.mesh).require_absorption()
+        _require_zero_off_omega(q, self.omega_mask)
         data = self._stiffness + mass_data(self.mesh, q.values)
         kj = self._kj.dense(data)
         p = solve_band_spd(self._kk, data, kj, "interior solve")
@@ -244,10 +244,16 @@ def compute_K(a: float, b: float) -> int:
     return int(math.floor(brackets)) + 3
 
 
+def _require_zero_off_omega(q: PiecewiseConstantField, omega_mask: np.ndarray) -> None:
+    """Refuse an absorption field that is nonzero outside omega, where every probing absorption vanishes."""
+    if np.any(q.values[~omega_mask] != 0.0):
+        raise FieldError("absorption field must vanish outside the subdomain")
+
+
 def make_probing_setup(partition: Partition, a: float, b: float) -> ProbingSetup:
     """Build a probing setup with the background diffusion 1 outside omega and 2 inside."""
     sigma = PiecewiseConstantField(partition.mesh, np.where(partition.omega_mask, 2.0, 1.0))
-    return ProbingSetup(partition, float(a), float(b), compute_K(a, b), sigma)
+    return ProbingSetup(partition, float(a), float(b), sigma)
 
 
 def eta_field(setup: ProbingSetup, j: int, k: int) -> PiecewiseConstantField:
@@ -355,8 +361,7 @@ def verify_localization(
     [a, b] on the subdomain and zero outside.
     """
     part = setup.partition
-    if np.any(q.values[~part.omega_mask] != 0.0):
-        raise FieldError("absorption field must vanish outside the subdomain")
+    _require_zero_off_omega(q, part.omega_mask)
     for j in range(1, part.n_cells + 1):
         cell_vals = q.values[part.cell_mask(j)]
         if np.ptp(cell_vals) > 1e-14 * max(abs(cell_vals[0]), 1.0):

@@ -86,8 +86,7 @@ def boundary_inner(g: BoundaryTrace, h: BoundaryTrace) -> float:
     M is the boundary mass matrix of the mesh both traces live on.  Evaluated in symmetrized form so that swapping the arguments gives the
     bit-identical result.
     """
-    if g.mesh is not h.mesh:
-        raise FieldError("boundary traces live on different meshes")
+    h.require_mesh(g.mesh)
     mass = g.mesh.boundary_mass
     a = g.values @ (mass @ h.values)
     b = h.values @ (mass @ g.values)
@@ -181,10 +180,8 @@ def lambda_frechet_form(
     solve the Neumann problem for currents g and h at coefficients (sigma, q).
     """
     mesh = sigma.mesh
-    if d1.mesh is not mesh or d2.mesh is not mesh:
-        raise FieldError("direction fields live on a different mesh")
-    if g.mesh is not mesh or h.mesh is not mesh:
-        raise FieldError("boundary trace lives on a different mesh")
+    for value in (d1, d2, g, h):
+        value.require_mesh(mesh)
     u = solve_neumann_many(assemble(mesh, sigma, q), np.column_stack((g.values, h.values)))
     ug, uh = u[:, :1], u[:, 1:]
     grad_term = float(np.sum(d1.values * element_energy_products(mesh, ug, uh)[:, 0]))

@@ -171,9 +171,8 @@ def error_metrics(
     Returns (rel_l2, rel_linf, table) where each table row holds the region
     name and the mean absolute error over the region.
     """
-    if rec.mesh is not truth.mesh:
-        raise FieldError("fields live on different meshes")
     mesh = rec.mesh
+    truth.require_mesh(mesh)
     diff = rec.values - truth.values
     denom_l2 = math.sqrt(float(np.sum(mesh.areas * truth.values ** 2)))
     rel_l2 = math.sqrt(float(np.sum(mesh.areas * diff ** 2))) / denom_l2

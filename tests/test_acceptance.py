@@ -5,6 +5,7 @@ of every criterion.  Regression thresholds come from
 ``tests/fixtures/acceptance_thresholds.json`` (frozen reference run).
 """
 
+import dataclasses
 import json
 import pathlib
 
@@ -248,7 +249,7 @@ def test_criterion_6b_balancing_rho():
     # J(., rho*) on the box, and that minimizer must balance at rho* under
     # the same contract.  A loop that reports a balanced history without
     # minimizing at its weights fails here.
-    _, q_rec, _ = bfgs_minimize(meas, cfg, rho=rho_star)
+    _, q_rec, _ = bfgs_minimize(meas, dataclasses.replace(cfg, rho=rho_star))
     fit_rec = kv_evaluate(meas, cfg.sigma0, q_rec, 0.0, Q_ONLY)[1]
     pen_rec = float(np.sum(mesh.areas * q_rec.values ** 2))
     rel_refit = abs((beta - 1.0) * fit_rec - 0.5 * rho_star * pen_rec) / ((beta - 1.0) * fit_rec)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import pathlib
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from optitomo import cli
 from optitomo.cli import main
+from optitomo.inversion import InversionConfig
 from optitomo.mesh import read_mesh
 
 FIXTURES = json.loads(
@@ -343,6 +345,54 @@ def test_reconstruct_balancing_manifest(tmp_path):
     assert manifest["objective_evaluations"] > 0
     assert (out / "balancing.csv").exists()
     assert (out / "sigma_rec.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["mesh", "--mesh.target_elements=254"],
+    ["forward", "--mesh.target_elements=254", "--coefficients.sigma=one",
+     "--coefficients.q=one", "--forward.flux=sin:1"],
+    ["ntd", "--mesh.target_elements=254", "--coefficients.sigma=one", "--coefficients.q=one"],
+    ["lipschitz", "--mesh.target_elements=254", "--lipschitz.a=1", "--lipschitz.b=1.2"],
+])
+def test_seed_flag_is_refused_where_no_seed_is_read(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    assert run(args + ["--seed", "7", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: unrecognized argument '--seed'\n"
+    assert not out.exists()
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_reconstruct_leaves_unset_tuning_keys_to_inversion_config(tmp_path, monkeypatch):
+    # the CLI states none of InversionConfig's defaults: with no [optimizer]
+    # tuning key each such field is the dataclass default, and a set key
+    # reaches the config as given
+    seen = []
+
+    def capture(meas, config):
+        seen.append(config)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "bfgs_minimize", capture)
+    base = [
+        "reconstruct", "--mesh.coarse_elements=254", "--mesh.fine_elements=1016",
+        "--fluxes.g1=offset_sin:10,1", "--truth.sigma=one", "--truth.q=constant:1",
+        "--optimizer.mode=q_only", "--optimizer.sigma_known=one",
+        "--optimizer.init_q=constant:1", "--optimizer.q_lower=0.1", "--optimizer.q_upper=5",
+        "--out", str(tmp_path),
+    ]
+    for extra in ([], ["--optimizer.max_iter=3"]):
+        with pytest.raises(_Captured):
+            run(base + extra)
+    defaults = {f.name: f.default for f in dataclasses.fields(InversionConfig)
+                if f.default is not dataclasses.MISSING}
+    assert set(defaults) == {"sigma_bounds", "rho", "beta_balance", "max_iter",
+                             "gradient_tolerance"}
+    assert {name: getattr(seen[0], name) for name in defaults} == defaults
+    assert {name: getattr(seen[1], name) for name in defaults} == {**defaults, "max_iter": 3}
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

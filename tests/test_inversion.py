@@ -101,11 +101,11 @@ def test_batched_evaluation_matches_per_pair_reference(benchmark_data, example, 
         mode=mode, sigma0=sample_coefficient(mesh, "one"), q0=sample_coefficient(mesh, "one"),
         q_bounds=(0.5, 6.0), sigma_bounds=(0.5, 5.0),
     )
-    obj = _Objective(meas, cfg)
     for rho in (0.0, 1e-3):
+        obj = _Objective(meas, dataclasses.replace(cfg, rho=rho))
         x = rng.uniform(obj.lo, obj.hi)
         sigma, q = obj.split(x)
-        value, fit, pen, grad = obj.value_and_gradient(x, rho)
+        value, fit, pen, grad = obj.value_and_gradient(x)
         ref_value, ref_fit, ref_pen, ref_grad = _reference_kv(meas, sigma, q, rho, mode)
         assert value == pytest.approx(ref_value, rel=1e-12)
         assert fit == pytest.approx(ref_fit, rel=1e-12)
@@ -290,7 +290,7 @@ def test_data_fit_matches_the_ntd_route(benchmark_data):
         meas = benchmark_data[name]
         sigma = sample_coefficient(meas.mesh, spec.init_sigma)
         q = sample_coefficient(meas.mesh, spec.init_q)
-        fit = kv_evaluate(meas, sigma, q, 0.0)[1]
+        fit = kv_evaluate(meas, sigma, q, 0.0, JOINT)[1]
         assert fit == pytest.approx(_ntd_route_data_fit(meas, sigma, q), rel=1e-10, abs=0)
 
 
@@ -334,10 +334,10 @@ def test_q_only_solve_matches_scipy_lbfgsb():
     obj = _Objective(meas, cfg)
 
     def value_and_gradient(x):
-        value, _, _, grad = obj.value_and_gradient(x, cfg.rho)
+        value, _, _, grad = obj.value_and_gradient(x)
         return value, grad
 
-    oracle = minimize(value_and_gradient, obj.start(cfg.sigma0, cfg.q0), jac=True,
+    oracle = minimize(value_and_gradient, obj.start(), jac=True,
                       method="L-BFGS-B", bounds=list(zip(obj.lo, obj.hi)),
                       options={"maxiter": cfg.max_iter, "gtol": cfg.gradient_tolerance})
     assert oracle.success
@@ -441,7 +441,7 @@ def test_bfgs_pure_penalty_hits_projected_zero(mesh_small):
     obj = _Objective(meas, cfg)
     rng = np.random.default_rng(0)
     for x in (obj.lo, obj.hi, *rng.uniform(obj.lo, obj.hi, (20, obj.lo.size))):
-        assert np.all(obj.value_and_gradient(x, cfg.rho)[3] > 0.0)
+        assert np.all(obj.value_and_gradient(x)[3] > 0.0)
     _, q_rec, trace = bfgs_minimize(meas, cfg)
     assert trace.converged
     np.testing.assert_allclose(q_rec.values, 0.5, rtol=0, atol=1e-8)

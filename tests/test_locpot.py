@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -70,6 +71,15 @@ def test_compute_K_values():
     for a, b in ((1.0, np.inf), (1e-300, 1e300)):
         with pytest.raises(FieldError, match="no finite bracket count"):
             compute_K(a, b)
+
+
+def test_probing_setup_derives_its_bracket_count(setup_small):
+    # K follows the bounds it is computed from, also through replace()
+    assert setup_small.K == compute_K(setup_small.a, setup_small.b)
+    wider = dataclasses.replace(setup_small, b=3.0)
+    assert wider.K == compute_K(setup_small.a, 3.0) != setup_small.K
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(setup_small, K=3)
 
 
 def test_eta_field_values(mesh_small_aligned):

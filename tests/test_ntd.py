@@ -151,7 +151,7 @@ def test_boundary_inner_swap_exact(mesh_small):
 def test_boundary_inner_refuses_traces_on_different_meshes(mesh_small):
     ones = np.ones(mesh_small.n_boundary)
     twin = TriMesh(mesh_small.nodes, mesh_small.elements, mesh_small.boundary_nodes)
-    with pytest.raises(FieldError, match="^boundary traces live on different meshes$"):
+    with pytest.raises(FieldError, match="^boundary values live on a different mesh$"):
         boundary_inner(BoundaryTrace(mesh_small, ones), BoundaryTrace(twin, ones))
 
 
@@ -286,11 +286,11 @@ def test_frechet_form_zero_direction(mesh_small):
     g = BoundaryTrace(mesh, np.sin(mesh.boundary_angles))
     assert lambda_frechet_form(sigma, q, zero, zero, g, g) == 0.0
     twin = TriMesh(mesh.nodes, mesh.elements, mesh.boundary_nodes)
-    with pytest.raises(FieldError, match="^boundary trace lives on a different mesh$"):
+    with pytest.raises(FieldError, match="^boundary values live on a different mesh$"):
         lambda_frechet_form(sigma, q, zero, zero, g, BoundaryTrace(twin, g.values))
     elsewhere = PiecewiseConstantField(twin, np.ones(mesh.n_elements))
     for d1, d2 in ((elsewhere, zero), (zero, elsewhere)):
-        with pytest.raises(FieldError, match="^direction fields live on a different mesh$"):
+        with pytest.raises(FieldError, match="^element values live on a different mesh$"):
             lambda_frechet_form(sigma, q, d1, d2, g, g)
 
 

@@ -233,3 +233,16 @@ def test_assembled_system_is_a_frozen_matrix_value():
     body = cls.body[1:] if isinstance(cls.body[0], ast.Expr) else cls.body
     fields = [(type(n), getattr(getattr(n, "target", None), "id", None)) for n in body]
     assert fields == [(ast.AnnAssign, "mesh"), (ast.AnnAssign, "matrix")]
+
+
+def test_a_solve_reads_its_settings_from_a_frozen_config():
+    # one owner per run setting: bfgs_minimize takes no parameter beside the
+    # config that could override its rho or start, and no caller can mutate
+    # the config between solves
+    tree = ast.parse((PACKAGE / "inversion.py").read_text(encoding="utf-8"))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "bfgs_minimize"]
+    args = fn.args
+    assert [a.arg for a in args.args] == ["meas", "config"]
+    assert not (args.posonlyargs or args.kwonlyargs or args.vararg or args.kwarg or args.defaults)
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "InversionConfig"]
+    assert [ast.unparse(d) for d in cls.decorator_list] == ["dataclass(frozen=True)"]
