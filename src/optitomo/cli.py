@@ -5,7 +5,9 @@ accepts ``--section.key=value`` overrides, writes its artifacts into the
 output directory, and emits exactly one JSON manifest recording the command,
 config, seed, package versions, SHA-256 digests of inputs and outputs, and
 wall time.  Outputs are byte-identical across reruns with the same config and
-seed.
+seed.  A command accepts only the keys of its table in ``COMMANDS``, the keys
+it reads; any other key, a ``[DEFAULT]`` key, or ``[fluxes]`` keys other
+than g1..gN is refused before any work.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -58,23 +60,22 @@ from .synth import (
     write_measurements_csv,
 )
 
-# Allowed config keys per section; unknown keys are usage errors.
-SCHEMA = {
-    "mesh": {"target_elements", "coarse_elements", "fine_elements", "angular_multiplier"},
-    "coefficients": {"sigma", "q"},
-    "forward": {"flux"},
-    "fluxes": None,  # keys g1..gN
+# Key tables: the sections a command reads and the keys it reads there
+# ("fluxes" stands for g1..gN); any other key is a usage error.
+_DISK = {"mesh": {"target_elements", "angular_multiplier"}}
+_COEFFICIENTS = {**_DISK, "coefficients": {"sigma", "q"}}
+_RECONSTRUCT = {
+    "mesh": {"coarse_elements", "fine_elements", "angular_multiplier"},
+    "fluxes": None,
     "noise": {"epsilon", "seed"},
     "truth": {"sigma", "q"},
-    "lipschitz": {
-        "omega_radius", "n_cells", "a", "b", "stability_pairs", "stability_seed",
-    },
     "optimizer": {
         "mode", "rho", "balancing", "beta_balance", "max_iter", "gradient_tolerance",
         "q_lower", "q_upper", "sigma_lower", "sigma_upper",
         "init_sigma", "init_q", "sigma_known",
     },
 }
+REQUIRED = object()  # the default of a key that must be set
 
 
 def main(argv=None) -> int:
@@ -96,7 +97,7 @@ class _Parser(argparse.ArgumentParser):
 def _run(argv) -> int:
     parser = _Parser(prog="optitomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, help_text) in COMMANDS.items():
+    for name, (handler, _, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default="optitomo_out", help="output directory")
@@ -136,6 +137,8 @@ def _load_config(command: str, args, overrides) -> dict:
     try:
         if args.config is not None:
             parser.read(args.config, encoding="utf-8")
+        if parser.defaults():  # configparser would merge them into every section
+            raise UsageError(f"unknown config section [{parser.default_section}]")
         cfg = {section: dict(parser[section]) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:  # its messages may span lines
         raise UsageError(f"malformed config file: {' '.join(str(exc).split())}") from None
@@ -154,15 +157,13 @@ def _load_config(command: str, args, overrides) -> dict:
     for (section, name), value in overrides.items():
         cfg.setdefault(section, {})[name] = value
 
+    table = COMMANDS[command][1]
     for section, keys in cfg.items():
-        if section not in SCHEMA:
+        if section not in table:
             raise UsageError(f"unknown config section [{section}]")
-        allowed = SCHEMA[section]
+        allowed = table[section] or {f"g{k}" for k in range(1, len(keys) + 1)}  # [fluxes]
         for key in keys:
-            if allowed is None:
-                if not (key.startswith("g") and key[1:].isdigit()):
-                    raise UsageError(f"unknown config key {key!r} in [fluxes]")
-            elif key not in allowed:
+            if key not in allowed:
                 raise UsageError(f"unknown config key {key!r} in [{section}]")
     return cfg
 
@@ -197,11 +198,11 @@ def _example_preset(command: str) -> dict:
     return preset
 
 
-def _get(cfg, section, key, default=None, cast=str, minimum=None):
+def _get(cfg, section, key, default=REQUIRED, cast=str, minimum=None):
     try:
         raw = cfg[section][key]
     except KeyError:
-        if default is None:
+        if default is REQUIRED:
             raise UsageError(f"missing config key {key!r} in [{section}]") from None
         return default
     if cast is bool:
@@ -219,16 +220,10 @@ def _get(cfg, section, key, default=None, cast=str, minimum=None):
     return value
 
 
-def _angular(cfg):
-    raw = _get(cfg, "mesh", "angular_multiplier", default="", cast=str)
-    return _get(cfg, "mesh", "angular_multiplier", cast=int) if raw else None
-
-
 def _disk_mesh(cfg, default_multiplier=None):
     """The [mesh] target_elements mesh; angular_multiplier, if set, wins over the default."""
-    multiplier = _angular(cfg)
-    return generate_disk_mesh(_get(cfg, "mesh", "target_elements", cast=int),
-                              default_multiplier if multiplier is None else multiplier)
+    multiplier = _get(cfg, "mesh", "angular_multiplier", default=default_multiplier, cast=int)
+    return generate_disk_mesh(_get(cfg, "mesh", "target_elements", cast=int), multiplier)
 
 
 def cmd_mesh(cfg, outdir, args):
@@ -309,8 +304,8 @@ def cmd_lipschitz(cfg, outdir, args):
 def cmd_reconstruct(cfg, outdir, args):
     coarse = _get(cfg, "mesh", "coarse_elements", cast=int)
     fine = _get(cfg, "mesh", "fine_elements", cast=int)
-    flux_items = sorted(cfg.get("fluxes", {}).items(), key=lambda kv: int(kv[0][1:]))
-    if not flux_items:
+    fluxes = tuple(_get(cfg, "fluxes", f"g{k}") for k in range(1, len(cfg.get("fluxes", {})) + 1))
+    if not fluxes:
         raise UsageError("no fluxes configured (section [fluxes], keys g1..gN)")
     mode = _get(cfg, "optimizer", "mode")
     if mode not in (Q_ONLY, JOINT):
@@ -319,14 +314,14 @@ def cmd_reconstruct(cfg, outdir, args):
     spec = ExperimentSpec(
         fine_elements=fine,
         coarse_elements=coarse,
-        fluxes=tuple(v for _, v in flux_items),
+        fluxes=fluxes,
         noise_level=_get(cfg, "noise", "epsilon", default=0.0, cast=float),
         seed=_get(cfg, "noise", "seed", default=0, cast=int, minimum=0),
         truth_sigma=_get(cfg, "truth", "sigma"),
         truth_q=_get(cfg, "truth", "q"),
         init_sigma=_get(cfg, "optimizer", "init_sigma", default="one"),
         init_q=_get(cfg, "optimizer", "init_q"),
-        angular_multiplier=_angular(cfg),
+        angular_multiplier=_get(cfg, "mesh", "angular_multiplier", default=None, cast=int),
     )
     meas = make_measurements(spec)
     mesh = meas.mesh
@@ -348,10 +343,10 @@ def cmd_reconstruct(cfg, outdir, args):
              _get(cfg, "optimizer", "sigma_upper", cast=float))
             if mode == JOINT else None
         ),
-        **{key: _get(cfg, "optimizer", key, cast=cast, minimum=minimum)
+        **{key: value
            for key, cast, minimum in (("rho", float, 0), ("beta_balance", float, None),
                                       ("max_iter", int, 0), ("gradient_tolerance", float, 0))
-           if key in cfg.get("optimizer", {})},
+           if (value := _get(cfg, "optimizer", key, None, cast, minimum)) is not None},
     )
 
     balancing = _get(cfg, "optimizer", "balancing", default=False, cast=bool)
@@ -462,15 +457,19 @@ def _write_manifest(args, cfg, outdir, outputs, extra, wall_time) -> None:
         fh.write(text + "\n")
 
 
-# name -> (handler, help text)
+# name -> (handler, key table, help text)
 COMMANDS = {
-    "mesh": (cmd_mesh, "generate a disk mesh and write the mesh file"),
-    "forward": (cmd_forward, "solve one Neumann problem and write solution artifacts"),
-    "ntd": (cmd_ntd, "build the discrete Neumann-to-Dirichlet matrix"),
-    "lipschitz": (cmd_lipschitz, "compute stability certificates and the sampled report"),
-    "reconstruct": (cmd_reconstruct, "generate synthetic data and reconstruct coefficients"),
-    "example1": (cmd_reconstruct, "absorption-only benchmark reconstruction"),
-    "example2": (cmd_reconstruct, "simultaneous benchmark reconstruction"),
+    "mesh": (cmd_mesh, _DISK, "generate a disk mesh and write the mesh file"),
+    "forward": (cmd_forward, {**_COEFFICIENTS, "forward": {"flux"}},
+                "solve one Neumann problem and write solution artifacts"),
+    "ntd": (cmd_ntd, _COEFFICIENTS, "build the discrete Neumann-to-Dirichlet matrix"),
+    "lipschitz": (cmd_lipschitz, {**_DISK, "lipschitz": {
+        "omega_radius", "n_cells", "a", "b", "stability_pairs", "stability_seed"}},
+        "compute stability certificates and the sampled report"),
+    "reconstruct": (cmd_reconstruct, _RECONSTRUCT,
+                    "generate synthetic data and reconstruct coefficients"),
+    "example1": (cmd_reconstruct, _RECONSTRUCT, "absorption-only benchmark reconstruction"),
+    "example2": (cmd_reconstruct, _RECONSTRUCT, "simultaneous benchmark reconstruction"),
 }
 
 

@@ -165,6 +165,8 @@ def test_non_finite_coefficient_exits_two(tmp_path, capsys, coefficient):
     ["example1", "--optimizer.gradient_tolerance=inf"],
     ["mesh", "--mesh.target_elements=254", "--mesh.angular_multiplier=abc"],
     ["mesh", "--mesh.target_elements=254", "--mesh.angular_multiplier=1e400"],
+    # an empty value is malformed, not unset
+    ["mesh", "--mesh.target_elements=254", "--mesh.angular_multiplier="],
 ])
 def test_negative_seed_or_cell_count_is_a_usage_error(tmp_path, capsys, args):
     assert run(args + ["--out", str(tmp_path)]) == 1
@@ -176,6 +178,8 @@ def test_negative_seed_or_cell_count_is_a_usage_error(tmp_path, capsys, args):
     b"target_elements = 254\n",                                    # key before any section
     b"[mesh]\ntarget_elements = 254\n[mesh]\ncoarse_elements = 1\n",  # repeated section
     b"[mesh]\ntarget_elements = 254\n\xff\xfe\n",                     # not UTF-8
+    b"[DEFAULT]\nbogus = 1\n",                                       # a [DEFAULT] key
+    b"[DEFAULT]\ntarget_elements = 254\n[mesh]\n",                   # read into [mesh]
 ])
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.ini"
@@ -183,6 +187,20 @@ def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, text):
     assert run(["mesh", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nbogus = 1\n",
+    "[DEFAULT]\ntarget_elements = 254\n[mesh]\n",
+])
+def test_default_section_is_refused(tmp_path, capsys, text):
+    # configparser merges [DEFAULT] into every section; no command reads it
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run(["mesh", "--config", str(cfg), "--mesh.target_elements=254", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: unknown config section [DEFAULT]\n"
+    assert not out.exists()
 
 
 def test_nan_noise_level_exits_two(tmp_path, capsys):
@@ -209,7 +227,7 @@ def test_infinite_beta_balance_exits_two(tmp_path, capsys):
 
 def test_non_finite_manifest_value_exits_two(tmp_path, capsys, monkeypatch):
     # no command is known to record a NaN now; the strict dump is the backstop
-    monkeypatch.setitem(cli.COMMANDS, "mesh", (lambda cfg, outdir, args: ([], {"L": float("nan")}), ""))
+    monkeypatch.setitem(cli.COMMANDS, "mesh", (lambda cfg, outdir, args: ([], {"L": float("nan")}), {}, ""))
     out = tmp_path / "o"
     assert run(["mesh", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -415,23 +433,22 @@ _BASES = {
     "example1": ["example1", *_SMALL],
     "example2": ["example2", *_SMALL],
     "balancing": ["example2", *_SMALL, "--optimizer.balancing=true"],
+    "ntd": ["ntd", "--mesh.target_elements=254", "--coefficients.sigma=one",
+            "--coefficients.q=one"],
 }
-_SECTION_BASES = {
-    "mesh": ("mesh", "lipschitz", "example1"),
-    "coefficients": ("forward",),
-    "forward": ("forward",),
-    "fluxes": ("example1", "example2"),
-    "noise": ("example1", "example2"),
-    "truth": ("example1", "example2"),
-    "lipschitz": ("lipschitz",),
-    "optimizer": ("example1", "example2", "balancing"),
-}
-# every schema key ([fluxes] stands for its keys g1..gN) on every base that reads its section
+
+
+def _table_keys(command):
+    """The (section, key) pairs of a command's key table; [fluxes] stands as g1."""
+    return {(section, key) for section, keys in cli.COMMANDS[command][1].items()
+            for key in (keys or {"g1"})}
+
+
+# every key of each base's command table on that base
 _OVERRIDES = [
     (base, f"--{section}.{key}")
-    for section, keys in cli.SCHEMA.items()
-    for key in sorted(keys or {"g1"})
-    for base in _SECTION_BASES[section]
+    for base, argv in _BASES.items()
+    for section, key in sorted(_table_keys(argv[0]))
 ]
 
 
@@ -439,7 +456,7 @@ def _strict_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-# Running all 560 cases takes about 15 s on a 2-core host; the examples are the cases that
+# Running all 656 cases takes about 6 s on a 2-core host; the examples are the cases that
 # wrote a non-finite manifest value before bounded keys had to be finite.
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=st.sampled_from(_OVERRIDES),
@@ -458,3 +475,83 @@ def test_hostile_config_value_fails_cleanly_or_writes_strict_json(case, value):
             assert code in (1, 2)
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
             assert not manifest.exists()
+
+
+_RECONSTRUCT_BASE = [
+    "reconstruct", *_SMALL, "--fluxes.g1=offset_sin:10,1", "--truth.sigma=one",
+    "--truth.q=constant:1", "--optimizer.mode=q_only", "--optimizer.sigma_known=one",
+    "--optimizer.init_q=constant:1", "--optimizer.q_lower=0.1", "--optimizer.q_upper=5",
+]
+_ALL_KEYS = set().union(*map(_table_keys, cli.COMMANDS))
+# each key of another command's table that a command does not read
+_UNREAD = [
+    (command, section, key)
+    for command in cli.COMMANDS
+    for section, key in sorted(_ALL_KEYS - _table_keys(command))
+]
+
+
+@pytest.mark.parametrize("command, section, key", _UNREAD)
+def test_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, section, key):
+    out = tmp_path / "o"
+    base = _RECONSTRUCT_BASE if command == "reconstruct" else _BASES[command]
+    assert run([*base, f"--{section}.{key}=1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err in (
+        f"usage error: unknown config section [{section}]\n",
+        f"usage error: unknown config key {key!r} in [{section}]\n",
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    # each of these was accepted, ignored and recorded in the manifest
+    ["lipschitz", "--mesh.target_elements=254", "--lipschitz.n_cells=2", "--lipschitz.a=1",
+     "--lipschitz.b=1.2", "--lipschitz.stability_pairs=3", "--noise.seed=9"],
+    ["mesh", "--mesh.target_elements=254", "--optimizer.max_iter=abc"],
+    ["mesh", "--mesh.target_elements=254", "--mesh.coarse_elements=99"],
+    ["example1", *_SMALL, "--mesh.target_elements=5"],
+])
+def test_unread_key_makes_a_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "o"
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown config ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fluxes", [
+    # the order of the flags chose which current got the first noise stream
+    ["--fluxes.g1=sin:1", "--fluxes.g01=sin:2"],
+    ["--fluxes.g01=sin:2", "--fluxes.g1=sin:1"],
+    ["--fluxes.g0=sin:2"],
+    # a gap was renumbered away
+    ["--fluxes.g3=sin:2"],
+])
+def test_flux_keys_are_g1_to_gn(tmp_path, capsys, fluxes):
+    # the flags come first, so they set the order of the [fluxes] keys
+    out = tmp_path / "o"
+    assert run(["reconstruct", *fluxes, *_RECONSTRUCT_BASE[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown config key 'g") and err.endswith("' in [fluxes]\n")
+    assert not out.exists()
+
+
+def test_each_command_reads_the_keys_of_its_table(tmp_path, monkeypatch):
+    reads = {base: set() for base in _BASES}
+    get = cli._get
+
+    def recording(cfg, section, key, *args, **kwargs):
+        reads[base].add((section, "g1") if section == "fluxes" else (section, key))
+        return get(cfg, section, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_get", recording)
+    for base, argv in _BASES.items():
+        assert run([*argv, "--out", str(tmp_path / base)]) == 0
+        assert reads[base] <= _table_keys(argv[0])
+    for command in ("mesh", "forward", "ntd", "lipschitz"):
+        assert reads[command] == _table_keys(command)
+    table = _table_keys("reconstruct")
+    assert reads["example1"] | reads["example2"] | reads["balancing"] == table
+    # the keys one optimizer mode leaves unread
+    assert table - reads["example1"] == {("optimizer", "sigma_lower"), ("optimizer", "sigma_upper")}
+    assert table - reads["example2"] == table - reads["balancing"] == {("optimizer", "sigma_known")}
